@@ -9,16 +9,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from . import detectors as det
+from .detectors import TECHNIQUES, detect
 from .harness import (
+    SOLVERS,
     ExperimentConfig,
+    _recovery_record,
+    recovery_trial,
     run_detection_mc,
     run_recovery_mc,
     run_scan_sim,
@@ -27,6 +30,7 @@ from .io import (
     RECOVERY_COLUMNS,
     TOOL_VERSION,
     RunManifest,
+    _fmt,
     config_hash,
     load_config,
     matrix_descriptor,
@@ -35,16 +39,8 @@ from .io import (
     utc_now,
     write_manifest,
 )
-from .matrices import build_matrix, compress
-from .recovery import (
-    basis_pursuit,
-    bayesian_recover,
-    biht_recover,
-    cosamp,
-    omp,
-    one_bit_quantize,
-)
-from .signals import evaluate_metrics, gen_pilot_bpsk, gen_sparse_signal
+from .matrices import SCHEMES, build_matrix, compress
+from .signals import gen_pilot_bpsk, gen_sparse_signal
 from .snr import estimate_snr
 
 __all__ = ["main", "run_cli"]
@@ -101,13 +97,13 @@ def _write_samples(path: Path, values: np.ndarray, column: str) -> None:
                              else repr(complex(v))])
 
 
-def _emit_manifest(args_dict: dict, base_seed: int, outputs: list[Path]) -> None:
-    if not outputs:
-        return
+def _emit_manifest(started_at: str, hashed: dict, base_seed: int,
+                   outputs: list[Path]) -> None:
+    """Write the run manifest beside outputs[0]; `hashed` is the config to hash."""
     manifest = RunManifest(
-        config_hash=config_hash(args_dict),
+        config_hash=config_hash(hashed),
         tool_version=TOOL_VERSION,
-        started_at=args_dict.get("_started_at", utc_now()),
+        started_at=started_at,
         finished_at=utc_now(),
         base_seed=base_seed,
         output_paths=tuple(str(p) for p in outputs),
@@ -117,20 +113,21 @@ def _emit_manifest(args_dict: dict, base_seed: int, outputs: list[Path]) -> None
 
 
 def _public_args(ns: argparse.Namespace) -> dict:
-    return {k: v for k, v in vars(ns).items()
-            if not k.startswith("_") and k != "func" and v is not None}
+    return {k: v for k, v in vars(ns).items() if k != "func" and v is not None}
 
 
 def _cmd_generate(ns: argparse.Namespace) -> int:
+    started = utc_now()
     x = gen_sparse_signal(ns.n, ns.k, amplitude_law=ns.amplitude_law, seed=ns.seed)
     out = Path(ns.output)
     _write_samples(out, x.samples, "value")
-    _emit_manifest(_public_args(ns), ns.seed, [out])
+    _emit_manifest(started, _public_args(ns), ns.seed, [out])
     print(f"wrote {out} (n={ns.n}, k={ns.k})")
     return 0
 
 
 def _cmd_compress(ns: argparse.Namespace) -> int:
+    started = utc_now()
     x = _read_samples(ns.input)
     A = build_matrix(ns.scheme, ns.m, x.size, seed=ns.seed)
     y = compress(A, x, noise_variance=ns.noise_variance, seed=ns.seed + 1)
@@ -140,77 +137,37 @@ def _cmd_compress(ns: argparse.Namespace) -> int:
     with open(desc_path, "w") as fh:
         json.dump(matrix_descriptor(A), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _emit_manifest(_public_args(ns), ns.seed, [out, desc_path])
+    _emit_manifest(started, _public_args(ns), ns.seed, [out, desc_path])
     print(f"wrote {out} and {desc_path} (m={ns.m}, n={x.size})")
     return 0
 
 
-def _solve_once(solver: str, y, A, k: int, z_factor: float):
-    if solver == "bp":
-        z = z_factor * float(np.max(np.abs(A.rmatvec(y.values))))
-        return basis_pursuit(y, A, z=z)
-    if solver == "omp":
-        return omp(y, A, k)
-    if solver == "cosamp":
-        return cosamp(y, A, k)
-    if solver == "bayesian":
-        return bayesian_recover(y, A).base
-    if solver == "biht":
-        return biht_recover(one_bit_quantize(y), A, k)
-    raise ValueError(f"unknown solver {solver!r}")
-
-
 def _cmd_recover(ns: argparse.Namespace) -> int:
-    A = build_matrix(ns.scheme, ns.m, ns.n, seed=ns.seed)
-    x = gen_sparse_signal(ns.n, ns.k, seed=ns.seed + 1)
-    clean = A.matvec(x.samples)
-    nv = 0.0 if ns.snr_db is None else (
-        float(np.mean(clean**2)) / 10.0 ** (ns.snr_db / 10.0))
-    y = compress(A, x, noise_variance=nv, seed=ns.seed + 2)
-    t0 = time.perf_counter()
-    res = _solve_once(ns.solver, y, A, ns.k, ns.z_factor)
-    elapsed = time.perf_counter() - t0
-    x_hat = res.x_hat
-    if ns.solver == "biht":
-        target = x.samples / np.linalg.norm(x.samples)
-        metrics = evaluate_metrics(target, x_hat)
-    else:
-        metrics = evaluate_metrics(x, x_hat, y.values, A.matvec(x_hat))
+    started = utc_now()
+    snr_db = math.inf if ns.snr_db is None else ns.snr_db
+    row, res = recovery_trial(ns.solver, ns.scheme, ns.n, ns.k, ns.m, snr_db,
+                              (ns.seed, ns.seed + 1, ns.seed + 2),
+                              z_factor=ns.z_factor, inform_noise=True,
+                              measure_time=ns.measure_time)
+    record = _recovery_record(ns.solver, ns.scheme, ns.n, ns.k, ns.m, snr_db, [row])
     out = Path(ns.output)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["index", "x_hat"])
-        for i, v in enumerate(x_hat):
+        for i, v in enumerate(res.x_hat):
             writer.writerow([i, "%.9g" % v])
         writer.writerow(RECOVERY_COLUMNS)
-        tr_ms = elapsed * 1e3 if ns.measure_time else 0.0
-        writer.writerow([
-            ns.solver, ns.scheme, ns.n, ns.k, ns.m,
-            "%.9g" % (float("inf") if ns.snr_db is None else ns.snr_db), 1,
-            "%.9g" % metrics.recovery_error_Re, "%.9g" % metrics.mse,
-            "%.9g" % metrics.correlation_Cc, "%.9g" % min(metrics.rsnr, 1e30),
-            "%.9g" % float(metrics.hamming_Hd),
-            "%.9g" % tr_ms, "%.9g" % tr_ms,
-        ])
-    _emit_manifest(_public_args(ns), ns.seed, [out])
-    print(f"wrote {out} (Re={metrics.recovery_error_Re:.3e}, "
-          f"iterations={res.iterations})")
+        writer.writerow([_fmt(record[c]) for c in RECOVERY_COLUMNS])
+    _emit_manifest(started, _public_args(ns), ns.seed, [out])
+    print(f"wrote {out} (Re={row['re']:.3e}, iterations={res.iterations})")
     return 0
 
 
 def _cmd_detect(ns: argparse.Namespace) -> int:
+    started = utc_now()
     y = _read_samples(ns.input)
-    if ns.technique == "energy":
-        outcome = det.energy_detect(y, ns.threshold)
-    elif ns.technique == "autocorr":
-        outcome = det.autocorr_detect(y, ns.threshold)
-    elif ns.technique == "euclid":
-        outcome = det.euclid_detect(y, ns.threshold, ns.lags)
-    elif ns.technique == "matched_filter":
-        pilot = gen_pilot_bpsk(y.size, seed=ns.pilot_seed)
-        outcome = det.matched_filter_detect(y, pilot, ns.threshold)
-    else:
-        raise ValueError(f"unknown technique {ns.technique!r}")
+    pilot = gen_pilot_bpsk(y.size, seed=ns.pilot_seed)
+    outcome = detect(ns.technique, y, ns.threshold, pilot=pilot, lags=ns.lags)
     header = "technique,statistic,threshold,decision"
     row = "%s,%.9g,%.9g,%s" % (outcome.technique, outcome.statistic_T,
                                outcome.threshold_lambda, outcome.decision)
@@ -219,11 +176,12 @@ def _cmd_detect(ns: argparse.Namespace) -> int:
     if ns.output:
         out = Path(ns.output)
         out.write_text(header + "\n" + row + "\n")
-        _emit_manifest(_public_args(ns), 0, [out])
+        _emit_manifest(started, _public_args(ns), 0, [out])
     return 0
 
 
 def _cmd_estimate_snr(ns: argparse.Namespace) -> int:
+    started = utc_now()
     y = _read_samples(ns.input)
     est = estimate_snr(y, L=ns.smoothing_l, K=ns.grid_k)
     payload = {
@@ -239,7 +197,7 @@ def _cmd_estimate_snr(ns: argparse.Namespace) -> int:
         with open(out, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        _emit_manifest(_public_args(ns), 0, [out])
+        _emit_manifest(started, _public_args(ns), 0, [out])
     return 0
 
 
@@ -273,15 +231,7 @@ def _cmd_experiment(ns: argparse.Namespace) -> int:
     out_dir = Path(ns.output_dir)
     out = out_dir / f"results.{ns.format}"
     serialize_report(report, out, fmt=ns.format)
-    manifest = RunManifest(
-        config_hash=config_hash(config),
-        tool_version=TOOL_VERSION,
-        started_at=started,
-        finished_at=utc_now(),
-        base_seed=exp.base_seed,
-        output_paths=(str(out),),
-    )
-    write_manifest(manifest, out_dir, stem="results")
+    _emit_manifest(started, config, exp.base_seed, [out])
     print(f"wrote {out} ({len(report.records)} records)")
     return 0
 
@@ -305,15 +255,7 @@ def _cmd_scan_sim(ns: argparse.Namespace) -> int:
     out_dir = Path(ns.output_dir)
     out = out_dir / f"scan.{ns.format}"
     serialize_report(report, out, fmt=ns.format)
-    manifest = RunManifest(
-        config_hash=config_hash(_public_args(ns)),
-        tool_version=TOOL_VERSION,
-        started_at=started,
-        finished_at=utc_now(),
-        base_seed=ns.seed,
-        output_paths=(str(out),),
-    )
-    write_manifest(manifest, out_dir, stem="scan")
+    _emit_manifest(started, _public_args(ns), ns.seed, [out])
     print(f"wrote {out} ({report.channels_scanned} channels x {ns.slots} slots, "
           f"detection_rate={report.detection_rate:.3f})")
     return 0
@@ -364,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compress", help="compress a signal file")
     p.add_argument("--input", required=True)
-    p.add_argument("--scheme", default="gaussian",
-                   choices=("gaussian", "bernoulli", "circulant", "toeplitz"))
+    p.add_argument("--scheme", default="gaussian", choices=SCHEMES)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise-variance", type=float, default=0.0)
@@ -373,14 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser("recover", help="end-to-end synthetic recovery run")
-    p.add_argument("--solver", required=True,
-                   choices=("bp", "omp", "cosamp", "bayesian", "biht"))
+    p.add_argument("--solver", required=True, choices=SOLVERS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scheme", default="gaussian",
-                   choices=("gaussian", "bernoulli", "circulant", "toeplitz"))
+    p.add_argument("--scheme", default="gaussian", choices=SCHEMES)
     p.add_argument("--snr-db", type=float, default=None,
                    help="measurement SNR; omit for noiseless")
     p.add_argument("--z-factor", type=float, default=0.1)
@@ -389,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("detect", help="run one detector on a sample file")
-    p.add_argument("--technique", required=True,
-                   choices=("energy", "autocorr", "euclid", "matched_filter"))
+    p.add_argument("--technique", required=True, choices=TECHNIQUES)
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--lags", type=int, default=64)

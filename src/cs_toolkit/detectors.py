@@ -33,10 +33,14 @@ __all__ = [
     "matched_filter_detect",
     "quiet_time_threshold",
     "compressive_detect",
+    "TECHNIQUES",
+    "detect",
 ]
 
 OCCUPIED = "occupied_H1"
 IDLE = "idle_H0"
+# narrowband detectors that `detect` dispatches by name
+TECHNIQUES = ("energy", "matched_filter", "autocorr", "euclid")
 
 
 @dataclass(frozen=True)
@@ -262,3 +266,22 @@ def compressive_detect(
         raise IllConditionedError("Omega Omega^T is singular") from exc
     return DetectionOutcome(t, float(lam),
                             OCCUPIED if t >= lam else IDLE, "compressive")
+
+
+def detect(technique: str, samples, lam: float, *,
+           pilot: PilotSignal | None = None, lags: int = 64) -> DetectionOutcome:
+    """Run the narrowband detector named `technique` (one of TECHNIQUES).
+
+    The matched filter needs `pilot`; euclid uses `lags` as its lag count M.
+    """
+    if technique == "energy":
+        return energy_detect(samples, lam)
+    if technique == "matched_filter":
+        if pilot is None:
+            raise ValueError("matched_filter needs a pilot")
+        return matched_filter_detect(samples, pilot, lam)
+    if technique == "autocorr":
+        return autocorr_detect(samples, lam)
+    if technique == "euclid":
+        return euclid_detect(samples, lam, lags)
+    raise ValueError(f"unknown technique {technique!r}")

@@ -21,6 +21,7 @@ from . import detectors as det
 from .matrices import SensingMatrix, build_matrix, compress
 from .recovery import (
     BayesOpts,
+    RecoveryResult,
     basis_pursuit,
     bayesian_recover,
     biht_recover,
@@ -42,9 +43,14 @@ __all__ = [
     "run_recovery_mc",
     "run_scan_sim",
     "default_band_plan",
+    "recovery_trial",
+    "SOLVERS",
 ]
 
-TECHNIQUE_COUNT = 3  # detectors run per scanned channel in the survey
+# solvers that `_solve` dispatches by name
+SOLVERS = ("bp", "omp", "cosamp", "bayesian", "biht")
+# detectors run on every scanned channel in the survey
+SCAN_TECHNIQUES = ("energy", "autocorr", "euclid")
 
 
 def _thread_count(requested: int | None) -> int:
@@ -53,7 +59,7 @@ def _thread_count(requested: int | None) -> int:
     env = os.environ.get("CS_TOOLKIT_THREADS", "").strip()
     if env.isdigit() and int(env) >= 1:
         return int(env)
-    return os.cpu_count() or 1
+    return 1
 
 
 def _pmap(fn, count: int, threads: int | None):
@@ -118,6 +124,12 @@ class ExperimentConfig:
             raise ValueError("grids must be nonempty")
         if self.experiment_kind == "detection_mc" and len(self.technique_list) == 0:
             raise ValueError("technique_list must be nonempty")
+        for name in self.technique_list:
+            if name not in det.TECHNIQUES:
+                raise ValueError(f"unknown technique {name!r}")
+        for name in self.solver_list:
+            if name not in SOLVERS:
+                raise ValueError(f"unknown solver {name!r}")
 
 
 @dataclass(frozen=True)
@@ -250,19 +262,12 @@ def _detection_trial(cfg: ExperimentConfig, technique: str, snr_db: float,
             lam = factor * float(np.mean(np.sum(quiet**2, axis=1)))
     elif technique == "autocorr":
         lam = factor * cfg.autocorr_margin
-    elif technique == "euclid":
-        lam = factor * cfg.euclid_lambda
     else:
-        raise ValueError(f"unknown technique {technique!r}")
+        lam = factor * cfg.euclid_lambda
 
     def decide(samples: np.ndarray) -> bool:
-        if technique == "matched_filter":
-            return det.matched_filter_detect(samples, pilot, lam).occupied
-        if technique == "energy":
-            return det.energy_detect(samples, lam).occupied
-        if technique == "autocorr":
-            return det.autocorr_detect(samples, lam).occupied
-        return det.euclid_detect(samples, lam, cfg.euclid_lags_M).occupied
+        return det.detect(technique, samples, lam, pilot=pilot,
+                          lags=cfg.euclid_lags_M).occupied
 
     pu = gain * _pu_waveform(technique, rng, n, pilot, window)
     y1 = pu + rng.standard_normal(n) * sigma
@@ -332,55 +337,60 @@ def _solve(solver: str, y, A: SensingMatrix, k: int, z_factor: float,
     raise ValueError(f"unknown solver {solver!r}")
 
 
-def _recovery_cell(cfg: ExperimentConfig, solver: str, scheme: str, n: int,
-                   k: int, m: int, snr_db: float, cell_key: tuple) -> dict:
-    sums = {"re": 0.0, "mse": 0.0, "cc": 0.0, "rsnr": 0.0, "hd": 0.0,
-            "tr": 0.0, "tp": 0.0}
-    failures = 0
+class _SolverFailed(RuntimeError):
+    """A solver raised inside a recovery trial; sweeps count the trial as failed."""
 
-    def one_trial(j: int) -> dict | None:
-        rng = np.random.default_rng(list(cell_key) + [j])
-        seeds = rng.integers(0, 2**62, size=3)
-        A = build_matrix(scheme, m, n, seed=int(seeds[0]))
-        x = gen_sparse_signal(n, k, seed=int(seeds[1]))
-        t_make = time.perf_counter()
-        clean = A.matvec(x.samples)
-        nv = _measurement_noise_variance(clean, snr_db)
-        y = compress(A, x, noise_variance=nv, seed=int(seeds[2]))
-        t_compress = time.perf_counter() - t_make
-        try:
-            res = _solve(solver, y, A, k, cfg.bp_z_factor,
-                         nv if cfg.inform_noise else None)
-        except Exception:
-            return None
-        x_hat = res.x_hat
-        if solver == "biht":
-            # signs lose scale; report against the unit-normalized target
-            target = x.samples / np.linalg.norm(x.samples)
-            y_hat = one_bit_quantize(A.matvec(x_hat)).signs
-            y_ref = one_bit_quantize(y).signs
-            metrics = evaluate_metrics(target, x_hat, y_ref, y_hat)
-        else:
-            metrics = evaluate_metrics(x, x_hat, y.values, A.matvec(x_hat))
-        return {
-            "re": metrics.recovery_error_Re,
-            "mse": metrics.mse,
-            "cc": metrics.correlation_Cc,
-            "rsnr": min(metrics.rsnr, 1e30),
-            "hd": float(metrics.hamming_Hd),
-            "tr": res.recovery_time if cfg.measure_time else 0.0,
-            "tp": (res.recovery_time + t_compress) if cfg.measure_time else 0.0,
-        }
 
-    results = _pmap(one_trial, cfg.trials_Nt, cfg.threads)
-    for r in results:
-        if r is None:
-            failures += 1
-            continue
+def recovery_trial(solver: str, scheme: str, n: int, k: int, m: int,
+                   snr_db: float, seeds, *, z_factor: float, inform_noise: bool,
+                   measure_time: bool) -> tuple[dict, RecoveryResult]:
+    """One recovery trial: the unit that sweeps repeat and `cs-toolkit recover` runs.
+
+    Builds the matrix from seeds[0] and the signal from seeds[1], adds noise at
+    snr_db (inf for noiseless) drawn from seeds[2], solves and scores the
+    estimate. Returns the trial's metrics (times in seconds, zero unless
+    measure_time) and the solver's result. An exception from the solver is
+    re-raised as a RuntimeError carrying its message.
+    """
+    A = build_matrix(scheme, m, n, seed=int(seeds[0]))
+    x = gen_sparse_signal(n, k, seed=int(seeds[1]))
+    t_make = time.perf_counter()
+    clean = A.matvec(x.samples)
+    nv = _measurement_noise_variance(clean, snr_db)
+    y = compress(A, x, noise_variance=nv, seed=int(seeds[2]))
+    t_compress = time.perf_counter() - t_make
+    try:
+        res = _solve(solver, y, A, k, z_factor, nv if inform_noise else None)
+    except Exception as exc:
+        raise _SolverFailed(str(exc)) from exc
+    x_hat = res.x_hat
+    if solver == "biht":
+        # signs lose scale; report against the unit-normalized target
+        target = x.samples / np.linalg.norm(x.samples)
+        y_hat = one_bit_quantize(A.matvec(x_hat)).signs
+        y_ref = one_bit_quantize(y).signs
+        metrics = evaluate_metrics(target, x_hat, y_ref, y_hat)
+    else:
+        metrics = evaluate_metrics(x, x_hat, y.values, A.matvec(x_hat))
+    return {
+        "re": metrics.recovery_error_Re,
+        "mse": metrics.mse,
+        "cc": metrics.correlation_Cc,
+        "rsnr": min(metrics.rsnr, 1e30),
+        "hd": float(metrics.hamming_Hd),
+        "tr": res.recovery_time if measure_time else 0.0,
+        "tp": (res.recovery_time + t_compress) if measure_time else 0.0,
+    }, res
+
+
+def _recovery_record(solver: str, scheme: str, n: int, k: int, m: int,
+                     snr_db: float, rows: list) -> dict:
+    """One report record: the means over the trials that did not fail."""
+    sums = dict.fromkeys(("re", "mse", "cc", "rsnr", "hd", "tr", "tp"), 0.0)
+    for r in rows:
         for key in sums:
             sums[key] += r[key]
-    good = cfg.trials_Nt - failures
-    denom = max(good, 1)
+    denom = max(len(rows), 1)
     return {
         "solver": solver,
         "scheme": scheme,
@@ -388,7 +398,7 @@ def _recovery_cell(cfg: ExperimentConfig, solver: str, scheme: str, n: int,
         "k": k,
         "m": m,
         "snr_db": float(snr_db),
-        "trials": good,
+        "trials": len(rows),
         "mean_re": sums["re"] / denom,
         "mean_mse": sums["mse"] / denom,
         "mean_cc": sums["cc"] / denom,
@@ -397,6 +407,24 @@ def _recovery_cell(cfg: ExperimentConfig, solver: str, scheme: str, n: int,
         "mean_tr_ms": 1e3 * sums["tr"] / denom,
         "mean_tp_ms": 1e3 * sums["tp"] / denom,
     }
+
+
+def _recovery_cell(cfg: ExperimentConfig, solver: str, scheme: str, n: int,
+                   k: int, m: int, snr_db: float, cell_key: tuple) -> dict:
+    def one_trial(j: int) -> dict | None:
+        rng = np.random.default_rng(list(cell_key) + [j])
+        seeds = rng.integers(0, 2**62, size=3)
+        try:
+            return recovery_trial(solver, scheme, n, k, m, snr_db, seeds,
+                                  z_factor=cfg.bp_z_factor,
+                                  inform_noise=cfg.inform_noise,
+                                  measure_time=cfg.measure_time)[0]
+        except _SolverFailed:
+            return None
+
+    results = _pmap(one_trial, cfg.trials_Nt, cfg.threads)
+    return _recovery_record(solver, scheme, n, k, m, snr_db,
+                            [r for r in results if r is not None])
 
 
 def run_recovery_mc(config: ExperimentConfig) -> RecoveryReport:
@@ -444,13 +472,10 @@ def _scan_cell(cfg: ExperimentConfig, matrix: SensingMatrix, slot: int,
 
     def decisions(samples: np.ndarray) -> dict:
         # energy threshold is relative to the nominal noise energy of the block
-        lam_e = cfg.energy_lambda_scan * samples.size * cfg.noise_variance
-        return {
-            "energy": det.energy_detect(samples, lam_e).occupied,
-            "autocorr": det.autocorr_detect(samples, cfg.autocorr_margin).occupied,
-            "euclid": det.euclid_detect(samples, cfg.euclid_lambda,
-                                        cfg.euclid_lags_M).occupied,
-        }
+        lams = {"energy": cfg.energy_lambda_scan * samples.size * cfg.noise_variance,
+                "autocorr": cfg.autocorr_margin, "euclid": cfg.euclid_lambda}
+        return {t: det.detect(t, samples, lams[t], lags=cfg.euclid_lags_M).occupied
+                for t in SCAN_TECHNIQUES}
 
     est = estimate_snr(x, L=10, K=50)
     return {
@@ -487,7 +512,6 @@ def run_scan_sim(
                           options={"p": config.generator_p})
     channels = plan.channels()
     n_ch = len(channels)
-    techniques = ("energy", "autocorr", "euclid")
 
     cells = _pmap(
         lambda i: _scan_cell(config, matrix, i // n_ch, i % n_ch,
@@ -496,16 +520,17 @@ def run_scan_sim(
 
     truth_mat = np.zeros((n_ch, config.slots), dtype=bool)
     timeline = {path: {t: np.zeros((n_ch, config.slots), dtype=bool)
-                       for t in techniques} for path in ("compressive", "conventional")}
+                       for t in SCAN_TECHNIQUES}
+                for path in ("compressive", "conventional")}
     records = []
     per_snr: dict = {}
     for cell in cells:
         s, c = cell["slot"], cell["channel"]
         truth_mat[c, s] = cell["truth"]
         for path in ("compressive", "conventional"):
-            for t in techniques:
+            for t in SCAN_TECHNIQUES:
                 timeline[path][t][c, s] = cell[path][t]
-        for t in techniques:
+        for t in SCAN_TECHNIQUES:
             records.append({
                 "slot": s,
                 "channel": c,
@@ -521,7 +546,7 @@ def run_scan_sim(
     occupied = truth_mat
     idle = ~truth_mat
     for path in ("compressive", "conventional"):
-        for t in techniques:
+        for t in SCAN_TECHNIQUES:
             decided = timeline[path][t]
             n_occ = int(occupied.sum())
             n_idle = int(idle.sum())
@@ -538,18 +563,18 @@ def run_scan_sim(
             rate_tables[(path, t)] = {"detection": det_rate, "false": fa_rate,
                                       "per_snr": snr_rates}
 
-    comp_decided = np.stack([timeline["compressive"][t] for t in techniques])
+    comp_decided = np.stack([timeline["compressive"][t] for t in SCAN_TECHNIQUES])
     pooled_det = float((comp_decided & occupied[None]).sum()
-                       / max(1, TECHNIQUE_COUNT * occupied.sum()))
+                       / max(1, len(SCAN_TECHNIQUES) * occupied.sum()))
     pooled_fa = float((comp_decided & idle[None]).sum()
-                      / max(1, TECHNIQUE_COUNT * idle.sum()))
+                      / max(1, len(SCAN_TECHNIQUES) * idle.sum()))
     occupancy_pct = {
-        t: 100.0 * timeline["compressive"][t].mean(axis=0) for t in techniques
+        t: 100.0 * timeline["compressive"][t].mean(axis=0) for t in SCAN_TECHNIQUES
     }
     budget = config.compute_budget or n * n_ch
     budget_channels = {"compressive": budget // m, "conventional": budget // n}
     ts = float(config.slots * n_ch * n)  # survey period in sample-time units
-    tsc = ts / (TECHNIQUE_COUNT * n_ch)
+    tsc = ts / (len(SCAN_TECHNIQUES) * n_ch)
     return OccupancyReport(
         records=tuple(records),
         per_channel_timeline=timeline,

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from cs_toolkit import cli
 from cs_toolkit.cli import (
     _merge_negative_values,
     _read_samples,
@@ -27,7 +28,14 @@ from cs_toolkit.io import (
     serialize_report,
     write_manifest,
 )
-from cs_toolkit.matrices import build_matrix
+from cs_toolkit.matrices import build_matrix, compress
+from cs_toolkit.recovery import (
+    BayesOpts,
+    bayesian_recover,
+    biht_recover,
+    one_bit_quantize,
+)
+from cs_toolkit.signals import gen_sparse_signal
 
 pytestmark = pytest.mark.filterwarnings("ignore:noise bracket inverted")
 
@@ -213,6 +221,93 @@ def test_cli_recover_noiseless_exact(tmp_path, capsys):
     assert summary["solver"] == "omp"
     assert float(summary["mean_re"]) < 1e-6
     assert summary["snr_db"] == "inf"
+
+
+def cli_instance(scheme, seed, snr_db, n=128, k=6, m=48):
+    """The matrix, signal and measurements `cs-toolkit recover` draws for a seed."""
+    A = build_matrix(scheme, m, n, seed=seed)
+    x = gen_sparse_signal(n, k, seed=seed + 1)
+    nv = float(np.mean(A.matvec(x.samples) ** 2)) / 10.0 ** (snr_db / 10.0)
+    return A, compress(A, x, noise_variance=nv, seed=seed + 2), nv
+
+
+def read_recovered(path):
+    rows = list(csv.reader(path.open()))
+    split = rows.index(list(RECOVERY_COLUMNS))
+    x_hat = np.array([float(r[1]) for r in rows[1:split]])
+    return x_hat, dict(zip(RECOVERY_COLUMNS, rows[split + 1]))
+
+
+def test_cli_recover_bayesian_gets_noise_variance(tmp_path, capsys):
+    out = tmp_path / "rec.csv"
+    assert run_cli(["recover", "--solver", "bayesian", "--n", "128", "--k", "6",
+                    "--m", "48", "--seed", "4", "--snr-db", "10",
+                    "--output", str(out)]) == 0
+    A, y, nv = cli_instance("gaussian", 4, 10.0)
+    fit = bayesian_recover(y, A, BayesOpts(noise_variance=nv))
+    x_hat, _summary = read_recovered(out)
+    assert np.array_equal(x_hat, [g9(v) for v in fit.x_hat])
+
+
+def test_cli_recover_biht_reports_sign_mismatches(tmp_path, capsys):
+    out = tmp_path / "rec.csv"
+    assert run_cli(["recover", "--solver", "biht", "--scheme", "circulant",
+                    "--n", "128", "--k", "6", "--m", "48", "--seed", "9",
+                    "--snr-db", "10", "--output", str(out)]) == 0
+    A, y, _nv = cli_instance("circulant", 9, 10.0)
+    signs = one_bit_quantize(y).signs
+    fit = biht_recover(one_bit_quantize(y), A, 6)
+    mismatches = np.count_nonzero(signs != one_bit_quantize(A.matvec(fit.x_hat)).signs)
+    assert mismatches > 0
+    _x_hat, summary = read_recovered(out)
+    assert float(summary["mean_hd"]) == mismatches
+
+
+MANIFEST_CASES = (
+    ("gen_sparse_signal", "sig",
+     ["generate", "--n", "32", "--k", "3", "--output", "{out}/sig.csv"]),
+    ("build_matrix", "y",
+     ["compress", "--input", "{inp}", "--m", "16", "--output", "{out}/y.csv"]),
+    ("recovery_trial", "r",
+     ["recover", "--solver", "omp", "--n", "32", "--k", "3", "--m", "16",
+      "--output", "{out}/r.csv"]),
+    ("detect", "d",
+     ["detect", "--technique", "energy", "--threshold", "1", "--input", "{inp}",
+      "--output", "{out}/d.csv"]),
+    ("estimate_snr", "e",
+     ["estimate-snr", "--input", "{inp}", "--output", "{out}/e.json"]),
+    ("run_detection_mc", "results",
+     ["experiment", "--config", "{cfg}", "--output-dir", "{out}"]),
+    ("run_scan_sim", "scan",
+     ["scan-sim", "--samples", "256", "--slots", "1", "--m", "128",
+      "--output-dir", "{out}"]),
+)
+
+
+@pytest.mark.parametrize("work,stem,argv", MANIFEST_CASES,
+                         ids=[case[2][0] for case in MANIFEST_CASES])
+def test_cli_manifest_started_before_work(tmp_path, monkeypatch, capsys,
+                                          work, stem, argv):
+    start, finish = "2026-01-01T00:00:00+00:00", "2026-01-01T00:00:05+00:00"
+    clock = [start]
+    monkeypatch.setattr(cli, "utc_now", lambda: clock[0])
+    inner = getattr(cli, work)
+
+    def advancing(*args, **kwargs):
+        clock[0] = finish  # the command's work takes time
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cli, work, advancing)
+    inp = tmp_path / "in.csv"
+    inp.write_text("\n".join("%.9g" % v for v in
+                             np.random.default_rng(2).standard_normal(256)) + "\n")
+    cfg = save_config({"experiment_kind": "detection_mc", "trials_Nt": 4,
+                       "samples_N": 64, "technique_list": ["energy"]},
+                      tmp_path / "cfg.json")
+    args = [a.format(inp=inp, cfg=cfg, out=tmp_path) for a in argv]
+    assert run_cli(args) == 0
+    manifest = read_manifest(tmp_path / f"{stem}_manifest.json")
+    assert (manifest.started_at, manifest.finished_at) == (start, finish)
 
 
 def test_cli_detect_negative_threshold(tmp_path, capsys):

@@ -11,10 +11,12 @@ from scipy.stats import norm
 from cs_toolkit.detectors import (
     IDLE,
     OCCUPIED,
+    TECHNIQUES,
     WaveletOpts,
     autocorr_detect,
     closed_form_roc,
     compressive_detect,
+    detect,
     energy_detect,
     energy_threshold,
     euclid_detect,
@@ -300,3 +302,24 @@ def test_property_threshold_direction(seed, lam_scale):
     assert a.occupied == (a.statistic_T >= a.threshold_lambda)
     d = euclid_detect(v, lam_scale, lag_count_M=8)
     assert d.occupied == (d.statistic_T < d.threshold_lambda)
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_detect_dispatch_matches_direct_call(technique):
+    y = np.random.default_rng(7).standard_normal(256)
+    pilot = gen_pilot_bpsk(256, seed=1)
+    direct = {
+        "energy": lambda: energy_detect(y, 250.0),
+        "matched_filter": lambda: matched_filter_detect(y, pilot, 3.0),
+        "autocorr": lambda: autocorr_detect(y, 0.5),
+        "euclid": lambda: euclid_detect(y, 2.0, 16),
+    }[technique]()
+    assert detect(technique, y, direct.threshold_lambda, pilot=pilot, lags=16) == direct
+
+
+def test_detect_rejects_unknown_name_and_missing_pilot():
+    y = np.random.default_rng(8).standard_normal(64)
+    with pytest.raises(ValueError):
+        detect("wavelet", y, 1.0)
+    with pytest.raises(ValueError):
+        detect("matched_filter", y, 1.0)

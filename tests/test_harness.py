@@ -29,6 +29,11 @@ def test_config_validation():
         ExperimentConfig(snr_grid_db=())
     with pytest.raises(ValueError):
         ExperimentConfig(technique_list=())
+    # a misspelt name must not read as a sweep of zero successful trials
+    with pytest.raises(ValueError, match="unknown solver 'ompp'"):
+        ExperimentConfig(experiment_kind="recovery_mc", solver_list=("ompp",))
+    with pytest.raises(ValueError, match="unknown technique 'wavelet'"):
+        ExperimentConfig(technique_list=("energy", "wavelet"))
 
 
 def small_detection_config(**overrides):
@@ -287,4 +292,4 @@ def test_thread_count_env_override(monkeypatch):
     monkeypatch.setenv("CS_TOOLKIT_THREADS", "junk")
     assert _thread_count(None) >= 1
     monkeypatch.delenv("CS_TOOLKIT_THREADS")
-    assert _thread_count(None) >= 1
+    assert _thread_count(None) == 1
