@@ -130,6 +130,12 @@ class ExperimentConfig:
         for name in self.solver_list:
             if name not in SOLVERS:
                 raise ValueError(f"unknown solver {name!r}")
+        for snr_db in map(float, self.snr_grid_db):
+            # -inf means noise only, which a detection or scan cell can draw
+            # but a recovery trial cannot scale its noise to
+            if math.isnan(snr_db) or (snr_db == -math.inf
+                                      and self.experiment_kind == "recovery_mc"):
+                raise ValueError(f"invalid snr_grid_db entry {snr_db}")
 
 
 @dataclass(frozen=True)
@@ -314,7 +320,9 @@ def run_detection_mc(config: ExperimentConfig) -> PdPfaCurve:
 
 
 def _measurement_noise_variance(clean: np.ndarray, snr_db: float) -> float:
-    if math.isinf(snr_db) and snr_db > 0:
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"recovery needs a finite SNR or inf, got {snr_db}")
+    if snr_db == math.inf:
         return 0.0
     power = float(np.mean(clean**2))
     return power / (10.0 ** (snr_db / 10.0))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import signal as sp_signal
@@ -48,7 +49,9 @@ class SensingMatrix:
     For circulant, entry(i, j) = scale * c[(j - rows[i]) mod n].
     For toeplitz, entry(i, j) = scale * g[(j - rows[i]) + diag_offset], so all
     descending diagonals are constant. Dense schemes keep their entries in
-    `generator` with shape (m, n) and scale 1.
+    `generator` with shape (m, n) and scale 1. The circulant generator's
+    spectrum is computed once and cached, so the generator must not be
+    mutated after construction.
     """
 
     scheme: str
@@ -69,6 +72,10 @@ class SensingMatrix:
         """Number of stored defining values; O(n+m) for structured schemes."""
         return int(self.generator.size)
 
+    @cached_property
+    def _generator_spectrum(self) -> np.ndarray:
+        return np.fft.rfft(self.generator)
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Fast apply y = A x."""
         x = np.asarray(x, dtype=float)
@@ -80,8 +87,7 @@ class SensingMatrix:
             # row i holds c cyclically shifted: (Cx)[i] = sum_d c[d] x[(i+d) mod n],
             # a circular cross-correlation
             fx = np.fft.rfft(x)
-            fc = np.fft.rfft(self.generator)
-            full = np.fft.irfft(fx * np.conj(fc), self.n)
+            full = np.fft.irfft(fx * np.conj(self._generator_spectrum), self.n)
             return self.scale * full[self.rows]
         # toeplitz: full row i is a windowed correlation against the generator
         corr = sp_signal.fftconvolve(self.generator, x[::-1])
@@ -98,9 +104,8 @@ class SensingMatrix:
         if self.scheme == "circulant":
             pad = np.zeros(self.n)
             pad[self.rows] = v
-            fc = np.fft.rfft(self.generator)
             fp = np.fft.rfft(pad)
-            return self.scale * np.fft.irfft(fc * fp, self.n)
+            return self.scale * np.fft.irfft(self._generator_spectrum * fp, self.n)
         pad = np.zeros(int(self.rows.max()) + 1)
         pad[self.rows] = v
         conv = sp_signal.fftconvolve(pad, self.generator)
@@ -175,7 +180,7 @@ def build_matrix(
 
     if scheme == "circulant":
         gen = opts.get("generator")
-        gen = (np.asarray(gen, dtype=float) if gen is not None
+        gen = (np.array(gen, dtype=float) if gen is not None
                else _masked_rademacher(rng, n, p))
         if gen.shape != (n,):
             raise ValueError("circulant generator must have length n")
@@ -186,7 +191,7 @@ def build_matrix(
     max_row = int(rows.max())
     gen_len = n + max_row
     gen = opts.get("generator")
-    gen = (np.asarray(gen, dtype=float) if gen is not None
+    gen = (np.array(gen, dtype=float) if gen is not None
            else _masked_rademacher(rng, gen_len, p))
     if gen.shape != (gen_len,):
         raise ValueError(f"toeplitz generator must have length {gen_len}")

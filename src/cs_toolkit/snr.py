@@ -57,35 +57,34 @@ def mdl_order(eigenvalues: np.ndarray, L: int, N: int) -> int:
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.shape != (L,):
         raise ValueError("need exactly L eigenvalues")
-    if np.any(lam < 0):
-        raise ValueError("eigenvalues must be nonnegative")
+    if not np.all(np.isfinite(lam)) or np.any(lam < 0):
+        raise ValueError("eigenvalues must be finite and nonnegative")
     if np.any(np.diff(lam) > 1e-12 * max(1.0, float(lam[0]))):
         raise ValueError("eigenvalues must be sorted descending")
     if N < L:
         raise ValueError("need N >= L")
     lam = lam + 1e-15
-    best_m, best_val = 0, math.inf
-    log_n = math.log(N)
-    for m in range(L):
-        tail = lam[m:]
-        theta = float(np.exp(np.mean(np.log(tail))))
-        phi = float(np.mean(tail))
-        val = -(L - m) * N * math.log(theta / phi) + 0.5 * m * (2 * L - m) * log_n
-        if val < best_val:
-            best_m, best_val = m, val
-    return best_m
+    m = np.arange(L)
+    count = L - m  # tail sizes
+    theta = np.exp(np.cumsum(np.log(lam)[::-1])[::-1] / count)
+    phi = np.cumsum(lam[::-1])[::-1] / count
+    val = -count * N * np.log(theta / phi) + 0.5 * m * (2 * L - m) * math.log(N)
+    return int(np.argmin(val))
 
 
-def _mp_support_and_cdf(pi_k: float, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Marchenko-Pastur CDF sampled on its support for variance pi_k, ratio q."""
+def _mp_support_and_cdf(grid: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Marchenko-Pastur CDFs for ratio q, one 256-point row per variance in grid."""
+    pi_k = grid[:, None]
     lo = pi_k * (1.0 - math.sqrt(q)) ** 2
     hi = pi_k * (1.0 + math.sqrt(q)) ** 2
-    v = np.linspace(lo, hi, MP_GRID_POINTS)
+    # np.linspace on each row alone, bit for bit; on all rows at once it is
+    # not, as one zero-width row switches every row to another formula
+    v = np.arange(MP_GRID_POINTS) * ((hi - lo) / (MP_GRID_POINTS - 1)) + lo
+    v[:, -1:] = hi
     inner = np.clip((v - lo) * (hi - v), 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
         dens = np.sqrt(inner) / (2.0 * math.pi * pi_k * q * np.maximum(v, 1e-300))
-    cdf = np.concatenate([[0.0], cumulative_trapezoid(dens, v)])
-    return v, cdf
+    return v, cumulative_trapezoid(dens, v, axis=1, initial=0)
 
 
 def mp_fit(
@@ -114,18 +113,15 @@ def mp_fit(
     if sigma_lo > sigma_hi:
         warnings.warn("noise bracket inverted; swapping endpoints", RuntimeWarning)
         sigma_lo, sigma_hi = sigma_hi, sigma_lo
-    beta_hat = M_hat / L
-    q = (1.0 - beta_hat) * c
+    q = (1.0 - M_hat / L) * c
     grid = np.linspace(sigma_lo, sigma_hi, K)
-    sorted_eigs = np.sort(eigs)
-    best_pi, best_d = float(grid[0]), math.inf
-    for pi_k in grid:
-        v, mp_cdf = _mp_support_and_cdf(float(pi_k), q)
-        emp_cdf = np.searchsorted(sorted_eigs, v, side="right") / eigs.size
-        d = float(np.linalg.norm(emp_cdf - mp_cdf))
-        if d < best_d:
-            best_pi, best_d = float(pi_k), d
-    return best_pi, best_d
+    v, mp_cdf = _mp_support_and_cdf(grid, q)
+    emp_cdf = np.searchsorted(np.sort(eigs), v, side="right") / eigs.size
+    # np.linalg.norm per row, bit for bit; a sum over axis 1 rounds differently
+    dist = np.sqrt([np.dot(row, row) for row in emp_cdf - mp_cdf])
+    dist[np.isnan(dist)] = math.inf  # never chosen; all-NaN gives (grid[0], inf)
+    best = int(np.argmin(dist))
+    return float(grid[best]), float(dist[best])
 
 
 def estimate_snr(samples: np.ndarray, L: int = 10, K: int = 50) -> SnrEstimate:
@@ -135,7 +131,8 @@ def estimate_snr(samples: np.ndarray, L: int = 10, K: int = 50) -> SnrEstimate:
     descending eigenvalues with MDL, fits the noise variance by the
     Marchenko-Pastur CDF match, and returns
     gamma_hat = (P_total - sigma_z^2) / sigma_z^2 in dB. Noise-only inputs
-    clamp to the -40 dB floor with the `clamped` flag set.
+    clamp to the -40 dB floor with the `clamped` flag set. Raises ValueError
+    on non-finite or zero-power samples and on a zero noise fit (a lone impulse).
     """
     s = np.asarray(samples)
     if L < 2:
@@ -145,16 +142,18 @@ def estimate_snr(samples: np.ndarray, L: int = 10, K: int = 50) -> SnrEstimate:
     if s.ndim != 1 or s.size < 2 * L:
         raise ValueError("need a 1-d sample vector with at least 2L samples")
     x = _delay_embed(s, L)
+    total_power = float(np.mean(np.abs(x) ** 2))
+    if not 0.0 < total_power < math.inf:  # NaN or inf samples, or all zero
+        raise ValueError(f"samples must be finite with nonzero power, got {total_power}")
     n_eff = x.shape[1]
     cov = (x @ x.conj().T) / n_eff
-    eigs = np.linalg.eigvalsh(cov)[::-1].real
-    eigs = np.clip(eigs, 0.0, None)
+    eigs = np.clip(np.linalg.eigvalsh(cov)[::-1].real, 0.0, None)
     m_hat = mdl_order(eigs, L, n_eff)
     sigma_hat, goodness = mp_fit(eigs[m_hat:], L, n_eff, m_hat, K)
-    total_power = float(np.mean(np.abs(x) ** 2))
+    if sigma_hat == 0.0:
+        raise ValueError("the noise variance fits to zero: the samples have no noise")
     gamma = (total_power - sigma_hat) / sigma_hat
-    floor_gamma = 10.0 ** (SNR_FLOOR_DB / 10.0)
-    if gamma <= floor_gamma:
+    if gamma <= 10.0 ** (SNR_FLOOR_DB / 10.0):
         snr_db, clamped = SNR_FLOOR_DB, True
     else:
         snr_db, clamped = 10.0 * math.log10(gamma), False

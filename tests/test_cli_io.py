@@ -348,6 +348,33 @@ def test_cli_estimate_snr(tmp_path, capsys):
     assert stored["snr_db"] == pytest.approx(10 * np.log10(4.5), abs=2.0)
 
 
+@pytest.mark.parametrize("samples", [np.zeros(200), np.r_[np.ones(100), np.nan,
+                                                         np.ones(99)]])
+def test_cli_estimate_snr_rejects_degenerate_input(tmp_path, capsys, samples):
+    sig = tmp_path / "bad.csv"
+    sig.write_text("\n".join("%.9g" % v for v in samples) + "\n")
+    assert run_cli(["estimate-snr", "--input", str(sig)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("snr", ["-inf", "nan"])
+def test_cli_recover_rejects_unscalable_snr(tmp_path, capsys, snr):
+    out = tmp_path / "rec.csv"
+    assert run_cli(["recover", "--solver", "omp", "--n", "32", "--k", "3",
+                    "--m", "16", "--snr-db", snr, "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_cli_experiment_rejects_minus_inf_recovery_snr(tmp_path, capsys):
+    cfg = save_config({"experiment_kind": "recovery_mc", "trials_Nt": 2,
+                       "samples_N": 32, "sparsity_k": 3, "measurements_M": 16,
+                       "snr_grid_db": [10.0, float("-inf")]}, tmp_path / "cfg.json")
+    assert run_cli(["experiment", "--config", str(cfg),
+                    "--output-dir", str(tmp_path / "out")]) == 1
+    assert "invalid snr_grid_db entry -inf" in capsys.readouterr().err
+
+
 def test_cli_experiment_and_report(tmp_path, capsys):
     config = {
         "experiment_kind": "detection_mc",

@@ -12,6 +12,7 @@ from cs_toolkit.harness import (
     TrafficModel,
     _thread_count,
     default_band_plan,
+    recovery_trial,
     run_detection_mc,
     run_recovery_mc,
     run_scan_sim,
@@ -34,6 +35,31 @@ def test_config_validation():
         ExperimentConfig(experiment_kind="recovery_mc", solver_list=("ompp",))
     with pytest.raises(ValueError, match="unknown technique 'wavelet'"):
         ExperimentConfig(technique_list=("energy", "wavelet"))
+    with pytest.raises(ValueError, match="invalid snr_grid_db entry nan"):
+        ExperimentConfig(snr_grid_db=(0.0, math.nan))
+    with pytest.raises(ValueError, match="could not convert"):
+        ExperimentConfig(snr_grid_db=("x",))
+    # a recovery trial has no noise variance for -inf; detection reads it as
+    # noise only
+    with pytest.raises(ValueError, match="invalid snr_grid_db entry -inf"):
+        ExperimentConfig(experiment_kind="recovery_mc", snr_grid_db=(-math.inf,))
+    ExperimentConfig(experiment_kind="detection_mc", snr_grid_db=(-math.inf,))
+
+
+def test_detection_at_minus_inf_snr_is_noise_only():
+    curve = run_detection_mc(small_detection_config(
+        snr_grid_db=(-math.inf,), technique_list=("energy",)))
+    (rec,) = curve.records
+    # with no signal Pd and Pfa are two draws of one binomial law (64 trials
+    # each): a 4-sigma band
+    assert abs(rec["pd"] - rec["pfa"]) < 0.35
+
+
+@pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+def test_recovery_trial_rejects_unscalable_snr(snr_db):
+    with pytest.raises(ValueError, match="finite SNR or inf"):
+        recovery_trial("omp", "gaussian", 32, 3, 16, snr_db, (0, 1, 2),
+                       z_factor=0.1, inform_noise=True, measure_time=False)
 
 
 def small_detection_config(**overrides):

@@ -104,6 +104,17 @@ def test_generator_masking_probability():
     assert np.count_nonzero(full.generator) == 500
 
 
+def test_explicit_generator_is_copied_before_its_spectrum_is_cached():
+    gen = np.arange(1.0, 13.0)
+    A = build_matrix("circulant", 4, 12, options={"generator": gen})
+    x = np.random.default_rng(0).standard_normal(12)
+    A.matvec(x)  # caches the generator spectrum
+    gen[:] = 0.0  # the caller reuses its array
+    assert np.allclose(A.matvec(x), A.to_dense() @ x)
+    assert np.allclose(A.rmatvec(x[:4]), A.to_dense().T @ x[:4])
+    assert A.to_dense()[0, 0] != 0.0
+
+
 def test_explicit_generator_override():
     gen = np.arange(1.0, 13.0)
     A = build_matrix("circulant", 4, 12, seed=0,

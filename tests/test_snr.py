@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 from cs_toolkit.snr import SnrEstimate, estimate_snr, mdl_order, mp_fit, pso_tune
 
@@ -52,6 +55,9 @@ def test_mdl_validation():
         mdl_order(np.array([1.0, 2.0, 3.0]), 3, 100)  # ascending
     with pytest.raises(ValueError):
         mdl_order(np.array([3.0, 2.0, -1.0]), 3, 100)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            mdl_order(np.array([bad, 2.0, 1.0]), 3, 100)
     with pytest.raises(ValueError):
         mdl_order(np.ones(3), 4, 100)
     with pytest.raises(ValueError):
@@ -72,6 +78,67 @@ def test_mp_fit_inverted_bracket_warns_and_recovers():
     with pytest.warns(RuntimeWarning, match="bracket inverted"):
         fitted, _ = mp_fit(np.ones(10), 10, 100, M_hat=0, K=10)
     assert 0.5 < fitted < 2.2
+
+
+def mp_fit_oracle(noise_eigs, L, N, M_hat, K):
+    """The noise fit as one candidate at a time: a 256-point support and CDF
+    per candidate, its distance by np.linalg.norm, strict improvement only."""
+    eigs = np.asarray(noise_eigs, dtype=float)
+    c = L / N
+    sq = math.sqrt(c)
+    sigma_lo = float(eigs[-1]) / (1.0 - sq) ** 2
+    sigma_hi = float(eigs[0]) / (1.0 + sq) ** 2
+    if sigma_lo > sigma_hi:
+        sigma_lo, sigma_hi = sigma_hi, sigma_lo
+    q = (1.0 - M_hat / L) * c
+    sorted_eigs = np.sort(eigs)
+    best_pi, best_d = None, math.inf
+    grid = np.linspace(sigma_lo, sigma_hi, K)
+    for pi_k in grid:
+        pi_k = float(pi_k)
+        lo = pi_k * (1.0 - math.sqrt(q)) ** 2
+        hi = pi_k * (1.0 + math.sqrt(q)) ** 2
+        v = np.linspace(lo, hi, 256)
+        inner = np.clip((v - lo) * (hi - v), 0.0, None)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dens = np.sqrt(inner) / (2.0 * math.pi * pi_k * q * np.maximum(v, 1e-300))
+        mp_cdf = np.concatenate([[0.0], cumulative_trapezoid(dens, v)])
+        emp_cdf = np.searchsorted(sorted_eigs, v, side="right") / eigs.size
+        d = float(np.linalg.norm(emp_cdf - mp_cdf))
+        if d < best_d:
+            best_pi, best_d = pi_k, d
+    return (float(grid[0]) if best_pi is None else best_pi), best_d
+
+
+@st.composite
+def descending_spectra(draw):
+    """Sorted-descending eigenvalues, L in [2, 20], with a zero tail of any length."""
+    L = draw(st.integers(2, 20))
+    lam = np.sort(draw(st.lists(st.floats(1e-6, 1e3), min_size=L, max_size=L)))[::-1]
+    lam[L - draw(st.integers(0, L)):] = 0.0
+    return lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=descending_spectra(), n_extra=st.integers(1, 5000), K=st.integers(2, 80))
+@example(lam=np.ones(6), n_extra=94, K=10)  # flat spectrum: inverted bracket
+@example(lam=np.array([4.0, 2.0, 1.0, 0.0, 0.0]), n_extra=200, K=30)  # a NaN row
+@example(lam=np.zeros(4), n_extra=50, K=5)  # every distance NaN
+def test_noise_fit_and_split_equal_loop_oracles(lam, n_extra, K):
+    L = lam.size
+    N = L + n_extra
+    assert mdl_order(lam, L, N) == mdl_oracle(lam, L, N)
+    for m_hat in range(L):
+        assert mp_fit(lam[m_hat:], L, N, m_hat, K) == mp_fit_oracle(
+            lam[m_hat:], L, N, m_hat, K)
+
+
+def test_mp_fit_skips_nan_distances():
+    # a zero smallest eigenvalue puts a zero-variance candidate first, whose
+    # Marchenko-Pastur density is 0/0
+    fitted, goodness = mp_fit(np.array([4.0, 2.0, 1.0, 0.0]), 6, 200, M_hat=2, K=30)
+    assert fitted > 0.0 and math.isfinite(goodness)
+    assert mp_fit(np.zeros(4), 4, 100, M_hat=0, K=5) == (0.0, math.inf)
 
 
 def test_mp_fit_validation():
@@ -118,6 +185,44 @@ def test_estimate_snr_deterministic():
     assert a == b
     assert isinstance(a, SnrEstimate)
     assert a.smoothing_L == 10 and a.grid_K == 50
+
+
+# float.hex of the estimates the one-candidate-at-a-time fit gave (numpy 2.4,
+# scipy 1.17, OpenBLAS); another LAPACK build may move the eigenvalues' last
+# bits and so these
+PINNED = [
+    (lambda: sinusoid_plus_noise(5.0, 3072, seed=21), 10, 50,
+     ("0x1.48efbb1e7927ep+2", "0x1.f833901808903p-1", "0x1.0cd71db8a27cbp+2",
+      "0x1.73eac3671f0f7p+0", 2, False)),
+    (lambda: sinusoid_plus_noise(-5.0, 1000, seed=22), 8, 30,
+     ("-0x1.18838ed289b4bp+2", "0x1.02d51f2ca1d3fp+0", "0x1.612d45dfdc784p+0",
+      "0x1.8e77f45d9ea87p+0", 2, False)),
+    (lambda: np.random.default_rng(23).standard_normal(3072), 10, 50,
+     ("-0x1.4000000000000p+5", "0x1.0b76685d59211p+0", "0x1.0052057a170b0p+0",
+      "0x1.00ba63581d6ebp+2", 0, True)),
+]
+
+
+@pytest.mark.parametrize("make, L, K, expected", PINNED)
+def test_estimate_snr_pinned_bits(make, L, K, expected):
+    est = estimate_snr(make(), L=L, K=K)
+    assert (est.snr_db.hex(), est.noise_variance_hat.hex(),
+            est.total_power_hat.hex(), est.goodness_D.hex(),
+            est.mdl_order_M, est.clamped) == expected
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("samples, match", [
+    (np.zeros(100), "power"),
+    (np.full(100, 1e-200), "power"),  # squares underflow to zero
+    (np.full(100, 1e200), "power"),  # squares overflow
+    (np.r_[np.ones(50), math.nan, np.ones(49)], "finite"),
+    (np.r_[np.ones(50), math.inf, np.ones(49)], "finite"),
+    (np.r_[1.0, np.zeros(99)], "no noise"),  # a lone impulse: zero noise fit
+])
+def test_estimate_snr_rejects_degenerate_samples(samples, match):
+    with pytest.raises(ValueError, match=match):
+        estimate_snr(samples)
 
 
 def test_estimate_snr_validation():
