@@ -13,12 +13,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 from scipy.stats import norm
 
 from .errors import IllConditionedError
-from .matrices import MeasurementVector, SensingMatrix
-from .signals import NoisySignal, PilotSignal
+from .matrices import SensingMatrix
+from .signals import PilotSignal, _as_vector
 
 __all__ = [
     "DetectionOutcome",
@@ -72,17 +71,9 @@ class WaveletOpts:
     invert: bool = False  # flip the literal idle-on-large-edge rule
 
 
-def _samples(y) -> np.ndarray:
-    if isinstance(y, NoisySignal):
-        return y.samples
-    if isinstance(y, MeasurementVector):
-        return y.values
-    return np.asarray(y)
-
-
 def energy_detect(y, lam: float) -> DetectionOutcome:
     """T = sum |y(n)|^2; occupied iff T >= lambda."""
-    v = _samples(y)
+    v = _as_vector(y)
     if v.size < 1:
         raise ValueError("need at least one sample")
     t = float(np.real(np.vdot(v, v)))
@@ -148,7 +139,7 @@ def _autocorr(v: np.ndarray, max_lag: int) -> np.ndarray:
 
 def autocorr_detect(y, margin_lambda: float) -> DetectionOutcome:
     """Statistic |R(1)|/R(0); occupied iff it reaches the margin."""
-    v = _samples(y)
+    v = _as_vector(y)
     if v.size < 2:
         raise ValueError("need at least two samples")
     if not 0.0 < margin_lambda <= 1.0:
@@ -169,7 +160,7 @@ def euclid_detect(y, lam: float, lag_count_M: int = 64) -> DetectionOutcome:
     apex 1 at lag zero. D = sqrt(sum (R_yy - R_ref)^2); idle iff D >= lambda,
     otherwise occupied (a correlation shaped like the triangle marks a carrier).
     """
-    v = _samples(y)
+    v = _as_vector(y)
     if lag_count_M < 2 or lag_count_M % 2 != 0:
         raise ValueError("lag_count_M must be even and >= 2")
     if v.size <= lag_count_M:
@@ -201,12 +192,14 @@ def wavelet_detect(y, lam: float, opts: WaveletOpts = WaveletOpts()) -> Detectio
     idle when m >= lambda; set opts.invert for the occupied-on-strong-edge
     reading.
     """
-    v = _samples(y)
+    v = _as_vector(y)
     if v.size < 16:
         raise ValueError("need at least 16 samples")
     psd = np.abs(np.fft.rfft(v)) ** 2 / v.size
     kernel = _ricker(opts.scale)
-    coeffs = sp_signal.fftconvolve(psd, kernel, mode="same")
+    # the centred "same" slice of the full convolution, psd.size long even
+    # when the psd is shorter than the kernel
+    coeffs = np.convolve(psd, kernel)[kernel.size // 2:][: psd.size]
     t = float(np.max(np.abs(coeffs)))
     big = t >= lam
     occupied = big if opts.invert else not big
@@ -215,7 +208,7 @@ def wavelet_detect(y, lam: float, opts: WaveletOpts = WaveletOpts()) -> Detectio
 
 def matched_filter_detect(y, pilot: PilotSignal, lam: float) -> DetectionOutcome:
     """T = Re(sum y(n) conj(x_p(n))); occupied iff T >= lambda."""
-    v = _samples(y)
+    v = _as_vector(y)
     if v.size != pilot.samples.size:
         raise ValueError("signal and pilot lengths differ")
     t = float(np.real(np.sum(v * np.conj(pilot.samples))))
@@ -252,7 +245,7 @@ def compressive_detect(
     y_compressed, Omega: SensingMatrix, template_S: np.ndarray, lam: float
 ) -> DetectionOutcome:
     """T = y^T (Omega Omega^T)^-1 Omega S; occupied iff T >= lambda."""
-    yv = _samples(y_compressed)
+    yv = _as_vector(y_compressed)
     s = np.asarray(template_S, dtype=float)
     if yv.size != Omega.m:
         raise ValueError("compressed length does not match Omega.m")

@@ -1,8 +1,9 @@
 """Sensing matrices: Gaussian, Bernoulli, partial circulant, partial Toeplitz.
 
 Structured schemes store only their generator vector and apply in
-O(n log n) through FFT correlation/convolution; dense schemes store m*n
-entries. Also provides coherence and restricted-isometry diagnostics and
+O(n log n) through one FFT path: both are rows of a circulant, the partial
+Toeplitz matrix of a zero-padded one. Dense schemes store m*n entries.
+Also provides coherence and restricted-isometry diagnostics and
 measurement-count heuristics.
 """
 
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .signals import SparseSignal
 
@@ -48,10 +48,13 @@ class SensingMatrix:
 
     For circulant, entry(i, j) = scale * c[(j - rows[i]) mod n].
     For toeplitz, entry(i, j) = scale * g[(j - rows[i]) + diag_offset], so all
-    descending diagonals are constant. Dense schemes keep their entries in
-    `generator` with shape (m, n) and scale 1. The circulant generator's
-    spectrum is computed once and cached, so the generator must not be
-    mutated after construction.
+    descending diagonals are constant. Both structured schemes take row i
+    from position (rows[i] - diag_offset) mod P of a circulant of period P
+    whose generator is g zero-padded to P: P = n for circulant, and for
+    toeplitz the next power of two at or above len(g), so no Toeplitz row
+    wraps around. Dense schemes keep their entries in `generator` with shape
+    (m, n) and scale 1. The generator's spectrum is computed once and
+    cached, so the generator must not be mutated after construction.
     """
 
     scheme: str
@@ -73,8 +76,16 @@ class SensingMatrix:
         return int(self.generator.size)
 
     @cached_property
+    def _period(self) -> int:
+        # a toeplitz generator padded to a power of two never wraps, and keeps
+        # the FFT length smooth (generator sizes like 3 * 853 are slow)
+        if self.scheme == "circulant":
+            return self.n
+        return 1 << (self.generator.size - 1).bit_length()
+
+    @cached_property
     def _generator_spectrum(self) -> np.ndarray:
-        return np.fft.rfft(self.generator)
+        return np.fft.rfft(self.generator, self._period)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Fast apply y = A x."""
@@ -83,16 +94,12 @@ class SensingMatrix:
             raise ValueError(f"expected length-{self.n} vector, got {x.shape}")
         if self.scheme in ("gaussian", "bernoulli"):
             return self.generator @ x
-        if self.scheme == "circulant":
-            # row i holds c cyclically shifted: (Cx)[i] = sum_d c[d] x[(i+d) mod n],
-            # a circular cross-correlation
-            fx = np.fft.rfft(x)
-            full = np.fft.irfft(fx * np.conj(self._generator_spectrum), self.n)
-            return self.scale * full[self.rows]
-        # toeplitz: full row i is a windowed correlation against the generator
-        corr = sp_signal.fftconvolve(self.generator, x[::-1])
-        idx = self.diag_offset + self.n - 1 - self.rows
-        return self.scale * corr[idx]
+        # row r of the circulant holds c cyclically shifted:
+        # (Cx)[r] = sum_d c[d] x[(r+d) mod P], a circular cross-correlation;
+        # negative row positions wrap modulo the period P
+        fx = np.fft.rfft(x, self._period)
+        full = np.fft.irfft(fx * np.conj(self._generator_spectrum), self._period)
+        return self.scale * full[self.rows - self.diag_offset]
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """Fast transpose apply u = A^T v."""
@@ -101,25 +108,17 @@ class SensingMatrix:
             raise ValueError(f"expected length-{self.m} vector, got {v.shape}")
         if self.scheme in ("gaussian", "bernoulli"):
             return self.generator.T @ v
-        if self.scheme == "circulant":
-            pad = np.zeros(self.n)
-            pad[self.rows] = v
-            fp = np.fft.rfft(pad)
-            return self.scale * np.fft.irfft(self._generator_spectrum * fp, self.n)
-        pad = np.zeros(int(self.rows.max()) + 1)
-        pad[self.rows] = v
-        conv = sp_signal.fftconvolve(pad, self.generator)
-        return self.scale * conv[self.diag_offset : self.diag_offset + self.n]
+        pad = np.zeros(self._period)
+        pad[self.rows - self.diag_offset] = v
+        full = np.fft.irfft(self._generator_spectrum * np.fft.rfft(pad), self._period)
+        return self.scale * full[: self.n]
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full matrix (oracle/diagnostic use)."""
         if self.scheme in ("gaussian", "bernoulli"):
             return self.generator.copy()
         j = np.arange(self.n)
-        if self.scheme == "circulant":
-            idx = (j[None, :] - self.rows[:, None]) % self.n
-        else:
-            idx = (j[None, :] - self.rows[:, None]) + self.diag_offset
+        idx = (j[None, :] - self.rows[:, None] + self.diag_offset) % self.generator.size
         return self.scale * self.generator[idx]
 
     def column_norms(self) -> np.ndarray:

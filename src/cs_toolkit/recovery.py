@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IllConditionedError
-from .matrices import MeasurementVector, SensingMatrix
+from .matrices import SensingMatrix
+from .signals import _as_vector
 
 __all__ = [
     "SolverOpts",
@@ -92,11 +93,7 @@ class SignVector:
 
 
 def _values(y) -> np.ndarray:
-    if isinstance(y, MeasurementVector):
-        return np.asarray(y.values, dtype=float)
-    if isinstance(y, SignVector):
-        return np.asarray(y.signs, dtype=float)
-    return np.asarray(y, dtype=float)
+    return np.asarray(_as_vector(y), dtype=float)
 
 
 def _largest_sq_singular_value(A: SensingMatrix, iters: int = 20, seed: int = 0) -> float:
@@ -574,7 +571,7 @@ def biht_recover(
     is unrecoverable from signs alone. Deterministic given (signs, A, k,
     opts.seed).
     """
-    s = signs.signs if isinstance(signs, SignVector) else np.asarray(signs, dtype=float)
+    s = _values(signs)
     if s.shape != (A.m,):
         raise ValueError("sign vector length does not match A.m")
     if not np.all(np.isin(s, (-1.0, 1.0))):

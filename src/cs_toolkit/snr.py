@@ -10,7 +10,6 @@ tunes the (L, K) hyperparameters.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +93,12 @@ def mp_fit(
 
     Candidate variances pi_k are K linearly spaced points spanning the
     eigenvalue bracket [lambda_L/(1-sqrt(c))^2, lambda_{M+1}/(1+sqrt(c))^2]
-    with c = L/N (swapped with a warning if inverted). For each candidate the
-    empirical CDF of the noise eigenvalues is compared against the MP CDF on a
-    256-point support discretization; returns the l2-distance argmin and its
-    distance.
+    with c = L/N. The endpoints are swapped when the bracket is inverted,
+    which is routine: on a noise-only channel the extreme eigenvalues fall
+    inside the Marchenko-Pastur edges, so the lower end lands above the
+    upper one. For each candidate the empirical CDF of the noise eigenvalues
+    is compared against the MP CDF on a 256-point support discretization;
+    returns the l2-distance argmin and its distance.
     """
     eigs = np.asarray(noise_eigs, dtype=float)
     if eigs.size < 1:
@@ -111,7 +112,6 @@ def mp_fit(
     sigma_lo = float(eigs[-1]) / (1.0 - sq) ** 2
     sigma_hi = float(eigs[0]) / (1.0 + sq) ** 2
     if sigma_lo > sigma_hi:
-        warnings.warn("noise bracket inverted; swapping endpoints", RuntimeWarning)
         sigma_lo, sigma_hi = sigma_hi, sigma_lo
     q = (1.0 - M_hat / L) * c
     grid = np.linspace(sigma_lo, sigma_hi, K)

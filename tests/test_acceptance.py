@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import cs_toolkit as cst
 from cs_toolkit.cli import run_cli
@@ -21,9 +20,6 @@ from cs_toolkit.harness import (
 )
 from cs_toolkit.io import save_config
 from cs_toolkit.recovery import BayesOpts
-
-# the bracket swap is a routine advisory on tightly clustered eigenvalues
-pytestmark = pytest.mark.filterwarnings("ignore:noise bracket inverted")
 
 
 def announce(capsys, num: int, ok: bool, detail: str) -> None:

@@ -37,8 +37,6 @@ from cs_toolkit.recovery import (
 )
 from cs_toolkit.signals import gen_sparse_signal
 
-pytestmark = pytest.mark.filterwarnings("ignore:noise bracket inverted")
-
 
 def g9(v: float) -> float:
     return float("%.9g" % v)

@@ -201,6 +201,16 @@ def test_wavelet_statistic_matches_convolution_oracle():
     psd = np.abs(np.fft.rfft(v)) ** 2 / v.size
     ref = float(np.max(np.abs(np.convolve(psd, ricker_oracle(8.0), "same"))))
     assert out.statistic_T == pytest.approx(ref, rel=1e-9)
+    # psds shorter than the 81-tap kernel: the statistic stays on the
+    # psd.size points centred in the full convolution (on the 64-sample
+    # input, np.convolve's "same" mode keeps 81 points and reads 4% higher)
+    for v in (rng.standard_normal(32), np.random.default_rng(155).standard_normal(64)):
+        out = wavelet_detect(v, 1.0)
+        psd = np.abs(np.fft.rfft(v)) ** 2 / v.size
+        full = np.convolve(psd, ricker_oracle(8.0))
+        start = (full.size - psd.size) // 2
+        ref = float(np.max(np.abs(full[start:start + psd.size])))
+        assert out.statistic_T == pytest.approx(ref, rel=1e-9)
 
 
 def test_wavelet_literal_and_inverted_rules():

@@ -18,8 +18,6 @@ from cs_toolkit.harness import (
     run_scan_sim,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore:noise bracket inverted")
-
 
 def test_config_validation():
     with pytest.raises(ValueError):

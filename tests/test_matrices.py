@@ -1,12 +1,17 @@
 """Sensing matrix construction, fast-apply, and diagnostic tests."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cs_toolkit
 from cs_toolkit.matrices import (
     SensingMatrix,
     build_matrix,
@@ -39,6 +44,12 @@ STRUCTURED_CASES = [
     ("toeplitz", 12, 31, 3, None),
     ("toeplitz", 8, 24, 4, {"random_rows": True}),
     ("toeplitz", 10, 40, 5, {"p": 0.3}),
+    # toeplitz applies as rows of a circulant padded to a power of two
+    ("toeplitz", 28, 28, 6, None),  # m = n
+    ("toeplitz", 1, 28, 7, None),  # m = 1
+    ("toeplitz", 5, 28, 8, None),  # generator length 32, no padding
+    ("toeplitz", 6, 28, 9, None),  # generator length 33, padded to 64
+    ("toeplitz", 9, 28, 10, {"random_rows": True}),
 ]
 
 
@@ -58,6 +69,31 @@ def test_fast_apply_matches_dense(scheme, m, n, seed, opts):
         v = rng.standard_normal(m)
         assert np.allclose(A.matvec(x), dense @ x, atol=1e-10)
         assert np.allclose(A.rmatvec(v), dense.T @ v, atol=1e-10)
+
+
+@pytest.mark.parametrize("scheme,m,n,seed,opts",
+                         [c for c in STRUCTURED_CASES if c[0] == "circulant"])
+def test_circulant_apply_pinned_to_its_fft_formula(scheme, m, n, seed, opts):
+    A = build_matrix(scheme, m, n, seed=seed, options=opts)
+    rng = np.random.default_rng(200 + seed)
+    x = rng.standard_normal(n)
+    v = rng.standard_normal(m)
+    g = np.fft.rfft(A.generator)
+    expected = A.scale * np.fft.irfft(np.fft.rfft(x) * np.conj(g), n)[A.rows]
+    assert np.array_equal(A.matvec(x), expected)
+    pad = np.zeros(n)
+    pad[A.rows] = v
+    expected = A.scale * np.fft.irfft(g * np.fft.rfft(pad), n)
+    assert np.array_equal(A.rmatvec(v), expected)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    src = Path(cs_toolkit.__file__).resolve().parents[1]
+    code = "import sys, cs_toolkit; print('scipy.signal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_circulant_rows_are_cyclic_shifts():
@@ -105,14 +141,15 @@ def test_generator_masking_probability():
 
 
 def test_explicit_generator_is_copied_before_its_spectrum_is_cached():
-    gen = np.arange(1.0, 13.0)
-    A = build_matrix("circulant", 4, 12, options={"generator": gen})
-    x = np.random.default_rng(0).standard_normal(12)
-    A.matvec(x)  # caches the generator spectrum
-    gen[:] = 0.0  # the caller reuses its array
-    assert np.allclose(A.matvec(x), A.to_dense() @ x)
-    assert np.allclose(A.rmatvec(x[:4]), A.to_dense().T @ x[:4])
-    assert A.to_dense()[0, 0] != 0.0
+    for scheme, size in (("circulant", 12), ("toeplitz", 15)):
+        gen = np.arange(1.0, size + 1.0)
+        A = build_matrix(scheme, 4, 12, options={"generator": gen})
+        x = np.random.default_rng(0).standard_normal(12)
+        A.matvec(x)  # caches the generator spectrum
+        gen[:] = 0.0  # the caller reuses its array
+        assert np.allclose(A.matvec(x), A.to_dense() @ x)
+        assert np.allclose(A.rmatvec(x[:4]), A.to_dense().T @ x[:4])
+        assert A.to_dense()[0, 0] != 0.0
 
 
 def test_explicit_generator_override():

@@ -1,6 +1,7 @@
 """Blind SNR estimation tests: MDL split, noise fit, swarm tuning."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,6 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 from cs_toolkit.snr import SnrEstimate, estimate_snr, mdl_order, mp_fit, pso_tune
-
-# the bracket swap is a routine advisory on tightly clustered eigenvalues
-pytestmark = pytest.mark.filterwarnings("ignore:noise bracket inverted")
 
 
 def mdl_oracle(lam, L, N):
@@ -74,8 +72,10 @@ def test_mp_fit_recovers_known_noise_variance():
     assert goodness >= 0.0
 
 
-def test_mp_fit_inverted_bracket_warns_and_recovers():
-    with pytest.warns(RuntimeWarning, match="bracket inverted"):
+def test_mp_fit_inverted_bracket_recovers():
+    # an inverted bracket is routine on a noise-only channel: swap silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         fitted, _ = mp_fit(np.ones(10), 10, 100, M_hat=0, K=10)
     assert 0.5 < fitted < 2.2
 
