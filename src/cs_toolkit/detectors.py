@@ -9,15 +9,15 @@ threshold (distance from a reference shape, spectral edge height).
 from __future__ import annotations
 
 import math
+import statistics
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import IllConditionedError
 from .matrices import SensingMatrix
-from .signals import PilotSignal, _as_vector
+from .signals import PilotSignal, _finite_vector
 
 __all__ = [
     "DetectionOutcome",
@@ -73,7 +73,7 @@ class WaveletOpts:
 
 def energy_detect(y, lam: float) -> DetectionOutcome:
     """T = sum |y(n)|^2; occupied iff T >= lambda."""
-    v = _as_vector(y)
+    v = _finite_vector(y)
     if v.size < 1:
         raise ValueError("need at least one sample")
     t = float(np.real(np.vdot(v, v)))
@@ -86,7 +86,13 @@ def energy_threshold(pfa_target: float, n: int, noise_variance: float) -> float:
         raise ValueError("pfa_target must be in (0, 1)")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return float((norm.isf(pfa_target) * math.sqrt(2.0 * n) + n) * noise_variance)
+    q_inv = -statistics.NormalDist().inv_cdf(pfa_target)
+    return float((q_inv * math.sqrt(2.0 * n) + n) * noise_variance)
+
+
+def _q(x: float) -> float:
+    """Gaussian tail Q(x) = P(N(0, 1) > x)."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def closed_form_roc(
@@ -114,14 +120,14 @@ def closed_form_roc(
             warnings.warn("energy closed form is a large-n approximation; "
                           f"n={n} is below the n > 250 regime", RuntimeWarning)
         ds2 = dw2 * 10.0 ** (snr_db / 10.0)
-        pd = float(norm.sf((lam - n * (dw2 + ds2)) / math.sqrt(2.0 * n * (dw2 + ds2) ** 2)))
-        pfa = float(norm.sf((lam - n * dw2) / math.sqrt(2.0 * n * dw2**2)))
+        pd = _q((lam - n * (dw2 + ds2)) / math.sqrt(2.0 * n * (dw2 + ds2) ** 2))
+        pfa = _q((lam - n * dw2) / math.sqrt(2.0 * n * dw2**2))
     elif technique == "matched_filter":
         if pilot_energy_E is None or pilot_energy_E <= 0:
             raise ValueError("matched filter ROC needs pilot_energy_E > 0")
         e = float(pilot_energy_E)
-        pd = float(norm.sf((lam - e) / math.sqrt(e * dw2)))
-        pfa = float(norm.sf(lam / math.sqrt(e * dw2)))
+        pd = _q((lam - e) / math.sqrt(e * dw2))
+        pfa = _q(lam / math.sqrt(e * dw2))
     else:
         raise ValueError(f"no closed form for technique {technique!r}")
     return RocPoint(pd=pd, pfa=pfa, pmd=1.0 - pd, threshold=float(lam),
@@ -139,7 +145,7 @@ def _autocorr(v: np.ndarray, max_lag: int) -> np.ndarray:
 
 def autocorr_detect(y, margin_lambda: float) -> DetectionOutcome:
     """Statistic |R(1)|/R(0); occupied iff it reaches the margin."""
-    v = _as_vector(y)
+    v = _finite_vector(y)
     if v.size < 2:
         raise ValueError("need at least two samples")
     if not 0.0 < margin_lambda <= 1.0:
@@ -160,7 +166,7 @@ def euclid_detect(y, lam: float, lag_count_M: int = 64) -> DetectionOutcome:
     apex 1 at lag zero. D = sqrt(sum (R_yy - R_ref)^2); idle iff D >= lambda,
     otherwise occupied (a correlation shaped like the triangle marks a carrier).
     """
-    v = _as_vector(y)
+    v = _finite_vector(y)
     if lag_count_M < 2 or lag_count_M % 2 != 0:
         raise ValueError("lag_count_M must be even and >= 2")
     if v.size <= lag_count_M:
@@ -192,7 +198,7 @@ def wavelet_detect(y, lam: float, opts: WaveletOpts = WaveletOpts()) -> Detectio
     idle when m >= lambda; set opts.invert for the occupied-on-strong-edge
     reading.
     """
-    v = _as_vector(y)
+    v = _finite_vector(y)
     if v.size < 16:
         raise ValueError("need at least 16 samples")
     psd = np.abs(np.fft.rfft(v)) ** 2 / v.size
@@ -208,7 +214,7 @@ def wavelet_detect(y, lam: float, opts: WaveletOpts = WaveletOpts()) -> Detectio
 
 def matched_filter_detect(y, pilot: PilotSignal, lam: float) -> DetectionOutcome:
     """T = Re(sum y(n) conj(x_p(n))); occupied iff T >= lambda."""
-    v = _as_vector(y)
+    v = _finite_vector(y)
     if v.size != pilot.samples.size:
         raise ValueError("signal and pilot lengths differ")
     t = float(np.real(np.sum(v * np.conj(pilot.samples))))
@@ -245,7 +251,7 @@ def compressive_detect(
     y_compressed, Omega: SensingMatrix, template_S: np.ndarray, lam: float
 ) -> DetectionOutcome:
     """T = y^T (Omega Omega^T)^-1 Omega S; occupied iff T >= lambda."""
-    yv = _as_vector(y_compressed)
+    yv = _finite_vector(y_compressed)
     s = np.asarray(template_S, dtype=float)
     if yv.size != Omega.m:
         raise ValueError("compressed length does not match Omega.m")

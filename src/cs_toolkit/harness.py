@@ -29,7 +29,13 @@ from .recovery import (
     omp,
     one_bit_quantize,
 )
-from .signals import PilotSignal, gen_pilot_bpsk, gen_sparse_signal, evaluate_metrics
+from .signals import (
+    PilotSignal,
+    _noise_variance,
+    evaluate_metrics,
+    gen_pilot_bpsk,
+    gen_sparse_signal,
+)
 from .snr import estimate_snr
 
 __all__ = [
@@ -319,15 +325,6 @@ def run_detection_mc(config: ExperimentConfig) -> PdPfaCurve:
     return PdPfaCurve(records=tuple(records))
 
 
-def _measurement_noise_variance(clean: np.ndarray, snr_db: float) -> float:
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ValueError(f"recovery needs a finite SNR or inf, got {snr_db}")
-    if snr_db == math.inf:
-        return 0.0
-    power = float(np.mean(clean**2))
-    return power / (10.0 ** (snr_db / 10.0))
-
-
 def _solve(solver: str, y, A: SensingMatrix, k: int, z_factor: float,
            noise_variance: float | None = None):
     if solver == "bp":
@@ -364,7 +361,7 @@ def recovery_trial(solver: str, scheme: str, n: int, k: int, m: int,
     x = gen_sparse_signal(n, k, seed=int(seeds[1]))
     t_make = time.perf_counter()
     clean = A.matvec(x.samples)
-    nv = _measurement_noise_variance(clean, snr_db)
+    nv = _noise_variance(float(np.mean(clean**2)), snr_db)
     y = compress(A, x, noise_variance=nv, seed=int(seeds[2]))
     t_compress = time.perf_counter() - t_make
     try:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import IllConditionedError
 from .matrices import SensingMatrix
-from .signals import _as_vector
+from .signals import _finite_vector
 
 __all__ = [
     "SolverOpts",
@@ -92,8 +92,12 @@ class SignVector:
         return self.signs.size
 
 
-def _values(y) -> np.ndarray:
-    return np.asarray(_as_vector(y), dtype=float)
+def _measurements(y, m: int | None = None) -> np.ndarray:
+    """y as a float vector of finite values, checked to be m long if m is given."""
+    yv = np.asarray(_finite_vector(y), dtype=float)
+    if m is not None and yv.shape != (m,):
+        raise ValueError("measurement length does not match A.m")
+    return yv
 
 
 def _largest_sq_singular_value(A: SensingMatrix, iters: int = 20, seed: int = 0) -> float:
@@ -129,9 +133,7 @@ def basis_pursuit(
     """
     if z < 0:
         raise ValueError("z must be >= 0")
-    yv = _values(y)
-    if yv.shape != (A.m,):
-        raise ValueError("measurement length does not match A.m")
+    yv = _measurements(y, A.m)
     tol = 1e-8 if opts.tol is None else opts.tol
     max_iter = 5000 if opts.max_iter is None else opts.max_iter
     t0 = time.perf_counter()
@@ -177,9 +179,7 @@ def omp(y, A: SensingMatrix, k_or_tol) -> RecoveryResult:
     k_or_tol: an int caps the support size; a float stops when the residual
     norm falls below tol * ||y||. The residual norm never increases.
     """
-    yv = _values(y)
-    if yv.shape != (A.m,):
-        raise ValueError("measurement length does not match A.m")
+    yv = _measurements(y, A.m)
     if isinstance(k_or_tol, (int, np.integer)) and not isinstance(k_or_tol, bool):
         k_max = int(k_or_tol)
         tol = 0.0
@@ -231,9 +231,7 @@ def cosamp(
     y, A: SensingMatrix, k: int, opts: SolverOpts = SolverOpts()
 ) -> RecoveryResult:
     """CoSaMP: merge the 2k strongest proxy indices, least-squares, prune to k."""
-    yv = _values(y)
-    if yv.shape != (A.m,):
-        raise ValueError("measurement length does not match A.m")
+    yv = _measurements(y, A.m)
     if not 1 <= k <= A.n:
         raise ValueError("need 1 <= k <= n")
     if k > A.m // 2:
@@ -307,9 +305,7 @@ def bayesian_recover(
     records the best penalized negative evidence seen so far and is
     nonincreasing.
     """
-    yv = _values(y)
-    if yv.shape != (A.m,):
-        raise ValueError("measurement length does not match A.m")
+    yv = _measurements(y, A.m)
     t0 = time.perf_counter()
     n, m = A.n, A.m
     norm_y2 = float(yv @ yv)
@@ -529,7 +525,7 @@ def _stable_inverse(hess: np.ndarray, ridge: float) -> np.ndarray:
 
 def one_bit_quantize(y) -> SignVector:
     """Keep only measurement signs; the zero sample quantizes to +1."""
-    yv = _values(y)
+    yv = _measurements(y)
     if yv.size < 1:
         raise ValueError("need at least one measurement")
     signs = np.where(yv >= 0.0, 1.0, -1.0)
@@ -571,9 +567,7 @@ def biht_recover(
     is unrecoverable from signs alone. Deterministic given (signs, A, k,
     opts.seed).
     """
-    s = _values(signs)
-    if s.shape != (A.m,):
-        raise ValueError("sign vector length does not match A.m")
+    s = _measurements(signs, A.m)
     if not np.all(np.isin(s, (-1.0, 1.0))):
         raise ValueError("signs must be +-1")
     if not 1 <= k <= A.n:

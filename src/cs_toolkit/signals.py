@@ -149,7 +149,8 @@ def add_awgn(
     """Add white Gaussian noise at the requested SNR.
 
     noise_variance = signal_power / 10^(snr_db/10) with signal_power the mean
-    squared magnitude of the input. snr_db = +inf returns a noiseless copy.
+    squared magnitude of the input. snr_db = +inf returns a noiseless copy;
+    NaN and -inf raise ValueError.
     Complex inputs get circular complex noise (variance split between parts).
     channel = "rayleigh" applies a flat random scalar gain h ~ CN(0, 1) drawn
     once per call; default is h = 1.
@@ -164,13 +165,13 @@ def add_awgn(
         h = 1.0
     else:
         raise ValueError(f"unknown channel {channel!r}")
-    if math.isinf(snr_db) and snr_db > 0:
+    power = float(np.mean(np.abs(x) ** 2))
+    noise_variance = _noise_variance(power, snr_db)
+    if snr_db == math.inf:
         return NoisySignal(samples=(h * x if channel == "rayleigh" else x.copy()),
                            snr_db=snr_db, noise_variance=0.0, channel_gain_h=h)
-    power = float(np.mean(np.abs(x) ** 2))
     if power == 0.0:
         raise ValueError("zero-power signal with finite snr_db")
-    noise_variance = power / (10.0 ** (snr_db / 10.0))
     sigma = math.sqrt(noise_variance)
     if np.iscomplexobj(x) or channel == "rayleigh":
         w = (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)) * (
@@ -201,6 +202,23 @@ def _as_vector(x) -> np.ndarray:
         if hasattr(x, attr):
             return np.asarray(getattr(x, attr))
     return np.asarray(x)
+
+
+def _finite_vector(x) -> np.ndarray:
+    """_as_vector, rejecting NaN and inf entries."""
+    v = _as_vector(x)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("samples must be finite (no NaN or inf)")
+    return v
+
+
+def _noise_variance(power: float, snr_db: float) -> float:
+    """Noise variance putting `power` at snr_db dB; 0.0 at snr_db = +inf."""
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"noise needs a finite SNR or inf, got {snr_db}")
+    if snr_db == math.inf:
+        return 0.0
+    return power / (10.0 ** (snr_db / 10.0))
 
 
 def evaluate_metrics(

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 __all__ = [
     "SnrEstimate",
@@ -83,7 +82,11 @@ def _mp_support_and_cdf(grid: np.ndarray, q: float) -> tuple[np.ndarray, np.ndar
     inner = np.clip((v - lo) * (hi - v), 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
         dens = np.sqrt(inner) / (2.0 * math.pi * pi_k * q * np.maximum(v, 1e-300))
-    return v, cumulative_trapezoid(dens, v, axis=1, initial=0)
+    # cumulative trapezoid rule from 0 at the left edge of each row
+    steps = np.diff(v, axis=1) * (dens[:, 1:] + dens[:, :-1]) / 2.0
+    cdf = np.zeros_like(dens)
+    cdf[:, 1:] = np.cumsum(steps, axis=1)
+    return v, cdf
 
 
 def mp_fit(

@@ -1,6 +1,11 @@
-"""Detector statistic, threshold, and closed-form ROC tests."""
+"""Detector statistic, threshold, and closed-form ROC tests.
+
+scipy is a test-only oracle here: the toolkit computes the Gaussian tail and
+its inverse with the standard library.
+"""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +65,39 @@ def test_energy_threshold_scaling_and_monotonicity():
         energy_threshold(0.0, 1000, 1.0)
     with pytest.raises(ValueError):
         energy_threshold(0.1, 0, 1.0)
+
+
+def test_energy_threshold_matches_isf_oracle():
+    for p in np.logspace(-300, -1e-9):
+        expected = (norm.isf(p) * math.sqrt(2000.0) + 1000.0) * 1.0
+        assert energy_threshold(p, 1000, 1.0) == pytest.approx(expected, rel=1e-15)
+
+
+def assert_gaussian_tail(got, x):
+    ref = float(norm.sf(x))
+    if ref == 0.0:
+        # scipy underflows to 0 near x = 37.7, where Q(x) is still subnormal
+        assert 0.0 <= got < sys.float_info.min
+    else:
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_closed_form_roc_matches_sf_oracle():
+    # with E = dw2 = 1 the matched filter has Pfa = Q(lam), Pd = Q(lam - 1)
+    for lam in np.linspace(-37.0, 38.0, 1501):
+        point = closed_form_roc("matched_filter", 1000, 1.0, lam, pilot_energy_E=1.0)
+        assert_gaussian_tail(point.pfa, lam)
+        assert_gaussian_tail(point.pd, lam - 1.0)
+    n, dw2 = 1000, 2.0
+    for snr_db in (-10.0, 0.0, 10.0):
+        ds2 = dw2 * 10.0 ** (snr_db / 10.0)
+        for x in np.linspace(-38.0, 38.0, 153):
+            lam = n * dw2 + x * math.sqrt(2.0 * n * dw2**2)
+            point = closed_form_roc("energy", n, dw2, lam, snr_db=snr_db)
+            assert_gaussian_tail(point.pfa, (lam - n * dw2)
+                                 / math.sqrt(2.0 * n * dw2**2))
+            assert_gaussian_tail(point.pd, (lam - n * (dw2 + ds2))
+                                 / math.sqrt(2.0 * n * (dw2 + ds2) ** 2))
 
 
 def test_energy_closed_form_pfa_self_consistent():
@@ -312,6 +350,31 @@ def test_property_threshold_direction(seed, lam_scale):
     assert a.occupied == (a.statistic_T >= a.threshold_lambda)
     d = euclid_detect(v, lam_scale, lag_count_M=8)
     assert d.occupied == (d.statistic_T < d.threshold_lambda)
+
+
+PILOT_1000 = gen_pilot_bpsk(1000, seed=1)
+OMEGA = build_matrix("gaussian", 40, 100, seed=2)
+DETECTOR_CALLS = {
+    "energy": lambda v: energy_detect(v, 1000.0),
+    "matched_filter": lambda v: matched_filter_detect(v, PILOT_1000, 3.0),
+    "autocorr": lambda v: autocorr_detect(v, 0.5),
+    "euclid": lambda v: euclid_detect(v, 2.0),
+    "wavelet": lambda v: wavelet_detect(v, 1.0),
+    "compressive": lambda v: compressive_detect(v[:OMEGA.m], OMEGA,
+                                                np.ones(OMEGA.n), 0.0),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("detector", sorted(DETECTOR_CALLS))
+def test_detectors_reject_nonfinite_samples(detector, bad):
+    v = np.random.default_rng(9).standard_normal(1000)
+    DETECTOR_CALLS[detector](v)
+    v[7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        DETECTOR_CALLS[detector](v)
+    with pytest.raises(ValueError, match="finite"):
+        DETECTOR_CALLS[detector](v.astype(complex))
 
 
 @pytest.mark.parametrize("technique", TECHNIQUES)

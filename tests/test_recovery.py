@@ -240,6 +240,26 @@ def test_bayesian_length_validation():
         bayesian_recover(np.ones(29), A)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("solver", ["bp", "omp", "cosamp", "bayesian", "biht",
+                                    "one_bit_quantize"])
+def test_solvers_reject_nonfinite_measurements(solver, bad):
+    A, _, y = planted_instance("gaussian", 30, 60, 3, seed=4)
+    call = {
+        "bp": lambda v: basis_pursuit(v, A, z=0.1),
+        "omp": lambda v: omp(v, A, 3),
+        "cosamp": lambda v: cosamp(v, A, 3),
+        "bayesian": lambda v: bayesian_recover(v, A),
+        "biht": lambda v: biht_recover(v, A, 3),
+        "one_bit_quantize": one_bit_quantize,
+    }[solver]
+    one_bad = y.values.copy()
+    one_bad[5] = bad
+    for v in (np.full(A.m, bad), one_bad):
+        with pytest.raises(ValueError, match="finite"):
+            call(v)
+
+
 # ---------------------------------------------------------------------- one-bit
 
 def test_one_bit_quantize_signs_and_zero_rule():

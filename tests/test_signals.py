@@ -141,6 +141,12 @@ def test_awgn_rayleigh_channel_gain():
     assert np.allclose(noisy.samples, noisy.channel_gain_h * x, atol=0.1)
 
 
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+def test_awgn_rejects_unscalable_snr(snr_db):
+    with pytest.raises(ValueError, match="finite SNR or inf"):
+        add_awgn(np.ones(8), snr_db=snr_db)
+
+
 def test_awgn_validation():
     with pytest.raises(ValueError):
         add_awgn(np.zeros(8), snr_db=10.0)

@@ -9,7 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
-from cs_toolkit.snr import SnrEstimate, estimate_snr, mdl_order, mp_fit, pso_tune
+from cs_toolkit.snr import (
+    SnrEstimate,
+    _mp_support_and_cdf,
+    estimate_snr,
+    mdl_order,
+    mp_fit,
+    pso_tune,
+)
 
 
 def mdl_oracle(lam, L, N):
@@ -131,6 +138,23 @@ def test_noise_fit_and_split_equal_loop_oracles(lam, n_extra, K):
     for m_hat in range(L):
         assert mp_fit(lam[m_hat:], L, N, m_hat, K) == mp_fit_oracle(
             lam[m_hat:], L, N, m_hat, K)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=80),
+       q=st.floats(1e-6, 0.999))
+@example(grid=[0.0, 1.0], q=0.5)  # a zero candidate gives a NaN row
+def test_mp_cdf_equals_cumulative_trapezoid(grid, q):
+    grid = np.asarray(grid)
+    v, cdf = _mp_support_and_cdf(grid, q)
+    pi_k = grid[:, None]
+    lo = pi_k * (1.0 - math.sqrt(q)) ** 2
+    hi = pi_k * (1.0 + math.sqrt(q)) ** 2
+    inner = np.clip((v - lo) * (hi - v), 0.0, None)
+    with np.errstate(all="ignore"):
+        dens = np.sqrt(inner) / (2.0 * math.pi * pi_k * q * np.maximum(v, 1e-300))
+        expected = cumulative_trapezoid(dens, v, axis=1, initial=0)
+    assert np.array_equal(cdf, expected, equal_nan=True)
 
 
 def test_mp_fit_skips_nan_distances():
