@@ -232,13 +232,16 @@ def quiet_time_threshold(
 
     Splits `noise` into averaging_runs blocks of pilot length, correlates each
     against the pilot, and returns factor_k times the mean absolute
-    correlation. noise must hold averaging_runs * len(pilot) samples.
+    correlation. noise must hold averaging_runs * len(pilot) finite samples.
+    This is the path for recorded quiet-time samples; Monte-Carlo sweeps
+    (`harness.run_detection_mc`) draw the same threshold from its exact law
+    under white Gaussian noise instead of synthesising the noise.
     """
     if factor_k <= 0:
         raise ValueError("factor_k must be positive")
     if averaging_runs < 1:
         raise ValueError("averaging_runs must be >= 1")
-    w = np.asarray(noise)
+    w = _finite_vector(noise)
     npil = pilot.samples.size
     if w.size != averaging_runs * npil:
         raise ValueError("noise length must equal averaging_runs * pilot length")

@@ -142,6 +142,20 @@ class ExperimentConfig:
             if math.isnan(snr_db) or (snr_db == -math.inf
                                       and self.experiment_kind == "recovery_mc"):
                 raise ValueError(f"invalid snr_grid_db entry {snr_db}")
+        if self.experiment_kind == "detection_mc":
+            # bad thresholds fail here, not at the grid point that first uses
+            # them partway through a sweep
+            if self.averaging_runs < 1:
+                raise ValueError("averaging_runs must be >= 1")
+            for factor in map(float, self.threshold_factors):
+                if not (math.isfinite(factor) and factor > 0.0):
+                    raise ValueError(f"invalid threshold factor {factor}")
+                # autocorr compares a correlation ratio against factor * margin
+                if ("autocorr" in self.technique_list
+                        and not 0.0 < factor * self.autocorr_margin <= 1.0):
+                    raise ValueError(
+                        f"threshold factor {factor} puts the autocorr margin "
+                        f"{factor * self.autocorr_margin} outside (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -253,29 +267,40 @@ def _pu_waveform(technique: str, rng: np.random.Generator, n: int,
     return _ma_waveform(rng, n, window)
 
 
+def _threshold(cfg: ExperimentConfig, technique: str, factor: float,
+               rng: np.random.Generator, pilot_re_norm: float) -> float:
+    """One trial's decision threshold for `technique` at `factor`.
+
+    A quiet-time threshold is drawn from its exact law under the sweep's
+    real-valued white Gaussian noise of variance dw2, over R = averaging_runs
+    quiet blocks of N samples: the mean block energy is dw2 * chi2(R N) / R,
+    and each block's correlation with the pilot p is N(0, dw2 ||Re p||^2).
+    """
+    n = cfg.samples_N
+    runs = cfg.averaging_runs
+    dw2 = cfg.noise_variance
+    if technique == "matched_filter":
+        mean_abs = float(np.mean(np.abs(rng.standard_normal(runs))))
+        return factor * math.sqrt(dw2) * pilot_re_norm * mean_abs
+    if technique == "energy":
+        if cfg.threshold_mode == "eq8":
+            return factor * det.energy_threshold(cfg.pfa_target, n, dw2)
+        return factor * dw2 * float(rng.chisquare(runs * n)) / runs
+    if technique == "autocorr":
+        return factor * cfg.autocorr_margin
+    return factor * cfg.euclid_lambda
+
+
 def _detection_trial(cfg: ExperimentConfig, technique: str, snr_db: float,
-                     factor: float, pilot: PilotSignal, point_key: tuple,
-                     trial: int) -> tuple[int, int]:
+                     factor: float, pilot: PilotSignal, pilot_re_norm: float,
+                     point_key: tuple, trial: int) -> tuple[int, int]:
     rng = np.random.default_rng(list(point_key) + [trial])
     n = cfg.samples_N
     dw2 = cfg.noise_variance
     sigma = math.sqrt(dw2)
     window = cfg.euclid_lags_M // 2 + 1
     gain = math.sqrt(dw2 * 10.0 ** (snr_db / 10.0))
-
-    if technique == "matched_filter":
-        quiet = rng.standard_normal(cfg.averaging_runs * n) * sigma
-        lam = det.quiet_time_threshold(quiet, pilot, factor, cfg.averaging_runs)
-    elif technique == "energy":
-        if cfg.threshold_mode == "eq8":
-            lam = factor * det.energy_threshold(cfg.pfa_target, n, dw2)
-        else:
-            quiet = rng.standard_normal((cfg.averaging_runs, n)) * sigma
-            lam = factor * float(np.mean(np.sum(quiet**2, axis=1)))
-    elif technique == "autocorr":
-        lam = factor * cfg.autocorr_margin
-    else:
-        lam = factor * cfg.euclid_lambda
+    lam = _threshold(cfg, technique, factor, rng, pilot_re_norm)
 
     def decide(samples: np.ndarray) -> bool:
         return det.detect(technique, samples, lam, pilot=pilot,
@@ -298,8 +323,16 @@ def run_detection_mc(config: ExperimentConfig) -> PdPfaCurve:
     counting detections) and trials_Nt H0 trials (noise only, counting false
     alarms). config.single_loop switches to the literal one-loop accounting
     where the nf column counts misses instead.
+
+    Each trial synthesises its own H1 and H0 samples. Under
+    threshold_mode="quiet_time" the energy and matched-filter thresholds are
+    drawn from their exact law under the sweep's white Gaussian noise rather
+    than computed from averaging_runs * samples_N synthesised noise samples;
+    thresholds for recorded quiet-time samples come from
+    `detectors.quiet_time_threshold`.
     """
     pilot = gen_pilot_bpsk(config.samples_N, seed=config.base_seed + 104729)
+    pilot_re_norm = float(np.linalg.norm(np.real(pilot.samples)))
     records = []
     for ti, technique in enumerate(config.technique_list):
         for si, snr_db in enumerate(config.snr_grid_db):
@@ -307,7 +340,8 @@ def run_detection_mc(config: ExperimentConfig) -> PdPfaCurve:
                 key = (config.base_seed, ti, si, fi)
                 outcomes = _pmap(
                     lambda j: _detection_trial(config, technique, float(snr_db),
-                                               float(factor), pilot, key, j),
+                                               float(factor), pilot, pilot_re_norm,
+                                               key, j),
                     config.trials_Nt, config.threads)
                 nd = sum(o[0] for o in outcomes)
                 nf = sum(o[1] for o in outcomes)

@@ -232,7 +232,10 @@ def evaluate_metrics(
 
     Re   = ||x_hat - x||_2 / ||x||_2
     MSE  = (1/N) sum (x - x_hat)^2
-    Cc   = Pearson correlation coefficient of x and x_hat
+    Cc   = Pearson correlation coefficient of x and x_hat; 0 for an all-zero
+           x_hat (the empty model), so it scores Re = 1, RSNR = 1, Cc = 0 and
+           recovered_sparsity 0. A constant x, or a constant nonzero x_hat,
+           raises ValueError.
     RSNR = ||x||_2^2 / ||x - x_hat||_2^2  (single-realization estimate)
     Hd   = count of differing entries of y vs y_hat (when both are given)
     recovered_sparsity = count of |x_hat_i| > zero_tol
@@ -249,9 +252,10 @@ def evaluate_metrics(
     err = float(np.linalg.norm(diff))
     re = err / norm_x
     mse = float(np.mean(diff**2))
-    if np.ptp(xv) == 0.0 or np.ptp(xh) == 0.0:
+    empty = not np.any(xh)
+    if np.ptp(xv) == 0.0 or (np.ptp(xh) == 0.0 and not empty):
         raise ValueError("correlation undefined for constant vectors")
-    cc = float(np.corrcoef(xv, xh)[0, 1])
+    cc = 0.0 if empty else float(np.corrcoef(xv, xh)[0, 1])
     rsnr = math.inf if err == 0.0 else norm_x**2 / err**2
     hd = 0
     if y is not None and y_hat is not None:

@@ -373,6 +373,23 @@ def test_cli_experiment_rejects_minus_inf_recovery_snr(tmp_path, capsys):
     assert "invalid snr_grid_db entry -inf" in capsys.readouterr().err
 
 
+def test_cli_experiment_survives_empty_bayesian_model(tmp_path, capsys):
+    # at -10 dB the Bayesian solver returns the empty model on some of these
+    # trials; the sweep scores it instead of aborting
+    cfg = save_config({"experiment_kind": "recovery_mc", "trials_Nt": 3,
+                       "samples_N": 128, "sparsity_k": 6, "measurements_M": 48,
+                       "snr_grid_db": [-10.0],
+                       "matrix_scheme": ["gaussian", "circulant", "toeplitz"],
+                       "solver_list": ["bp", "omp", "cosamp", "bayesian", "biht"],
+                       "base_seed": 5}, tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    assert run_cli(["experiment", "--config", str(cfg),
+                    "--output-dir", str(out)]) == 0
+    records = read_report(out / "results.csv")
+    assert len(records) == 15
+    assert all(int(rec["trials"]) == 3 for rec in records)
+
+
 def test_cli_experiment_and_report(tmp_path, capsys):
     config = {
         "experiment_kind": "detection_mc",

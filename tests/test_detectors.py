@@ -296,6 +296,17 @@ def test_quiet_time_threshold_validation():
         quiet_time_threshold(np.ones(32), pilot, 1.0, 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_quiet_time_threshold_rejects_nonfinite_noise(bad):
+    # one bad sample among 3200 used to make the threshold NaN, and a NaN
+    # threshold calls even a 10x pilot idle
+    pilot = gen_pilot_bpsk(100, seed=1)
+    w = np.random.default_rng(2).standard_normal(32 * 100)
+    w[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        quiet_time_threshold(w, pilot)
+
+
 def test_matched_filter_quiet_threshold_separates_hypotheses():
     rng = np.random.default_rng(4)
     n = 1000

@@ -5,18 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from cs_toolkit.detectors import closed_form_roc, energy_threshold
+from cs_toolkit.detectors import (
+    closed_form_roc,
+    energy_threshold,
+    quiet_time_threshold,
+)
 from cs_toolkit.harness import (
     BandPlan,
     ExperimentConfig,
     TrafficModel,
     _thread_count,
+    _threshold,
     default_band_plan,
     recovery_trial,
     run_detection_mc,
     run_recovery_mc,
     run_scan_sim,
 )
+from cs_toolkit.signals import gen_pilot_bpsk, gen_pilot_qpsk
 
 
 def test_config_validation():
@@ -42,6 +48,20 @@ def test_config_validation():
     with pytest.raises(ValueError, match="invalid snr_grid_db entry -inf"):
         ExperimentConfig(experiment_kind="recovery_mc", snr_grid_db=(-math.inf,))
     ExperimentConfig(experiment_kind="detection_mc", snr_grid_db=(-math.inf,))
+    # detection threshold factors fail when the config is built, not at the
+    # grid point that uses them
+    for factor in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="invalid threshold factor"):
+            ExperimentConfig(threshold_factors=(1.0, factor))
+    with pytest.raises(ValueError, match="autocorr margin 1.8 outside"):
+        ExperimentConfig(threshold_factors=(1.0, 2.0),
+                         technique_list=("energy", "autocorr"))
+    with pytest.raises(ValueError, match="autocorr margin"):
+        ExperimentConfig(technique_list=("autocorr",), autocorr_margin=-0.5)
+    ExperimentConfig(threshold_factors=(1.0, 2.0),
+                     technique_list=("energy", "matched_filter", "euclid"))
+    with pytest.raises(ValueError, match="averaging_runs must be >= 1"):
+        ExperimentConfig(averaging_runs=0)
 
 
 def test_detection_at_minus_inf_snr_is_noise_only():
@@ -151,6 +171,94 @@ def test_detection_matched_filter_high_pd_at_minus_4db():
     assert rec["pd"] >= 0.95
 
 
+def _assert_law(draws, mean, var):
+    """Sample mean and variance of `draws` within 5-sigma bands of the law."""
+    k = draws.size
+    m = float(np.mean(draws))
+    s2 = float(np.var(draws, ddof=1))
+    m4 = float(np.mean((draws - m) ** 4))
+    assert abs(m - mean) <= 5.0 * math.sqrt(var / k)
+    assert abs(s2 - var) <= 5.0 * math.sqrt((m4 - s2**2) / k)
+
+
+THRESHOLD_DRAWS = 2000
+
+
+def test_sampled_energy_threshold_follows_its_law():
+    n, runs, dw2, factor = 256, 8, 2.0, 1.5
+    cfg = small_detection_config(samples_N=n, averaging_runs=runs, noise_variance=dw2)
+    rng = np.random.default_rng(41)
+    sampled = np.array([_threshold(cfg, "energy", factor, rng, math.sqrt(n))
+                        for _ in range(THRESHOLD_DRAWS)])
+    # the rule applied to synthesised quiet noise
+    quiet = rng.standard_normal((THRESHOLD_DRAWS, runs, n)) * math.sqrt(dw2)
+    real = factor * np.mean(np.sum(quiet**2, axis=2), axis=1)
+    mean = factor * dw2 * n
+    var = factor**2 * dw2**2 * 2.0 * n / runs
+    _assert_law(sampled, mean, var)
+    _assert_law(real, mean, var)
+
+
+@pytest.mark.parametrize("make_pilot", [gen_pilot_bpsk, gen_pilot_qpsk])
+def test_sampled_matched_filter_threshold_follows_its_law(make_pilot):
+    n, runs, dw2, factor = 256, 8, 2.0, 1.5
+    cfg = small_detection_config(samples_N=n, averaging_runs=runs, noise_variance=dw2)
+    pilot = make_pilot(n, seed=3)
+    re_norm = float(np.linalg.norm(np.real(pilot.samples)))
+    rng = np.random.default_rng(43)
+    sampled = np.array([_threshold(cfg, "matched_filter", factor, rng, re_norm)
+                        for _ in range(THRESHOLD_DRAWS)])
+    real = np.array([
+        quiet_time_threshold(rng.standard_normal(runs * n) * math.sqrt(dw2),
+                             pilot, factor, runs)
+        for _ in range(THRESHOLD_DRAWS)])
+    # each block correlation is N(0, dw2 ||Re p||^2); the threshold is
+    # factor times the mean of `runs` of their magnitudes
+    scale = factor * math.sqrt(dw2) * re_norm
+    mean = scale * math.sqrt(2.0 / math.pi)
+    var = scale**2 * (1.0 - 2.0 / math.pi) / runs
+    _assert_law(sampled, mean, var)
+    _assert_law(real, mean, var)
+
+
+# (technique, snr_db, factor, nd, nf) of two small sweeps; a rewrite of the
+# detection trial that keeps its RNG draws must keep these counts
+PINNED_DETECTION_ROWS = (
+    ("energy", -10.0, 0.5, 64, 64), ("energy", -10.0, 1.0, 56, 26),
+    ("energy", 0.0, 0.5, 64, 64), ("energy", 0.0, 1.0, 64, 33),
+    ("energy", 10.0, 0.5, 64, 64), ("energy", 10.0, 1.0, 64, 31),
+    ("matched_filter", -10.0, 0.5, 64, 25), ("matched_filter", -10.0, 1.0, 64, 17),
+    ("matched_filter", 0.0, 0.5, 64, 21), ("matched_filter", 0.0, 1.0, 64, 15),
+    ("matched_filter", 10.0, 0.5, 64, 23), ("matched_filter", 10.0, 1.0, 64, 14),
+    ("autocorr", -10.0, 0.5, 0, 0), ("autocorr", -10.0, 1.0, 0, 0),
+    ("autocorr", 0.0, 0.5, 41, 0), ("autocorr", 0.0, 1.0, 0, 0),
+    ("autocorr", 10.0, 0.5, 64, 0), ("autocorr", 10.0, 1.0, 15, 0),
+    ("euclid", -10.0, 0.5, 0, 0), ("euclid", -10.0, 1.0, 0, 0),
+    ("euclid", 0.0, 0.5, 0, 0), ("euclid", 0.0, 1.0, 1, 0),
+    ("euclid", 10.0, 0.5, 6, 0), ("euclid", 10.0, 1.0, 25, 0),
+)
+PINNED_EQ8_ROWS = (
+    ("energy", -10.0, 1.0, 21, 7), ("energy", -10.0, 1.05, 17, 2),
+    ("energy", 0.0, 1.0, 64, 6), ("energy", 0.0, 1.05, 64, 5),
+)
+
+
+def _rows(curve):
+    return tuple((r["technique"], r["snr_db"], r["threshold_factor"], r["nd"], r["nf"])
+                 for r in curve.records)
+
+
+def test_detection_records_pinned():
+    quiet = run_detection_mc(small_detection_config(
+        technique_list=("energy", "matched_filter", "autocorr", "euclid"),
+        snr_grid_db=(-10.0, 0.0, 10.0), threshold_factors=(0.5, 1.0)))
+    assert _rows(quiet) == PINNED_DETECTION_ROWS
+    eq8 = run_detection_mc(small_detection_config(
+        technique_list=("energy",), threshold_mode="eq8",
+        threshold_factors=(1.0, 1.05)))
+    assert _rows(eq8) == PINNED_EQ8_ROWS
+
+
 def small_recovery_config(**overrides):
     base = dict(
         experiment_kind="recovery_mc",
@@ -200,6 +308,18 @@ def test_recovery_inform_noise_changes_bayesian_result():
         solver_list=("bayesian",), snr_grid_db=(0.0,), trials_Nt=4,
         inform_noise=False))
     assert informed.records[0]["mean_re"] != blind.records[0]["mean_re"]
+
+
+def test_recovery_empty_model_is_scored_not_fatal():
+    # at -10 dB the Bayesian solver returns exactly the zero vector here
+    cfg = small_recovery_config(
+        solver_list=("bayesian",), samples_N=100, measurements_M=20,
+        sparsity_k=5, snr_grid_db=(-10.0,), trials_Nt=1, threads=1)
+    (rec,) = run_recovery_mc(cfg).records
+    assert rec["trials"] == 1
+    assert rec["mean_re"] == 1.0
+    assert rec["mean_rsnr"] == 1.0
+    assert rec["mean_cc"] == 0.0
 
 
 def test_recovery_measure_time_flag():

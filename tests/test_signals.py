@@ -226,3 +226,16 @@ def test_metric_bundle_validation():
         evaluate_metrics(np.ones(4), np.ones(4))  # constant vectors
     with pytest.raises(ValueError):
         evaluate_metrics(np.array([1.0, 2.0]), np.ones(3))
+
+
+def test_empty_model_scores_as_uncorrelated():
+    sig = gen_sparse_signal(50, 4, seed=8)
+    m = evaluate_metrics(sig, np.zeros(50))
+    assert m.recovery_error_Re == 1.0
+    assert m.rsnr == 1.0
+    assert m.correlation_Cc == 0.0
+    assert m.recovered_sparsity == 0
+    assert m.mse == pytest.approx(4 / 50, rel=1e-15)
+    # a constant nonzero estimate still has no defined correlation
+    with pytest.raises(ValueError, match="constant vectors"):
+        evaluate_metrics(sig, np.full(50, 0.5))
