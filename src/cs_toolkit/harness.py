@@ -8,6 +8,7 @@ single-threaded.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
@@ -156,6 +157,16 @@ class ExperimentConfig:
                     raise ValueError(
                         f"threshold factor {factor} puts the autocorr margin "
                         f"{factor * self.autocorr_margin} outside (0, 1]")
+        if self.experiment_kind == "recovery_mc":
+            # a bad cell fails here, not after the cells before it have run
+            for n, k, m in itertools.product(*self.recovery_grids()):
+                if not 1 <= k <= n or not 1 <= m <= n:
+                    raise ValueError(f"invalid cell n={n}, k={k}, m={m}")
+
+    def recovery_grids(self) -> tuple[tuple, tuple, tuple]:
+        """The recovery sweep's n, k and m grids, with their fallbacks."""
+        return (self.n_grid or (self.samples_N,), self.k_grid or (self.sparsity_k,),
+                self.m_grid or (self.measurements_M,))
 
 
 @dataclass(frozen=True)
@@ -388,8 +399,9 @@ def recovery_trial(solver: str, scheme: str, n: int, k: int, m: int,
     Builds the matrix from seeds[0] and the signal from seeds[1], adds noise at
     snr_db (inf for noiseless) drawn from seeds[2], solves and scores the
     estimate. Returns the trial's metrics (times in seconds, zero unless
-    measure_time) and the solver's result. An exception from the solver is
-    re-raised as a RuntimeError carrying its message.
+    measure_time; "hd" counts the measurements whose sign A x_hat gets wrong,
+    for every solver) and the solver's result. An exception from the solver
+    is re-raised as a RuntimeError carrying its message.
     """
     A = build_matrix(scheme, m, n, seed=int(seeds[0]))
     x = gen_sparse_signal(n, k, seed=int(seeds[1]))
@@ -403,14 +415,10 @@ def recovery_trial(solver: str, scheme: str, n: int, k: int, m: int,
     except Exception as exc:
         raise _SolverFailed(str(exc)) from exc
     x_hat = res.x_hat
-    if solver == "biht":
-        # signs lose scale; report against the unit-normalized target
-        target = x.samples / np.linalg.norm(x.samples)
-        y_hat = one_bit_quantize(A.matvec(x_hat)).signs
-        y_ref = one_bit_quantize(y).signs
-        metrics = evaluate_metrics(target, x_hat, y_ref, y_hat)
-    else:
-        metrics = evaluate_metrics(x, x_hat, y.values, A.matvec(x_hat))
+    # signs lose scale, so BIHT is scored against the unit-normalized target
+    target = x.samples / np.linalg.norm(x.samples) if solver == "biht" else x
+    metrics = evaluate_metrics(target, x_hat, one_bit_quantize(y).signs,
+                               one_bit_quantize(A.matvec(x_hat)).signs)
     return {
         "re": metrics.recovery_error_Re,
         "mse": metrics.mse,
@@ -474,26 +482,12 @@ def run_recovery_mc(config: ExperimentConfig) -> RecoveryReport:
     """
     schemes = (config.matrix_scheme if isinstance(config.matrix_scheme, (tuple, list))
                else (config.matrix_scheme,))
-    n_grid = config.n_grid or (config.samples_N,)
-    k_grid = config.k_grid or (config.sparsity_k,)
-    m_grid = config.m_grid or (config.measurements_M,)
-    records = []
-    cell = 0
-    for solver in config.solver_list:
-        for scheme in schemes:
-            for n in n_grid:
-                for k in k_grid:
-                    for m in m_grid:
-                        for snr_db in config.snr_grid_db:
-                            if not 1 <= k <= n or not 1 <= m <= n:
-                                raise ValueError(
-                                    f"invalid cell n={n}, k={k}, m={m}")
-                            key = (config.base_seed, 7919, cell)
-                            records.append(_recovery_cell(
-                                config, solver, scheme, int(n), int(k), int(m),
-                                float(snr_db), key))
-                            cell += 1
-    return RecoveryReport(records=tuple(records))
+    cells = itertools.product(config.solver_list, schemes, *config.recovery_grids(),
+                              config.snr_grid_db)
+    return RecoveryReport(records=tuple(
+        _recovery_cell(config, solver, scheme, int(n), int(k), int(m), float(snr_db),
+                       (config.base_seed, 7919, cell))
+        for cell, (solver, scheme, n, k, m, snr_db) in enumerate(cells)))
 
 
 def _scan_cell(cfg: ExperimentConfig, matrix: SensingMatrix, slot: int,

@@ -46,15 +46,15 @@ class MeasurementVector:
 class SensingMatrix:
     """An m x n measurement operator with a fast-apply contract.
 
-    For circulant, entry(i, j) = scale * c[(j - rows[i]) mod n].
-    For toeplitz, entry(i, j) = scale * g[(j - rows[i]) + diag_offset], so all
-    descending diagonals are constant. Both structured schemes take row i
-    from position (rows[i] - diag_offset) mod P of a circulant of period P
-    whose generator is g zero-padded to P: P = n for circulant, and for
-    toeplitz the next power of two at or above len(g), so no Toeplitz row
-    wraps around. Dense schemes keep their entries in `generator` with shape
-    (m, n) and scale 1. The generator's spectrum is computed once and
-    cached, so the generator must not be mutated after construction.
+    A structured entry(i, j) is scale * g[(j - rows[i] + diag_offset) mod len(g)]
+    (`columns`), with diag_offset 0 for circulant and max(rows) for toeplitz,
+    whose index never wraps, so its descending diagonals are constant. Row i
+    is position (rows[i] - diag_offset) mod P of a circulant of period P whose
+    generator is g zero-padded to P: P = n for circulant, and for toeplitz the
+    next power of two at or above len(g), so no Toeplitz row wraps around.
+    Dense schemes keep their entries in `generator` with shape (m, n) and
+    scale 1. The generator's spectrum is computed once and cached, so the
+    generator must not be mutated after construction.
     """
 
     scheme: str
@@ -113,13 +113,25 @@ class SensingMatrix:
         full = np.fft.irfft(self._generator_spectrum * np.fft.rfft(pad), self._period)
         return self.scale * full[: self.n]
 
-    def to_dense(self) -> np.ndarray:
-        """Materialize the full matrix (oracle/diagnostic use)."""
+    def columns(self, idx) -> np.ndarray:
+        """Columns idx of A as an (m, len(idx)) block; O(m) per structured column."""
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+            raise ValueError(f"column index outside [0, {self.n})")
         if self.scheme in ("gaussian", "bernoulli"):
+            return self.generator[:, idx]
+        pos = (idx[None, :] - self.rows[:, None] + self.diag_offset) % self.generator.size
+        return self.scale * self.generator[pos]
+
+    def to_dense(self) -> np.ndarray:
+        """The full matrix, C-ordered. Only `column_norms`, `bayesian_recover` and
+        the Gram diagnostics `mutual_coherence` and `compressive_detect` build it.
+        """
+        if self.scheme in ("gaussian", "bernoulli"):
+            # generator[:, idx] comes back F-ordered, which moves the last
+            # bit of products with the copy
             return self.generator.copy()
-        j = np.arange(self.n)
-        idx = (j[None, :] - self.rows[:, None] + self.diag_offset) % self.generator.size
-        return self.scale * self.generator[idx]
+        return self.columns(np.arange(self.n))
 
     def column_norms(self) -> np.ndarray:
         return np.linalg.norm(self.to_dense(), axis=0)
@@ -161,12 +173,9 @@ def build_matrix(
         raise ValueError("p must be in (0, 1]")
     rng = np.random.default_rng(seed)
 
-    if scheme == "gaussian":
-        entries = rng.standard_normal((m, n)) / math.sqrt(m)
-        return SensingMatrix(scheme, m, n, entries, seed, 1.0,
-                             rows=np.arange(m), diag_offset=0)
-    if scheme == "bernoulli":
-        entries = rng.choice([-1.0, 1.0], size=(m, n)) / math.sqrt(m)
+    if scheme in ("gaussian", "bernoulli"):
+        entries = (rng.standard_normal((m, n)) if scheme == "gaussian"
+                   else rng.choice([-1.0, 1.0], size=(m, n))) / math.sqrt(m)
         return SensingMatrix(scheme, m, n, entries, seed, 1.0,
                              rows=np.arange(m), diag_offset=0)
 
@@ -177,25 +186,16 @@ def build_matrix(
         rows = np.arange(m)
     scale = float(opts.get("scale", 1.0 / math.sqrt(m)))
 
-    if scheme == "circulant":
-        gen = opts.get("generator")
-        gen = (np.array(gen, dtype=float) if gen is not None
-               else _masked_rademacher(rng, n, p))
-        if gen.shape != (n,):
-            raise ValueError("circulant generator must have length n")
-        return SensingMatrix(scheme, m, n, gen, seed, scale,
-                             rows=rows, diag_offset=0)
-
-    # toeplitz generator covers diagonal indices j - i for the selected rows
-    max_row = int(rows.max())
-    gen_len = n + max_row
+    # a toeplitz generator covers the diagonals j - i of the selected rows
+    offset = int(rows.max()) if scheme == "toeplitz" else 0
+    gen_len = n + offset
     gen = opts.get("generator")
     gen = (np.array(gen, dtype=float) if gen is not None
            else _masked_rademacher(rng, gen_len, p))
     if gen.shape != (gen_len,):
-        raise ValueError(f"toeplitz generator must have length {gen_len}")
+        raise ValueError(f"{scheme} generator must have length {gen_len}")
     return SensingMatrix(scheme, m, n, gen, seed, scale,
-                         rows=rows, diag_offset=max_row)
+                         rows=rows, diag_offset=offset)
 
 
 def compress(

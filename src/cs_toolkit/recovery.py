@@ -178,9 +178,13 @@ def omp(y, A: SensingMatrix, k_or_tol) -> RecoveryResult:
 
     k_or_tol: an int caps the support size; a float stops when the residual
     norm falls below tol * ||y||. The residual norm never increases.
+    `converged` means the stop rule fired, which an int k always does (k
+    columns or an exact fit); a float tol needs a residual norm at or below
+    max(tol * ||y||, 1e-8 * max(||y||, 1)).
     """
     yv = _measurements(y, A.m)
-    if isinstance(k_or_tol, (int, np.integer)) and not isinstance(k_or_tol, bool):
+    by_count = isinstance(k_or_tol, (int, np.integer)) and not isinstance(k_or_tol, bool)
+    if by_count:
         k_max = int(k_or_tol)
         tol = 0.0
         if not 1 <= k_max <= A.m:
@@ -191,11 +195,10 @@ def omp(y, A: SensingMatrix, k_or_tol) -> RecoveryResult:
         if tol <= 0:
             raise ValueError("residual tolerance must be positive")
     t0 = time.perf_counter()
-    dense = A.to_dense()
-    col_norms = np.linalg.norm(dense, axis=0)
+    col_norms = A.column_norms()
     col_norms[col_norms == 0.0] = 1.0
     support: list[int] = []
-    x = np.zeros(A.n)
+    coef = np.zeros(0)
     resid = yv.copy()
     norm_y = float(np.linalg.norm(yv))
     trace = [float(np.linalg.norm(resid))]
@@ -204,24 +207,24 @@ def omp(y, A: SensingMatrix, k_or_tol) -> RecoveryResult:
         if trace[-1] <= max(tol * norm_y, 1e-14 * max(norm_y, 1.0)):
             break
         it += 1
-        corr = np.abs(dense.T @ resid) / col_norms
+        corr = np.abs(A.rmatvec(resid)) / col_norms
         corr[support] = -1.0
         j = int(np.argmax(corr))
         support.append(j)
-        sub = dense[:, support]
+        sub = A.columns(support)
         coef, _, rank, _ = np.linalg.lstsq(sub, yv, rcond=None)
         if rank < len(support):
             warnings.warn("omp: selected columns are linearly dependent; "
                           "continuing with the pseudo-inverse fit", RuntimeWarning)
         resid = yv - sub @ coef
         trace.append(float(np.linalg.norm(resid)))
-        x = np.zeros(A.n)
-        x[support] = coef
+    x = np.zeros(A.n)
+    x[support] = coef
     return RecoveryResult(
         x_hat=x,
         iterations=it,
         measurements_used=A.m,
-        converged=trace[-1] <= max(tol * norm_y, 1e-8 * max(norm_y, 1.0)),
+        converged=by_count or trace[-1] <= max(tol * norm_y, 1e-8 * max(norm_y, 1.0)),
         recovery_time=time.perf_counter() - t0,
         objective_trace=np.asarray(trace),
     )
@@ -230,7 +233,11 @@ def omp(y, A: SensingMatrix, k_or_tol) -> RecoveryResult:
 def cosamp(
     y, A: SensingMatrix, k: int, opts: SolverOpts = SolverOpts()
 ) -> RecoveryResult:
-    """CoSaMP: merge the 2k strongest proxy indices, least-squares, prune to k."""
+    """CoSaMP: merge the 2k strongest proxy indices, least-squares, prune to k.
+
+    `converged` is False only if opts.max_iter (default 100) ran out before the
+    residual norm stalled or met opts.tol * max(||y||, 1) (default 1e-8).
+    """
     yv = _measurements(y, A.m)
     if not 1 <= k <= A.n:
         raise ValueError("need 1 <= k <= n")
@@ -240,7 +247,6 @@ def cosamp(
     tol = 1e-8 if opts.tol is None else opts.tol
     max_iter = 100 if opts.max_iter is None else opts.max_iter
     t0 = time.perf_counter()
-    dense = A.to_dense()
     x = np.zeros(A.n)
     resid = yv.copy()
     norm_y = float(np.linalg.norm(yv))
@@ -249,10 +255,10 @@ def cosamp(
     it = 0
     while not converged and it < max_iter:
         it += 1
-        proxy = np.abs(dense.T @ resid)
+        proxy = np.abs(A.rmatvec(resid))
         candidates = np.argpartition(proxy, -min(2 * k, A.n))[-min(2 * k, A.n):]
         merged = np.union1d(candidates, np.flatnonzero(x))
-        sub = dense[:, merged]
+        sub = A.columns(merged)
         coef, _, rank, _ = np.linalg.lstsq(sub, yv, rcond=None)
         if rank < merged.size:
             warnings.warn("cosamp: merged columns are linearly dependent; "
@@ -260,13 +266,14 @@ def cosamp(
         keep = np.argsort(np.abs(coef))[-k:]
         x = np.zeros(A.n)
         x[merged[keep]] = coef[keep]
-        resid = yv - dense @ x
+        resid = yv - A.matvec(x)
         rnorm = float(np.linalg.norm(resid))
         if rnorm <= tol * max(norm_y, 1.0):
             converged = True
         if rnorm >= trace[-1] * (1.0 - 1e-12) and it > 1:
             # no further progress
             trace.append(min(rnorm, trace[-1]))
+            converged = True
             break
         trace.append(rnorm)
     return RecoveryResult(
@@ -580,8 +587,8 @@ def biht_recover(
     base = step * math.sqrt(A.m) / col_scale
     t0 = time.perf_counter()
 
-    def inconsistency(v: np.ndarray) -> int:
-        return int(np.count_nonzero(s * A.matvec(v) < 0))
+    def inconsistency(ax: np.ndarray) -> int:
+        return int(np.count_nonzero(s * ax < 0))
 
     def unit_topk(v: np.ndarray) -> np.ndarray | None:
         v = _hard_threshold(v, k)
@@ -594,29 +601,27 @@ def biht_recover(
 
     def descend(x0: np.ndarray, gain_mult: float, iters: int) -> tuple[np.ndarray, int]:
         nonlocal total_iters
-        x = x0.copy()
-        best, best_bad = x.copy(), inconsistency(x)
-        if best_bad < running_best[1]:
-            running_best[0], running_best[1] = best.copy(), best_bad
-        trace.append(float(running_best[1]))
-        for _ in range(iters):
-            if best_bad == 0:
-                break
-            r = s - np.where(A.matvec(x) >= 0.0, 1.0, -1.0)
-            x = _hard_threshold(x + 0.5 * base * gain_mult * A.rmatvec(r), k)
-            total_iters += 1
-            bad = inconsistency(x)
+        x, best_bad, steps = x0, math.inf, 0
+        while True:
+            # one apply per iterate: the sign residual of the step reuses it
+            ax = A.matvec(x)
+            bad = inconsistency(ax)
             if bad < best_bad:
                 best, best_bad = x.copy(), bad
             if best_bad < running_best[1]:
                 running_best[0], running_best[1] = best.copy(), best_bad
             trace.append(float(running_best[1]))
-        return best, best_bad
+            if best_bad == 0 or steps >= iters:
+                return best, best_bad
+            r = s - np.where(ax >= 0.0, 1.0, -1.0)
+            x = _hard_threshold(x + 0.5 * base * gain_mult * A.rmatvec(r), k)
+            steps += 1
+            total_iters += 1
 
     x0 = unit_topk(A.rmatvec(s))
     if x0 is None:
         raise IllConditionedError("degenerate initialization: A^T s vanished")
-    init_bad = inconsistency(x0)
+    init_bad = inconsistency(A.matvec(x0))
     rng = np.random.default_rng(opts.seed)
 
     consistent: list[np.ndarray] = []

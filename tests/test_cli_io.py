@@ -33,6 +33,7 @@ from cs_toolkit.recovery import (
     BayesOpts,
     bayesian_recover,
     biht_recover,
+    omp,
     one_bit_quantize,
 )
 from cs_toolkit.signals import gen_sparse_signal
@@ -259,6 +260,21 @@ def test_cli_recover_biht_reports_sign_mismatches(tmp_path, capsys):
     assert mismatches > 0
     _x_hat, summary = read_recovered(out)
     assert float(summary["mean_hd"]) == mismatches
+
+
+def test_cli_recover_omp_reports_sign_mismatches(tmp_path, capsys):
+    # Hd counts signs for every solver, not differing real values (always m)
+    out = tmp_path / "rec.csv"
+    assert run_cli(["recover", "--solver", "omp", "--n", "128", "--k", "6",
+                    "--m", "48", "--seed", "9", "--snr-db", "0",
+                    "--output", str(out)]) == 0
+    A, y, _nv = cli_instance("gaussian", 9, 0.0)
+    fit = omp(y, A, 6)
+    mismatches = np.count_nonzero(one_bit_quantize(y).signs
+                                  != one_bit_quantize(A.matvec(fit.x_hat)).signs)
+    _x_hat, summary = read_recovered(out)
+    assert float(summary["mean_hd"]) == mismatches
+    assert 0 < mismatches < 48
 
 
 MANIFEST_CASES = (

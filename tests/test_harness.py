@@ -299,6 +299,13 @@ def test_recovery_deterministic_across_thread_counts():
 def test_recovery_invalid_cell_raises():
     with pytest.raises(ValueError):
         run_recovery_mc(small_recovery_config(k_grid=(0,)))
+    # a bad cell fails when the config is built, before any cell runs
+    for grids in ({"k_grid": (4, 0)}, {"k_grid": (65,)}, {"m_grid": (32, 65)},
+                  {"n_grid": (64, 16), "k_grid": (2,), "m_grid": (20,)}):
+        with pytest.raises(ValueError, match="invalid cell n="):
+            small_recovery_config(**grids)
+    with pytest.raises(ValueError, match="invalid cell n=1000, k=0, m=0"):
+        ExperimentConfig(experiment_kind="recovery_mc")
 
 
 def test_recovery_inform_noise_changes_bayesian_result():

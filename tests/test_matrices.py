@@ -87,6 +87,24 @@ def test_circulant_apply_pinned_to_its_fft_formula(scheme, m, n, seed, opts):
     assert np.array_equal(A.rmatvec(v), expected)
 
 
+@pytest.mark.parametrize("scheme,m,n,seed,opts", STRUCTURED_CASES + [
+    ("gaussian", 12, 31, 11, None), ("bernoulli", 8, 24, 12, None)])
+def test_columns_match_dense_columns(scheme, m, n, seed, opts):
+    A = build_matrix(scheme, m, n, seed=seed, options=opts)
+    dense = A.to_dense()
+    assert dense.flags["C_CONTIGUOUS"]
+    rng = np.random.default_rng(300 + seed)
+    for idx in (np.array([], dtype=int), [n - 1, 0, n - 1],
+                rng.permutation(n)[: n // 2], np.arange(n)):
+        block = A.columns(idx)
+        assert block.shape == (m, len(idx))
+        assert np.array_equal(block, dense[:, idx])
+    # the modular entry formula would wrap these silently
+    for idx in ([-1], [n], [0, n + 3]):
+        with pytest.raises(ValueError, match="column index outside"):
+            A.columns(idx)
+
+
 def test_import_leaves_scipy_signal_unloaded():
     src = Path(cs_toolkit.__file__).resolve().parents[1]
     code = ("import sys, cs_toolkit; print('scipy.signal' in sys.modules, "

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cs_toolkit.matrices import build_matrix, compress
+from cs_toolkit.matrices import SensingMatrix, build_matrix, compress
 from cs_toolkit.recovery import (
+    BIHT_REFINE_RESTARTS,
+    BIHT_RESTARTS,
     BayesOpts,
     SignVector,
     SolverOpts,
@@ -157,6 +159,29 @@ def test_cosamp_regime_warning_and_validation():
         cosamp(y, A, 0)
     with pytest.raises(ValueError):
         cosamp(np.ones(21), A, 4)
+
+
+@pytest.mark.parametrize("scheme,opts", [
+    ("circulant", None), ("toeplitz", None),
+    ("circulant", {"random_rows": True}), ("toeplitz", {"random_rows": True})])
+def test_greedy_solvers_on_the_operator_match_the_dense_path(scheme, opts):
+    A = build_matrix(scheme, 60, 200, seed=5, options=opts)
+    x = gen_sparse_signal(200, 8, seed=6)
+    y = compress(A, x, noise_variance=1e-3, seed=7)
+    # a gaussian-scheme operator holding A's entries: the dense reference path
+    ref = SensingMatrix("gaussian", A.m, A.n, A.to_dense(), A.seed, 1.0,
+                        rows=np.arange(A.m))
+    assert np.array_equal(omp(y, A, 8).x_hat, omp(y, ref, 8).x_hat)
+    assert np.array_equal(cosamp(y, A, 8).x_hat, cosamp(y, ref, 8).x_hat)
+
+
+def test_greedy_converged_means_the_stop_rule_fired():
+    # noise keeps the residual far above 1e-8 ||y||; the stop rules still fire
+    A, _x, y = planted_instance("gaussian", 60, 200, 8, seed=9, noise_variance=1e-2)
+    assert omp(y, A, 8).converged
+    res = cosamp(y, A, 8)
+    assert res.converged and res.iterations < 100
+    assert not cosamp(y, A, 8, SolverOpts(max_iter=1)).converged
 
 
 # --------------------------------------------------------------------- bayesian
@@ -310,6 +335,21 @@ def test_biht_converged_flag_means_consistent_signs():
     if res.converged:
         assert mismatches == 0
     assert np.all(np.diff(res.objective_trace) <= 0.0)
+
+
+def test_biht_applies_a_once_per_iteration(monkeypatch):
+    A, _x, y = planted_instance("gaussian", 60, 128, 4, seed=13)
+    signs = one_bit_quantize(y)
+    calls = []
+    matvec = SensingMatrix.matvec
+    monkeypatch.setattr(SensingMatrix, "matvec",
+                        lambda self, v: calls.append(1) or matvec(self, v))
+    res = biht_recover(signs, A, 4)
+    assert res.iterations > 0
+    # one trace entry per descent start and one per iteration
+    descents = res.objective_trace.size - res.iterations
+    assert descents <= BIHT_RESTARTS + BIHT_REFINE_RESTARTS + 1
+    assert len(calls) <= res.iterations + descents + 1  # + the init check
 
 
 def test_biht_validation():
