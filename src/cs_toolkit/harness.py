@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detectors as det
-from .matrices import SensingMatrix, build_matrix, compress
+from .matrices import SensingMatrix, _with_noise, build_matrix, compress
 from .recovery import (
     BayesOpts,
     RecoveryResult,
@@ -406,9 +406,9 @@ def recovery_trial(solver: str, scheme: str, n: int, k: int, m: int,
     A = build_matrix(scheme, m, n, seed=int(seeds[0]))
     x = gen_sparse_signal(n, k, seed=int(seeds[1]))
     t_make = time.perf_counter()
-    clean = A.matvec(x.samples)
+    clean = compress(A, x).values  # the one apply of A: noise is scaled to it
     nv = _noise_variance(float(np.mean(clean**2)), snr_db)
-    y = compress(A, x, noise_variance=nv, seed=int(seeds[2]))
+    y = _with_noise(clean, nv, int(seeds[2]))
     t_compress = time.perf_counter() - t_make
     try:
         res = _solve(solver, y, A, k, z_factor, nv if inform_noise else None)

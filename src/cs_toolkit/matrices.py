@@ -210,10 +210,15 @@ def compress(
     vec = x.samples if isinstance(x, SparseSignal) else np.asarray(x, dtype=float)
     if vec.shape != (matrix.n,):
         raise ValueError(f"signal length {vec.shape} does not match n={matrix.n}")
-    y = matrix.matvec(vec)
+    return _with_noise(matrix.matvec(vec), noise_variance, seed)
+
+
+def _with_noise(clean: np.ndarray, noise_variance: float, seed: int) -> MeasurementVector:
+    """clean + w with w i.i.d. N(0, noise_variance) drawn from `seed`."""
+    y = clean
     if noise_variance > 0:
         rng = np.random.default_rng(seed)
-        y = y + rng.standard_normal(matrix.m) * math.sqrt(noise_variance)
+        y = y + rng.standard_normal(clean.size) * math.sqrt(noise_variance)
     return MeasurementVector(values=y, noise_variance=float(noise_variance))
 
 

@@ -46,7 +46,10 @@ class SolverOpts:
 
 @dataclass(frozen=True)
 class BayesOpts:
-    tol: float = 1e-6
+    # an action loop stops when the best action's gain is at most tol; gains
+    # are 2 * (change in log evidence), so 1e-3 is a likelihood ratio of
+    # about 1.0005
+    tol: float = 1e-3
     max_iter: int = 500
     prune_threshold: float = 1e12
     ridge: float = 1e-10
@@ -129,7 +132,9 @@ def basis_pursuit(
     iteration, 20 rounds, padded 5% for safety). Stops when the relative
     objective change drops below opts.tol (default 1e-8) or after
     opts.max_iter iterations (default 5000). The objective trace is
-    nonincreasing.
+    nonincreasing. `converged` means the relative-change rule fired; a step
+    that raises the objective (an overshoot, possible with a user-set
+    opts.step) ends the loop with the previous iterate and converged False.
     """
     if z < 0:
         raise ValueError("z must be >= 0")
@@ -153,8 +158,8 @@ def basis_pursuit(
         resid_new = yv - A.matvec(x_new)
         obj_new = float(resid_new @ resid_new) + z * float(np.abs(x_new).sum())
         if obj_new > obj:
-            # step overshoot from an underestimated L; keep the previous iterate
-            converged = True
+            # step overshoot from an underestimated L: keep the previous
+            # iterate, which the stop rule has not vouched for
             break
         x, resid = x_new, resid_new
         trace.append(obj_new)
@@ -302,22 +307,35 @@ def bayesian_recover(
     polishes with the same action loop, with additions now required to
     clear the penalty.
 
+    Stop rule: an action loop (phase 1 or 3) stops when the best action's
+    gain is at most opts.tol (default 1e-3). Gains are in units of
+    2 * (change in log evidence), so 1e-3 stops once no single action
+    raises the marginal likelihood by a factor above about 1.0005.
+    `converged` is True when both loops stopped on this rule rather than on
+    opts.max_iter, and for the empty model.
+
     Posterior: Sigma = (b Phi^T Phi + diag(a))^-1 over the active set,
     mu = b Sigma Phi^T y; the noise precision b is re-estimated as
     (m - |S| + sum_j a_j Sigma_jj) / ||y - Phi mu||^2 every iteration,
     floored during selection so the modeled SNR never exceeds 20 dB, then
     re-estimated without the floor for the reported posterior. When
     opts.noise_variance is given, b is held fixed at its reciprocal
-    instead. Inactive coefficients are exact zeros. The objective trace
-    records the best penalized negative evidence seen so far and is
-    nonincreasing.
+    instead. Inactive coefficients are exact zeros. A^T a_j is computed
+    once, when column j first enters the model, so one action costs
+    O(n |S|^2). The objective trace records, for every model scored during
+    selection, -log p(y) plus add_penalty / 2 per active column, as the best
+    value seen so far; it is nonincreasing.
     """
     yv = _measurements(y, A.m)
     t0 = time.perf_counter()
     n, m = A.n, A.m
     norm_y2 = float(yv @ yv)
+    active: list = []
+    trace: list = []
 
-    def empty_result(iters: int, trace: list) -> BayesianResult:
+    def empty_result(iters: int) -> BayesianResult:
+        if norm_y2 > 0.0:
+            push_trace(0.0, 0.0, 0.0)
         base = RecoveryResult(np.zeros(n), iters, m, True,
                               time.perf_counter() - t0,
                               np.asarray(trace if trace else [0.0]))
@@ -328,7 +346,7 @@ def bayesian_recover(
                               hyper_b=float(1.0 / nv))
 
     if norm_y2 == 0.0:
-        return empty_result(0, [])
+        return empty_result(0)
     dense = A.to_dense()
     colsq = np.sum(dense**2, axis=0)
     usable = colsq > 0.0
@@ -340,6 +358,16 @@ def bayesian_recover(
     b = m / norm_y2 if b_known is None else b_known
     add_bar = math.log(n) if opts.add_penalty is None else float(opts.add_penalty)
 
+    def push_trace(logdet_h: float, log_a_sum: float, fit: float) -> None:
+        """Append -log p(y) of the current model at the current b, plus the
+        admission charge. With C = I/b + Phi diag(a)^-1 Phi^T and H the
+        posterior precision, log|C| = log|H| - sum log a - m log b and
+        y^T C^-1 y = b ||y||^2 - b (Phi^T y)^T mu; `fit` is (Phi^T y)^T mu."""
+        log_c = logdet_h - log_a_sum - m * math.log(b)
+        j = 0.5 * (m * math.log(2.0 * math.pi) + log_c + b * (norm_y2 - fit)
+                   + add_bar * len(active))
+        trace.append(min(trace[-1], j) if trace else j)
+
     # seed with the single column that explains the data best; if none beats
     # the all-noise model the empty solution is already optimal
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -348,46 +376,47 @@ def bayesian_recover(
     first = int(np.argmax(quality))
     excess = quality[first] - 1.0 / b
     if excess <= 0.0:
-        return empty_result(0, [])
-    active = [first]
+        return empty_result(0)
+    active.append(first)
     a_act = np.array([colsq[first] / excess])
-
-    trace: list = []
-    total_gain = 0.0
     iters = 0
-
-    def push_trace() -> None:
-        j = -(total_gain - add_bar * len(active))
-        trace.append(min(trace[-1], j) if trace else j)
 
     # noise floor: the modeled SNR is capped at 20 dB during selection;
     # without it the evidence update absorbs noise into spurious columns
     # once the residual gets small, and the noise estimate runs away
     b_cap = 100.0 * m / norm_y2
+    # A^T a_j for every column that has entered the model
+    gram: dict = {}
 
     def posterior(floor: bool = True):
         nonlocal b
-        phi_s = dense[:, active]
-        hess = b * (phi_s.T @ phi_s) + np.diag(a_act)
-        sigma = _stable_inverse(hess, opts.ridge)
-        mu = b * (sigma @ (phi_s.T @ yv))
+        for col in active:
+            if col not in gram:
+                gram[col] = dense.T @ dense[:, col]
+        cross = np.stack([gram[col] for col in active], axis=1)  # A^T Phi
+        phi_y_s = phi_y[active]
+        sigma, logdet_h = _stable_inverse(b * cross[active] + np.diag(a_act),
+                                          opts.ridge)
+        mu = b * (sigma @ phi_y_s)
+        if floor:
+            push_trace(logdet_h, float(np.sum(np.log(a_act))),
+                       float(phi_y_s @ mu))
         if b_known is None:
-            resid = yv - phi_s @ mu
+            resid = yv - dense[:, active] @ mu
             rss = float(resid @ resid)
             gamma_sum = float(np.sum(a_act * np.diag(sigma)))
             b = float(np.clip((m - len(active) + gamma_sum)
                               / max(rss, 1e-300), 1e-12, 1e12))
             if floor:
                 b = min(b, b_cap)
-        return phi_s, sigma, mu
+        return cross, sigma, mu
 
-    def factors(phi_s, sigma):
+    def factors(cross, sigma):
         """Sparsity/quality factors (S_i, Q_i) for every column, plus the
         exclusive versions (s_i, q_i) for columns already in the model."""
-        proj = dense.T @ (phi_s @ sigma)
-        cross = dense.T @ phi_s
+        proj = cross @ sigma
         big_s = b * colsq - b * b * np.sum(proj * cross, axis=1)
-        big_q = b * phi_y - b * b * (proj @ (phi_s.T @ yv))
+        big_q = b * phi_y - b * b * (proj @ phi_y[active])
         s_fac = big_s.copy()
         q_fac = big_q.copy()
         denom = a_act - big_s[active]
@@ -396,11 +425,10 @@ def bayesian_recover(
         q_fac[active] = np.where(safe, a_act * big_q[active] / denom, 0.0)
         return big_s, big_q, s_fac, q_fac
 
-    def action_step(barred: bool) -> float:
-        """One greedy action; returns its evidence gain (-inf if converged)."""
-        nonlocal a_act, total_gain
-        phi_s, sigma, _ = posterior()
-        big_s, big_q, s_fac, q_fac = factors(phi_s, sigma)
+    def action_step(barred: bool) -> bool:
+        """Apply the best greedy action; False once its gain is at most tol."""
+        nonlocal a_act
+        big_s, big_q, s_fac, q_fac = factors(*posterior()[:2])
         in_model = np.zeros(n, dtype=bool)
         in_model[active] = True
         a_full = np.full(n, np.inf)
@@ -437,7 +465,7 @@ def bayesian_recover(
         action, col = np.unravel_index(int(np.argmax(gains)), gains.shape)
         best = float(gains[action, col])
         if not np.isfinite(best) or best <= opts.tol:
-            return -np.inf
+            return False
         if action == 0:
             active.append(int(col))
             a_act = np.append(a_act, min(new_a[col], opts.prune_threshold))
@@ -448,24 +476,25 @@ def bayesian_recover(
             pos = active.index(int(col))
             active.pop(pos)
             a_act = np.delete(a_act, pos)
-        total_gain += best
-        push_trace()
-        return best
+        return True
 
-    converged = False
-    for _ in range(opts.max_iter):
-        iters += 1
-        if action_step(barred=False) == -np.inf:
-            converged = True
-            break
+    def action_loop(barred: bool) -> bool:
+        """Run actions until the stop rule fires (True) or max_iter runs out."""
+        nonlocal iters
+        for _ in range(opts.max_iter):
+            iters += 1
+            if not action_step(barred):
+                return True
+        return False
+
+    converged = action_loop(barred=False)
 
     # backward elimination: drop the weakest column while its exclusive
     # evidence cannot pay the admission bar; the noise estimate recovers
     # as each deletion returns its share of the residual
     while active:
         iters += 1
-        phi_s, sigma, _ = posterior()
-        _, _, s_fac, q_fac = factors(phi_s, sigma)
+        _, _, s_fac, q_fac = factors(*posterior()[:2])
         z2 = np.full(len(active), np.inf)
         for j, col in enumerate(active):
             s_j, q_j = s_fac[col], q_fac[col]
@@ -475,23 +504,18 @@ def bayesian_recover(
         worst = int(np.argmin(z2))
         if z2[worst] >= add_bar:
             break
-        total_gain -= z2[worst]
         active.pop(worst)
         a_act = np.delete(a_act, worst)
-        push_trace()
     if not active:
-        return empty_result(iters, trace)
+        return empty_result(iters)
 
-    for _ in range(opts.max_iter):
-        iters += 1
-        if action_step(barred=True) == -np.inf:
-            break
+    converged = action_loop(barred=True) and converged
 
     # one unfloored noise re-estimate, then a last posterior pass with it:
     # debiases the kept coefficients without feeding the uncapped estimate
     # back into model selection
     posterior(floor=False)
-    phi_s, sigma, mu = posterior(floor=False)
+    _, sigma, mu = posterior(floor=False)
     mu_full = np.zeros(n)
     sigma_diag_full = np.zeros(n)
     mu_full[active] = mu
@@ -504,7 +528,7 @@ def bayesian_recover(
         measurements_used=m,
         converged=converged,
         recovery_time=time.perf_counter() - t0,
-        objective_trace=np.asarray(trace if trace else [0.0]),
+        objective_trace=np.asarray(trace),
     )
     return BayesianResult(
         base=base,
@@ -515,15 +539,18 @@ def bayesian_recover(
     )
 
 
-def _stable_inverse(hess: np.ndarray, ridge: float) -> np.ndarray:
-    """Invert an SPD matrix, retrying with growing ridge regularization."""
+def _stable_inverse(hess: np.ndarray, ridge: float) -> tuple[np.ndarray, float]:
+    """Invert an SPD matrix, retrying with growing ridge regularization.
+
+    Returns the inverse and the log-determinant of the matrix it inverted.
+    """
     bump = 0.0
     scale = float(np.trace(hess)) / max(hess.shape[0], 1)
     for attempt in range(4):
         try:
             low = np.linalg.cholesky(hess + bump * np.eye(hess.shape[0]))
             inv_low = np.linalg.solve(low, np.eye(hess.shape[0]))
-            return inv_low.T @ inv_low
+            return inv_low.T @ inv_low, 2.0 * float(np.sum(np.log(np.diag(low))))
         except np.linalg.LinAlgError:
             bump = ridge * scale * (10.0 ** attempt) if bump == 0.0 else bump * 100.0
     raise IllConditionedError("posterior covariance inversion failed after "

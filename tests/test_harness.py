@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cs_toolkit import harness
 from cs_toolkit.detectors import (
     closed_form_roc,
     energy_threshold,
@@ -22,7 +23,14 @@ from cs_toolkit.harness import (
     run_recovery_mc,
     run_scan_sim,
 )
-from cs_toolkit.signals import gen_pilot_bpsk, gen_pilot_qpsk
+from cs_toolkit.matrices import SensingMatrix, build_matrix, compress
+from cs_toolkit.recovery import omp
+from cs_toolkit.signals import (
+    evaluate_metrics,
+    gen_pilot_bpsk,
+    gen_pilot_qpsk,
+    gen_sparse_signal,
+)
 
 
 def test_config_validation():
@@ -78,6 +86,36 @@ def test_recovery_trial_rejects_unscalable_snr(snr_db):
     with pytest.raises(ValueError, match="finite SNR or inf"):
         recovery_trial("omp", "gaussian", 32, 3, 16, snr_db, (0, 1, 2),
                        z_factor=0.1, inform_noise=True, measure_time=False)
+
+
+def test_recovery_trial_applies_a_once_before_the_solve(monkeypatch):
+    calls = []
+    apply = SensingMatrix.matvec
+
+    def counted(self, x):
+        calls.append("matvec")
+        return apply(self, x)
+
+    def solve(*args, **kwargs):
+        calls.append("solve")
+        return real_solve(*args, **kwargs)
+
+    real_solve = harness._solve
+    monkeypatch.setattr(SensingMatrix, "matvec", counted)
+    monkeypatch.setattr(harness, "_solve", solve)
+    metrics, _ = recovery_trial("omp", "circulant", 128, 6, 48, 10.0, (1, 2, 3),
+                                z_factor=0.1, inform_noise=False,
+                                measure_time=False)
+    assert calls[:calls.index("solve")] == ["matvec"]
+    # the measurements are A x plus the noise that compress draws
+    monkeypatch.undo()
+    A = build_matrix("circulant", 48, 128, seed=1)
+    x = gen_sparse_signal(128, 6, seed=2)
+    clean = A.matvec(x.samples)
+    nv = float(np.mean(clean**2)) / 10.0
+    y = compress(A, x, noise_variance=nv, seed=3)
+    expected = omp(y, A, 6).x_hat
+    assert metrics["re"] == evaluate_metrics(x, expected).recovery_error_Re
 
 
 def small_detection_config(**overrides):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cs_toolkit.matrices import SensingMatrix, build_matrix, compress
@@ -81,6 +81,22 @@ def test_bp_options_and_validation():
         basis_pursuit(y, A, z=-0.5)
     with pytest.raises(ValueError):
         basis_pursuit(np.ones(A.m + 1), A)
+
+
+def test_bp_step_overshoot_is_not_convergence():
+    A, _, y = planted_instance("gaussian", 60, 120, 8, seed=6,
+                               noise_variance=0.01)
+    z = 0.05
+    lips = float(np.linalg.norm(A.to_dense(), 2)) ** 2
+    res = basis_pursuit(y, A, z=z, opts=SolverOpts(step=50.0 / lips))
+    assert not res.converged
+    # the overshooting step is discarded: x_hat is the last kept iterate,
+    # whose objective closes the nonincreasing trace
+    resid = y.values - A.matvec(res.x_hat)
+    kept = float(resid @ resid) + z * float(np.abs(res.x_hat).sum())
+    assert res.objective_trace[-1] == pytest.approx(kept, rel=1e-12)
+    assert np.all(np.diff(res.objective_trace) <= 0.0)
+    assert basis_pursuit(y, A, z=z).converged
 
 
 # -------------------------------------------------------------------------- omp
@@ -231,6 +247,94 @@ def test_bayesian_sparsity_near_truth_at_moderate_noise():
         if abs(k_hat - 15) <= 2:
             hits += 1
     assert hits >= 4
+
+
+def _penalized_neg_log_evidence(dense, y, support, a, b, add_bar):
+    """-log p(y) + add_bar/2 per column, with C evaluated by slogdet."""
+    phi = dense[:, support]
+    cov = np.eye(dense.shape[0]) / b + (phi / a) @ phi.T
+    _, logdet = np.linalg.slogdet(cov)
+    quad = float(y @ np.linalg.solve(cov, y))
+    m = dense.shape[0]
+    return 0.5 * (m * math.log(2 * math.pi) + logdet + quad + add_bar * len(support))
+
+
+def test_bayesian_trace_is_the_penalized_log_evidence():
+    A, _, y = planted_instance("gaussian", 60, 120, 8, seed=18,
+                               noise_variance=1e-3)
+    dense, yv = A.to_dense(), y.values
+    res = bayesian_recover(y, A, BayesOpts(noise_variance=1e-3))
+    trace = res.base.objective_trace
+    add_bar = math.log(A.n)
+    # the first entry scores the seed model: the best single column, with its
+    # precision from the closed-form one-column optimum
+    colsq = np.sum(dense**2, axis=0)
+    phi_y = dense.T @ yv
+    first = int(np.argmax(phi_y**2 / colsq))
+    a0 = colsq[first] / (phi_y[first] ** 2 / colsq[first] - 1e-3)
+    assert trace[0] == pytest.approx(_penalized_neg_log_evidence(
+        dense, yv, [first], np.array([a0]), 1e3, add_bar), rel=1e-10)
+    # the last entry scores the returned model
+    support = np.flatnonzero(res.x_hat)
+    assert res.base.converged
+    assert trace[-1] == pytest.approx(_penalized_neg_log_evidence(
+        dense, yv, support, res.hyper_a[support], res.hyper_b, add_bar), rel=1e-10)
+
+
+def test_bayesian_trace_bounded_in_uninformed_low_snr_run():
+    A, _, y = planted_instance("toeplitz", 200, 400, 20, seed=19)
+    clean = y.values
+    nv = float(np.mean(clean**2)) * 10.0  # -10 dB measurement SNR
+    noisy = clean + np.random.default_rng(19).standard_normal(A.m) * math.sqrt(nv)
+    trace = bayesian_recover(noisy, A).base.objective_trace
+    assert np.all(np.isfinite(trace))
+    # every entry is a real evidence, of order m nats; a running sum of
+    # gains scored under a drifting noise estimate reaches 2e18 on this input
+    assert np.max(np.abs(trace)) < 10.0 * A.m
+
+
+def test_bayesian_converged_means_the_stop_rule_fired():
+    hits = total = 0
+    for snr_db in (-10.0, 0.0, 10.0):
+        for seed in range(10):
+            rng = np.random.default_rng([43, seed])
+            A = build_matrix("toeplitz", 200, 400, seed=int(rng.integers(2**31)))
+            x = np.zeros(400)
+            x[rng.choice(400, 20, replace=False)] = rng.choice([-1.0, 1.0], 20)
+            clean = A.matvec(x)
+            nv = float(np.mean(clean**2)) / 10.0 ** (snr_db / 10.0)
+            y = clean + rng.normal(0.0, math.sqrt(nv), A.m)
+            hits += bayesian_recover(y, A, BayesOpts(noise_variance=nv)).base.converged
+            total += 1
+    assert hits >= 0.9 * total
+    A, _, y = planted_instance("toeplitz", 100, 200, 10, seed=21,
+                               noise_variance=1e-3)
+    assert not bayesian_recover(y, A, BayesOpts(max_iter=5)).base.converged
+
+
+@settings(max_examples=20, deadline=None)
+@example(m=1, extra=15, seed=3, zero_col=0)
+@given(m=st.integers(1, 12), extra=st.integers(1, 30), seed=st.integers(0, 10_000),
+       zero_col=st.integers(0, 41))
+def test_bayesian_degenerate_inputs(m, extra, seed, zero_col):
+    n = m + extra
+    rng = np.random.default_rng(seed)
+    entries = rng.standard_normal((m, n)) / math.sqrt(m)
+    j0 = zero_col % n
+    entries[:, j0] = 0.0
+    A = SensingMatrix("gaussian", m, n, entries, seed, 1.0, rows=np.arange(m))
+    # m = 1 is in range: one measurement must not break the posterior
+    # y = 0: the empty model, which is optimal and converged
+    empty = bayesian_recover(np.zeros(m), A)
+    assert not np.any(empty.x_hat) and empty.base.converged
+    # a zero column never enters the support, whatever y is
+    y = rng.standard_normal(m)
+    res = bayesian_recover(y, A)
+    assert res.x_hat[j0] == 0.0 and np.isinf(res.hyper_a[j0])
+    assert np.all(np.isfinite(res.x_hat))
+    assert np.all(np.isfinite(res.base.objective_trace))
+    assert np.all(np.diff(res.base.objective_trace) <= 1e-9)
+    assert res.noise_variance_hat > 0.0
 
 
 def test_bayesian_fixed_noise_pins_hyper_b():
