@@ -1,9 +1,11 @@
 """Sparse recovery solvers for underdetermined measurement systems.
 
-Basis pursuit denoising (proximal gradient / iterative soft thresholding),
-orthogonal matching pursuit, CoSaMP, relevance-vector Bayesian recovery,
-and one-bit recovery via binary iterative hard thresholding, plus the sign
-quantizer.
+Basis pursuit denoising (FISTA with adaptive restart), orthogonal matching
+pursuit on an incremental Cholesky factor, CoSaMP, relevance-vector Bayesian
+recovery, and one-bit recovery via binary iterative hard thresholding, plus
+the sign quantizer. BP, OMP, CoSaMP and BIHT reach A only through
+`SensingMatrix` (`matvec`, `rmatvec`, `columns`, `column_norms`) and never
+build the dense matrix.
 """
 
 from __future__ import annotations
@@ -126,15 +128,24 @@ def _soft(u: np.ndarray, thresh: float) -> np.ndarray:
 def basis_pursuit(
     y, A: SensingMatrix, z: float = 0.0, opts: SolverOpts = SolverOpts()
 ) -> RecoveryResult:
-    """Minimize ||y - Ax||_2^2 + z ||x||_1 by proximal gradient iteration.
+    """Minimize ||y - Ax||_2^2 + z ||x||_1 by FISTA with adaptive restart.
+
+    Accelerated proximal gradient (Beck & Teboulle 2009) with the
+    function-value restart of O'Donoghue & Candes (2015): a momentum step
+    that raises the objective is rejected and the momentum reset, so the
+    next step is a plain proximal step from the current iterate. One matvec
+    and one rmatvec per step: A v for the momentum point v is the same
+    affine mix of A x_k and A x_(k-1) as v itself.
 
     Step size 1/L with L the largest squared singular value of A (power
-    iteration, 20 rounds, padded 5% for safety). Stops when the relative
-    objective change drops below opts.tol (default 1e-8) or after
-    opts.max_iter iterations (default 5000). The objective trace is
-    nonincreasing. `converged` means the relative-change rule fired; a step
-    that raises the objective (an overshoot, possible with a user-set
-    opts.step) ends the loop with the previous iterate and converged False.
+    iteration, 20 rounds, padded 5% for safety). Stops when an accepted
+    step changes the objective by at most opts.tol (default 1e-8) of its
+    value, or after opts.max_iter steps (default 5000), rejected ones
+    included. The objective trace holds the accepted steps and is
+    nonincreasing. `converged` means the relative-change rule fired; a
+    plain step that raises the objective (an overshoot, possible with a
+    user-set opts.step) ends the loop with the previous iterate and
+    converged False.
     """
     if z < 0:
         raise ValueError("z must be >= 0")
@@ -150,21 +161,30 @@ def basis_pursuit(
     resid = yv.copy()
     obj = float(resid @ resid)
     trace = [obj]
+    # the previous iterate and its residual; equal to the current ones after
+    # a restart, so the next momentum point is x itself
+    x_prev, resid_prev, t = x, resid, 1.0
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        grad = A.rmatvec(resid)  # gradient of 0.5||y-Ax||^2 is -A^T r
-        x_new = _soft(x + step * grad, step * z / 2.0)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        v = x + beta * (x - x_prev)
+        resid_v = resid + beta * (resid - resid_prev)
+        # the gradient of 0.5||y-Av||^2 is -A^T (y - Av)
+        x_new = _soft(v + step * A.rmatvec(resid_v), step * z / 2.0)
         resid_new = yv - A.matvec(x_new)
         obj_new = float(resid_new @ resid_new) + z * float(np.abs(x_new).sum())
         if obj_new > obj:
-            # step overshoot from an underestimated L: keep the previous
-            # iterate, which the stop rule has not vouched for
-            break
-        x, resid = x_new, resid_new
+            if beta == 0.0:
+                # a plain step overshoot from an underestimated L: keep the
+                # previous iterate, which the stop rule has not vouched for
+                break
+            x_prev, resid_prev, t = x, resid, 1.0
+            continue
+        x_prev, resid_prev, x, resid, t = x, resid, x_new, resid_new, t_next
         trace.append(obj_new)
-        if obj > 0 and (obj - obj_new) <= tol * max(obj, 1e-30):
-            obj = obj_new
+        if obj - obj_new <= tol * obj:
             converged = True
             break
         obj = obj_new
@@ -179,13 +199,23 @@ def basis_pursuit(
 
 
 def omp(y, A: SensingMatrix, k_or_tol) -> RecoveryResult:
-    """Orthogonal matching pursuit with least-squares re-fit per iteration.
+    """Orthogonal matching pursuit on an incremental Cholesky factor.
+
+    Each step picks the column most correlated with the residual (scaled by
+    its norm), gathers it with `A.columns`, and extends the Cholesky factor
+    L of the chosen columns' Gram matrix by one row in O(m |S|). The
+    least-squares fit on the support is then two triangular solves; the
+    inverse factor is kept, so each is one matrix-vector product.
 
     k_or_tol: an int caps the support size; a float stops when the residual
     norm falls below tol * ||y||. The residual norm never increases.
     `converged` means the stop rule fired, which an int k always does (k
     columns or an exact fit); a float tol needs a residual norm at or below
-    max(tol * ||y||, 1e-8 * max(||y||, 1)).
+    max(tol * ||y||, 1e-8 * max(||y||, 1)). A picked column whose pivot is
+    at most 1e-6 of its norm already lies in the span of the support: OMP
+    warns that the columns are linearly dependent, keeps the fit it has and
+    stops with `converged` False, since neither k columns nor the tolerance
+    was reached.
     """
     yv = _measurements(y, A.m)
     by_count = isinstance(k_or_tol, (int, np.integer)) and not isinstance(k_or_tol, bool)
@@ -203,10 +233,16 @@ def omp(y, A: SensingMatrix, k_or_tol) -> RecoveryResult:
     col_norms = A.column_norms()
     col_norms[col_norms == 0.0] = 1.0
     support: list[int] = []
+    # the chosen columns, the inverse of the Cholesky factor L of their Gram
+    # matrix, and z = L^-1 A_S^T y; grown by doubling, up to k_max columns
+    cols = np.zeros((A.m, 0))
+    l_inv = np.zeros((0, 0))
+    z = np.zeros(0)
     coef = np.zeros(0)
     resid = yv.copy()
     norm_y = float(np.linalg.norm(yv))
     trace = [float(np.linalg.norm(resid))]
+    dependent = False
     it = 0
     while len(support) < k_max:
         if trace[-1] <= max(tol * norm_y, 1e-14 * max(norm_y, 1.0)):
@@ -215,13 +251,30 @@ def omp(y, A: SensingMatrix, k_or_tol) -> RecoveryResult:
         corr = np.abs(A.rmatvec(resid)) / col_norms
         corr[support] = -1.0
         j = int(np.argmax(corr))
-        support.append(j)
-        sub = A.columns(support)
-        coef, _, rank, _ = np.linalg.lstsq(sub, yv, rcond=None)
-        if rank < len(support):
+        s = len(support)
+        a = A.columns([j])[:, 0]
+        w = l_inv[:s, :s] @ (cols[:, :s].T @ a)  # L w = A_S^T a
+        col_sq = float(a @ a)
+        pivot_sq = col_sq - float(w @ w)
+        if pivot_sq <= 1e-12 * col_sq:
             warnings.warn("omp: selected columns are linearly dependent; "
-                          "continuing with the pseudo-inverse fit", RuntimeWarning)
-        resid = yv - sub @ coef
+                          "stopping with the fit on the support so far",
+                          RuntimeWarning)
+            dependent = True
+            break
+        if s == cols.shape[1]:
+            grow = min(max(2 * s, 16), k_max) - s
+            cols = np.pad(cols, ((0, 0), (0, grow)))
+            l_inv = np.pad(l_inv, ((0, grow), (0, grow)))
+            z = np.pad(z, (0, grow))
+        pivot = math.sqrt(pivot_sq)
+        cols[:, s] = a
+        l_inv[s, :s] = -(w @ l_inv[:s, :s]) / pivot
+        l_inv[s, s] = 1.0 / pivot
+        z[s] = (float(a @ yv) - float(w @ z[:s])) / pivot
+        support.append(j)
+        coef = l_inv[:s + 1, :s + 1].T @ z[:s + 1]  # L^T coef = z
+        resid = yv - cols[:, :s + 1] @ coef
         trace.append(float(np.linalg.norm(resid)))
     x = np.zeros(A.n)
     x[support] = coef
@@ -229,7 +282,8 @@ def omp(y, A: SensingMatrix, k_or_tol) -> RecoveryResult:
         x_hat=x,
         iterations=it,
         measurements_used=A.m,
-        converged=by_count or trace[-1] <= max(tol * norm_y, 1e-8 * max(norm_y, 1.0)),
+        converged=not dependent and (
+            by_count or trace[-1] <= max(tol * norm_y, 1e-8 * max(norm_y, 1.0))),
         recovery_time=time.perf_counter() - t0,
         objective_trace=np.asarray(trace),
     )
@@ -240,8 +294,10 @@ def cosamp(
 ) -> RecoveryResult:
     """CoSaMP: merge the 2k strongest proxy indices, least-squares, prune to k.
 
-    `converged` is False only if opts.max_iter (default 100) ran out before the
-    residual norm stalled or met opts.tol * max(||y||, 1) (default 1e-8).
+    The residual norm never increases: a pruned fit worse than the last one
+    is dropped and ends the loop. `converged` is False only if opts.max_iter
+    (default 100) ran out before the residual norm stalled or met
+    opts.tol * max(||y||, 1) (default 1e-8).
     """
     yv = _measurements(y, A.m)
     if not 1 <= k <= A.n:
@@ -269,17 +325,18 @@ def cosamp(
             warnings.warn("cosamp: merged columns are linearly dependent; "
                           "continuing with the pseudo-inverse fit", RuntimeWarning)
         keep = np.argsort(np.abs(coef))[-k:]
-        x = np.zeros(A.n)
-        x[merged[keep]] = coef[keep]
-        resid = yv - A.matvec(x)
-        rnorm = float(np.linalg.norm(resid))
-        if rnorm <= tol * max(norm_y, 1.0):
-            converged = True
-        if rnorm >= trace[-1] * (1.0 - 1e-12) and it > 1:
-            # no further progress
-            trace.append(min(rnorm, trace[-1]))
+        x_new = np.zeros(A.n)
+        x_new[merged[keep]] = coef[keep]
+        resid_new = yv - A.matvec(x_new)
+        rnorm = float(np.linalg.norm(resid_new))
+        if rnorm > trace[-1]:
+            # the pruned fit is worse than the last one: keep that one
             converged = True
             break
+        x, resid = x_new, resid_new
+        # stop on the tolerance, or once a step makes no further progress
+        converged = rnorm <= tol * max(norm_y, 1.0) or (
+            it > 1 and rnorm >= trace[-1] * (1.0 - 1e-12))
         trace.append(rnorm)
     return RecoveryResult(
         x_hat=x,

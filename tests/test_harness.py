@@ -482,3 +482,23 @@ def test_thread_count_env_override(monkeypatch):
     assert _thread_count(None) >= 1
     monkeypatch.delenv("CS_TOOLKIT_THREADS")
     assert _thread_count(None) == 1
+
+
+def test_harness_exposes_traced_layer_names(monkeypatch):
+    # the benchmark's tracer wraps these names where the harness looks them
+    # up; a missing one makes every traced run fail while untraced runs pass
+    for name in ("compress", "build_matrix", "basis_pursuit", "omp", "cosamp",
+                 "bayesian_recover", "biht_recover", "one_bit_quantize",
+                 "estimate_snr", "gen_sparse_signal", "evaluate_metrics",
+                 "gen_pilot_bpsk"):
+        assert callable(harness.__dict__.get(name)), name
+    for name in ("matvec", "rmatvec", "to_dense", "column_norms"):
+        assert callable(SensingMatrix.__dict__.get(name)), name
+    # OMP reaches the norms through the class attribute the tracer replaces
+    calls = []
+    norms = SensingMatrix.column_norms
+    monkeypatch.setattr(SensingMatrix, "column_norms",
+                        lambda self: calls.append(1) or norms(self))
+    A = build_matrix("circulant", 16, 40, seed=2)
+    omp(compress(A, gen_sparse_signal(40, 2, seed=3)), A, 2)
+    assert len(calls) == 1

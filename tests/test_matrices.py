@@ -105,6 +105,50 @@ def test_columns_match_dense_columns(scheme, m, n, seed, opts):
             A.columns(idx)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    scheme=st.sampled_from(("circulant", "toeplitz")),
+    n=st.integers(1, 80),
+    seed=st.integers(0, 10_000),
+    random_rows=st.booleans(),
+    p=st.sampled_from((1.0, 0.5, 0.1)),
+    explicit=st.booleans(),
+    data=st.data(),
+)
+def test_property_column_norms_match_dense(scheme, n, seed, random_rows, p,
+                                           explicit, data):
+    m = data.draw(st.sampled_from((1, n, data.draw(st.integers(1, n)))))
+    opts = {"random_rows": random_rows, "p": p}
+    A = build_matrix(scheme, m, n, seed=seed, options=opts)
+    if explicit:
+        rng = np.random.default_rng(seed)
+        gen = rng.standard_normal(A.generator.size)
+        gen[rng.random(gen.size) >= p] = 0.0
+        A = build_matrix(scheme, m, n, seed=seed,
+                         options={**opts, "generator": gen, "scale": 0.37})
+    dense = np.linalg.norm(A.to_dense(), axis=0)
+    fast = A.column_norms()
+    assert fast.shape == (n,)
+    assert np.array_equal(fast == 0.0, dense == 0.0)
+    if explicit:
+        # the FFT convolution is exact to a few ulps of scale^2 * m * max g^2,
+        # its bound on every squared norm, so real-valued generators are
+        # compared on squared norms at that scale
+        bound = A.scale**2 * m * float(np.max(A.generator**2))
+        assert np.allclose(fast**2, dense**2, rtol=0.0, atol=1e-12 * bound)
+    else:
+        # with +-1 generator entries every nonzero squared norm is at least
+        # scale^2, so that rounding stays below 1e-12 of each norm
+        assert np.allclose(fast, dense, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("scheme", ["gaussian", "bernoulli"])
+def test_dense_column_norms_skip_the_dense_copy(scheme, monkeypatch):
+    A = build_matrix(scheme, 7, 19, seed=3)
+    monkeypatch.setattr(SensingMatrix, "to_dense", None)
+    assert np.array_equal(A.column_norms(), np.linalg.norm(A.generator, axis=0))
+
+
 def test_import_leaves_scipy_signal_unloaded():
     src = Path(cs_toolkit.__file__).resolve().parents[1]
     code = ("import sys, cs_toolkit; print('scipy.signal' in sys.modules, "

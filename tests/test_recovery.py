@@ -99,6 +99,27 @@ def test_bp_step_overshoot_is_not_convergence():
     assert basis_pursuit(y, A, z=z).converged
 
 
+@pytest.mark.parametrize("scheme", ["gaussian", "circulant", "toeplitz"])
+def test_bp_default_tol_objective_near_the_tight_reference(scheme):
+    A, _, y = planted_instance(scheme, 128, 512, 12, seed=31, noise_variance=1e-3)
+    z = 0.1 * float(np.max(np.abs(A.rmatvec(y.values))))
+    res = basis_pursuit(y, A, z=z)
+    ref = basis_pursuit(y, A, z=z, opts=SolverOpts(tol=1e-14, max_iter=50_000))
+    assert res.converged
+    assert res.objective_trace[-1] == pytest.approx(ref.objective_trace[-1],
+                                                    rel=1e-6)
+
+
+def test_bp_momentum_overshoot_restarts_instead_of_stopping():
+    A, _, y = planted_instance("gaussian", 60, 120, 8, seed=3, noise_variance=0.01)
+    res = basis_pursuit(y, A, z=0.05)
+    # a rejected momentum step costs an iteration and adds no trace entry:
+    # this instance restarts at least once and still ends on the stop rule
+    assert res.iterations > res.objective_trace.size - 1
+    assert res.converged
+    assert np.all(np.diff(res.objective_trace) <= 0.0)
+
+
 # -------------------------------------------------------------------------- omp
 
 def test_omp_exact_recovery_and_support():
@@ -135,7 +156,26 @@ def test_omp_dependent_column_warning():
                       rows=np.arange(3))
     y = np.array([1.0, 1.0, 0.0])
     with pytest.warns(RuntimeWarning, match="linearly dependent"):
-        omp(y, A, 2)
+        res = omp(y, A, 2)
+    # the loop stops with the one-column fit: neither k nor an exact fit
+    assert np.array_equal(res.x_hat, [1.0, 0.0, 0.0, 0.0])
+    assert res.objective_trace.tolist() == [math.sqrt(2.0), 1.0]
+    assert not res.converged
+
+
+@pytest.mark.parametrize("scheme,k", [("gaussian", 8), ("gaussian", 20),
+                                      ("circulant", 20), ("toeplitz", 20)])
+def test_omp_fit_matches_the_support_least_squares_oracle(scheme, k):
+    # noisy, so the fit is not exact; k = 20 grows the factor past its first
+    # allocation of 16 columns
+    A, _, y = planted_instance(scheme, 60, 200, 8, seed=12, noise_variance=1e-2)
+    res = omp(y, A, k)
+    support = np.flatnonzero(res.x_hat)
+    assert support.size == k
+    oracle = support_ls_oracle(A, y, support)
+    assert np.linalg.norm(res.x_hat - oracle) <= 1e-10 * np.linalg.norm(oracle)
+    resid = np.linalg.norm(y.values - A.matvec(oracle))
+    assert res.objective_trace[-1] == pytest.approx(resid, rel=1e-10)
 
 
 def test_omp_validation():
@@ -198,6 +238,82 @@ def test_greedy_converged_means_the_stop_rule_fired():
     res = cosamp(y, A, 8)
     assert res.converged and res.iterations < 100
     assert not cosamp(y, A, 8, SolverOpts(max_iter=1)).converged
+
+
+@pytest.mark.parametrize("scheme,opts", [
+    ("circulant", None), ("toeplitz", None),
+    ("circulant", {"random_rows": True}), ("toeplitz", {"random_rows": True})])
+def test_bp_omp_cosamp_never_build_the_dense_matrix(scheme, opts, monkeypatch):
+    A = build_matrix(scheme, 64, 256, seed=8, options=opts)
+    x = gen_sparse_signal(256, 6, seed=9)
+    y = compress(A, x, noise_variance=1e-4, seed=10)
+
+    def refuse(self):
+        raise AssertionError("a matrix-free solver built the dense matrix")
+
+    monkeypatch.setattr(SensingMatrix, "to_dense", refuse)
+    z = 0.05 * float(np.max(np.abs(A.rmatvec(y.values))))
+    for res in (basis_pursuit(y, A, z=z), omp(y, A, 6), omp(y, A, 0.05),
+                cosamp(y, A, 6)):
+        assert np.all(np.isfinite(res.x_hat))
+        assert rel_err(res.x_hat, x.samples) < 0.2
+
+
+def _degenerate_instance(scheme, m, extra, seed, zero_col):
+    n = m + extra
+    if scheme == "gaussian":
+        rng = np.random.default_rng(seed)
+        entries = rng.standard_normal((m, n)) / math.sqrt(m)
+        entries[:, zero_col % n] = 0.0
+        return SensingMatrix("gaussian", m, n, entries, seed, 1.0,
+                             rows=np.arange(m))
+    # a sparse generator leaves zero columns at small m
+    return build_matrix(scheme, m, n, seed=seed, options={"p": 0.3})
+
+
+@settings(max_examples=40, deadline=None)
+@example(solver="omp", scheme="gaussian", m=1, extra=5, seed=0, zero_col=0,
+         zero_y=False, full_k=True)
+@example(solver="cosamp", scheme="toeplitz", m=3, extra=0, seed=1, zero_col=0,
+         zero_y=False, full_k=True)
+# CoSaMP's first pruned fit here is worse than x = 0
+@example(solver="cosamp", scheme="gaussian", m=2, extra=1, seed=0, zero_col=1,
+         zero_y=False, full_k=False)
+@given(solver=st.sampled_from(("bp", "omp", "omp_tol", "cosamp")),
+       scheme=st.sampled_from(("gaussian", "circulant", "toeplitz")),
+       m=st.integers(1, 10), extra=st.integers(0, 30),
+       seed=st.integers(0, 10_000), zero_col=st.integers(0, 40),
+       zero_y=st.booleans(), full_k=st.booleans())
+def test_matrix_free_solvers_on_degenerate_inputs(solver, scheme, m, extra, seed,
+                                                  zero_col, zero_y, full_k):
+    # y = 0, zero columns, m = 1 and k = m are legitimate inputs: a finite
+    # estimate, a nonincreasing trace, and only the documented warnings
+    A = _degenerate_instance(scheme, m, extra, seed, zero_col)
+    y = np.zeros(m) if zero_y else np.random.default_rng(seed + 1).standard_normal(m)
+    k = m if full_k else max(1, m // 3)
+    call = {
+        "bp": lambda: basis_pursuit(y, A, z=0.1),
+        "omp": lambda: omp(y, A, k),
+        "omp_tol": lambda: omp(y, A, 1e-6),
+        "cosamp": lambda: cosamp(y, A, k),
+    }[solver]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = call()
+    for w in caught:
+        assert issubclass(w.category, RuntimeWarning)
+        assert "linearly dependent" in str(w.message) or "working regime" in str(w.message)
+    assert res.x_hat.shape == (A.n,)
+    assert np.all(np.isfinite(res.x_hat))
+    assert np.all(np.isfinite(res.objective_trace))
+    assert np.all(np.diff(res.objective_trace) <= 1e-12 * max(res.objective_trace[0], 1.0))
+    # the trace ends at the returned estimate's own objective
+    resid = y - A.matvec(res.x_hat)
+    last = (float(resid @ resid) + 0.1 * float(np.abs(res.x_hat).sum())
+            if solver == "bp" else float(np.linalg.norm(resid)))
+    assert last == pytest.approx(res.objective_trace[-1], rel=1e-9, abs=1e-12)
+    if zero_y:
+        assert not np.any(res.x_hat) and res.converged
 
 
 # --------------------------------------------------------------------- bayesian
