@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detectors as det
+from .errors import IllConditionedError
 from .matrices import SensingMatrix, _with_noise, build_matrix, compress
 from .recovery import (
     BayesOpts,
@@ -388,7 +389,8 @@ def _solve(solver: str, y, A: SensingMatrix, k: int, z_factor: float,
 
 
 class _SolverFailed(RuntimeError):
-    """A solver raised inside a recovery trial; sweeps count the trial as failed."""
+    """A solver failed numerically inside a recovery trial; sweeps count the
+    trial as failed."""
 
 
 def recovery_trial(solver: str, scheme: str, n: int, k: int, m: int,
@@ -400,8 +402,11 @@ def recovery_trial(solver: str, scheme: str, n: int, k: int, m: int,
     snr_db (inf for noiseless) drawn from seeds[2], solves and scores the
     estimate. Returns the trial's metrics (times in seconds, zero unless
     measure_time; "hd" counts the measurements whose sign A x_hat gets wrong,
-    for every solver) and the solver's result. An exception from the solver
-    is re-raised as a RuntimeError carrying its message.
+    for every solver) and the solver's result. A numerical failure of the
+    solver (`IllConditionedError` or `np.linalg.LinAlgError`) is re-raised as
+    a RuntimeError carrying its message, which sweeps count as a failed trial;
+    any other exception propagates unchanged and aborts the sweep, so a
+    programming error is never counted as a failed trial.
     """
     A = build_matrix(scheme, m, n, seed=int(seeds[0]))
     x = gen_sparse_signal(n, k, seed=int(seeds[1]))
@@ -412,7 +417,7 @@ def recovery_trial(solver: str, scheme: str, n: int, k: int, m: int,
     t_compress = time.perf_counter() - t_make
     try:
         res = _solve(solver, y, A, k, z_factor, nv if inform_noise else None)
-    except Exception as exc:
+    except (IllConditionedError, np.linalg.LinAlgError) as exc:
         raise _SolverFailed(str(exc)) from exc
     x_hat = res.x_hat
     # signs lose scale, so BIHT is scored against the unit-normalized target
@@ -477,8 +482,9 @@ def _recovery_cell(cfg: ExperimentConfig, solver: str, scheme: str, n: int,
 def run_recovery_mc(config: ExperimentConfig) -> RecoveryReport:
     """Sweep solvers over the (n, k, m, snr) grids and aggregate metric means.
 
-    Solver failures inside a cell are recorded by a reduced `trials` count and
-    never abort the sweep.
+    A solver's numerical failure (`IllConditionedError` or `LinAlgError`)
+    inside a cell is recorded by a reduced `trials` count and never aborts the
+    sweep; any other exception from a solver aborts it.
     """
     schemes = (config.matrix_scheme if isinstance(config.matrix_scheme, (tuple, list))
                else (config.matrix_scheme,))

@@ -55,6 +55,12 @@ class SensingMatrix:
     Dense schemes keep their entries in `generator` with shape (m, n) and
     scale 1. The generator's spectrum is computed once and cached, so the
     generator must not be mutated after construction.
+
+    `matvec`/`rmatvec` apply A and A^T to one vector; `matmat`/`rmatmat`
+    apply them to every row of an (R, n) or (R, m) block. Structured schemes
+    run one FFT formula along the last axis for both, so block rows are
+    bit-identical to single applies. Dense schemes apply a block as one
+    matrix product and a single vector as a matrix-vector product.
     """
 
     scheme: str
@@ -87,6 +93,12 @@ class SensingMatrix:
     def _generator_spectrum(self) -> np.ndarray:
         return np.fft.rfft(self.generator, self._period)
 
+    @cached_property
+    def _positions(self) -> np.ndarray:
+        # each row's position in the circulant of period _period; negative
+        # positions wrap
+        return self.rows - self.diag_offset
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Fast apply y = A x."""
         x = np.asarray(x, dtype=float)
@@ -94,12 +106,7 @@ class SensingMatrix:
             raise ValueError(f"expected length-{self.n} vector, got {x.shape}")
         if self.scheme in ("gaussian", "bernoulli"):
             return self.generator @ x
-        # row r of the circulant holds c cyclically shifted:
-        # (Cx)[r] = sum_d c[d] x[(r+d) mod P], a circular cross-correlation;
-        # negative row positions wrap modulo the period P
-        fx = np.fft.rfft(x, self._period)
-        full = np.fft.irfft(fx * np.conj(self._generator_spectrum), self._period)
-        return self.scale * full[self.rows - self.diag_offset]
+        return self._fft_apply(x)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """Fast transpose apply u = A^T v."""
@@ -108,10 +115,49 @@ class SensingMatrix:
             raise ValueError(f"expected length-{self.m} vector, got {v.shape}")
         if self.scheme in ("gaussian", "bernoulli"):
             return self.generator.T @ v
-        pad = np.zeros(self._period)
-        pad[self.rows - self.diag_offset] = v
-        full = np.fft.irfft(self._generator_spectrum * np.fft.rfft(pad), self._period)
-        return self.scale * full[: self.n]
+        return self._fft_rapply(v)
+
+    def matmat(self, X: np.ndarray) -> np.ndarray:
+        """Block apply: row r of the (R, m) result is A X[r] for an (R, n) block X.
+
+        Structured rows are bit-identical to `matvec` of each row; dense
+        blocks are one matrix product, which may differ from `matvec` in the
+        last bit.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise ValueError(f"expected an (R, {self.n}) block, got {X.shape}")
+        if self.scheme in ("gaussian", "bernoulli"):
+            return X @ self.generator.T
+        return self._fft_apply(X)
+
+    def rmatmat(self, V: np.ndarray) -> np.ndarray:
+        """Block transpose apply: row r of the (R, n) result is A^T V[r]."""
+        V = np.asarray(V, dtype=float)
+        if V.ndim != 2 or V.shape[1] != self.m:
+            raise ValueError(f"expected an (R, {self.m}) block, got {V.shape}")
+        if self.scheme in ("gaussian", "bernoulli"):
+            return V @ self.generator
+        return self._fft_rapply(V)
+
+    def _fft_apply(self, x: np.ndarray) -> np.ndarray:
+        # row r of the circulant holds c cyclically shifted:
+        # (Cx)[r] = sum_d c[d] x[(r+d) mod P], a circular cross-correlation;
+        # negative row positions wrap modulo the period P. Every vector along
+        # the last axis is transformed on its own, so a block's rows match
+        # the single-vector apply bit for bit.
+        fx = np.fft.rfft(x, self._period, axis=-1)
+        full = np.fft.irfft(fx * np.conj(self._generator_spectrum), self._period, axis=-1)
+        return self.scale * full.take(self._positions, axis=-1)
+
+    def _fft_rapply(self, v: np.ndarray) -> np.ndarray:
+        pad = np.zeros(v.shape[:-1] + (self._period,))
+        # scatter along the last axis; the transposed views index it first,
+        # which is cheaper than pad[..., positions] for a single vector
+        pad.T[self._positions] = v.T
+        full = np.fft.irfft(self._generator_spectrum * np.fft.rfft(pad, axis=-1),
+                            self._period, axis=-1)
+        return self.scale * full[..., : self.n]
 
     def columns(self, idx) -> np.ndarray:
         """Columns idx of A as an (m, len(idx)) block; O(m) per structured column."""
@@ -148,7 +194,7 @@ class SensingMatrix:
         period = self._period
         gen_sq = self.generator**2
         indicator = np.zeros(period)
-        indicator[self.rows - self.diag_offset] = 1.0
+        indicator[self._positions] = 1.0
         sq = np.fft.irfft(np.fft.rfft(gen_sq, period) * np.fft.rfft(indicator),
                           period)[: self.n]
         sq[sq <= period * np.finfo(float).eps * self.m * gen_sq.max()] = 0.0

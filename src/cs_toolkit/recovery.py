@@ -4,8 +4,8 @@ Basis pursuit denoising (FISTA with adaptive restart), orthogonal matching
 pursuit on an incremental Cholesky factor, CoSaMP, relevance-vector Bayesian
 recovery, and one-bit recovery via binary iterative hard thresholding, plus
 the sign quantizer. BP, OMP, CoSaMP and BIHT reach A only through
-`SensingMatrix` (`matvec`, `rmatvec`, `columns`, `column_norms`) and never
-build the dense matrix.
+`SensingMatrix` (`matvec`, `rmatvec`, the block applies `matmat` and
+`rmatmat`, `columns`, `column_norms`) and never build the dense matrix.
 """
 
 from __future__ import annotations
@@ -624,12 +624,50 @@ def one_bit_quantize(y) -> SignVector:
 
 
 def _hard_threshold(x: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros_like(x)
-    if k >= x.size:
+    """Keep the k largest magnitudes of a vector, or of every row of a block."""
+    n = x.shape[-1]
+    if k >= n:
         return x.copy()
-    keep = np.argpartition(np.abs(x), -k)[-k:]
-    out[keep] = x[keep]
+    keep = np.argpartition(np.abs(x), -k, axis=-1)[..., -k:]
+    # flat positions: row r's entries start at r * n
+    keep = keep + n * np.arange(x.size // n).reshape(x.shape[:-1] + (1,))
+    out = np.zeros(x.shape)
+    out.ravel()[keep] = x.ravel()[keep]
     return out
+
+
+def _biht_block(A: SensingMatrix, s: np.ndarray, k: int, starts: np.ndarray,
+                gain: float, iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run one BIHT descent from every row of `starts`, all as one block.
+
+    Each row steps x <- H_k(x + gain * A^T (s - sign(A x))) and stops once an
+    iterate is sign-consistent or after `iters` steps; one block apply of A
+    per step serves both the sign count and the residual of the live rows.
+    Returns each row's best (first least-inconsistent) iterate, its count of
+    inconsistent signs, and the per-iterate counts of every row laid end to
+    end in row order.
+    """
+    rows = starts.shape[0]
+    best = starts.copy()
+    best_bad = np.full(rows, s.size + 1)
+    history = np.full((rows, iters + 1), -1)  # -1: the row had stopped
+    live, x = np.arange(rows), starts
+    for step in range(iters + 1):
+        ax = A.matmat(x)
+        bad = np.count_nonzero(s * ax < 0, axis=1)
+        history[live, step] = bad
+        better = bad < best_bad[live]
+        if better.any():
+            best[live[better]] = x[better]
+            best_bad[live[better]] = bad[better]
+        go = best_bad[live] > 0
+        if step == iters or not go.any():
+            break
+        if not go.all():
+            live, x, ax = live[go], x[go], ax[go]
+        r = s - np.where(ax >= 0.0, 1.0, -1.0)
+        x = _hard_threshold(x + gain * A.rmatmat(r), k)
+    return best, best_bad, history[history >= 0]
 
 
 # multi-start schedule for biht_recover; restart diversity comes from sign
@@ -657,6 +695,20 @@ def biht_recover(
     neighbour. Output is scaled to unit l2 norm; the measurement magnitude
     is unrecoverable from signs alone. Deterministic given (signs, A, k,
     opts.seed).
+
+    Each phase (the BIHT_RESTARTS dithered restarts, the
+    BIHT_REFINE_RESTARTS refinement restarts, the final descent) runs as one
+    block descent, one row per restart, with one block apply of A and of
+    A^T per step and a per-row stop. Every start point of a phase is drawn
+    before it runs, in restart order; a start whose top-k part vanishes is
+    skipped, and a phase left with no starts runs nothing. The objective
+    trace is the running minimum of the per-iterate sign-mismatch counts
+    taken in restart order, `iterations` sums the steps of every descent,
+    and the earliest least-inconsistent iterate is the fallback estimate, so
+    the result is the same as running the restarts one after another.
+
+    Raises IllConditionedError when every column of A vanishes or A^T s
+    does.
     """
     s = _measurements(signs, A.m)
     if not np.all(np.isin(s, (-1.0, 1.0))):
@@ -671,75 +723,60 @@ def biht_recover(
     base = step * math.sqrt(A.m) / col_scale
     t0 = time.perf_counter()
 
-    def inconsistency(ax: np.ndarray) -> int:
-        return int(np.count_nonzero(s * ax < 0))
-
     def unit_topk(v: np.ndarray) -> np.ndarray | None:
         v = _hard_threshold(v, k)
         nrm = float(np.linalg.norm(v))
         return None if nrm == 0.0 else v / nrm
 
-    trace: list[float] = []
-    running_best = [None, np.inf]  # chronological best across every descent
+    def unit_consistent(best: np.ndarray, best_bad: np.ndarray) -> list[np.ndarray]:
+        return [b / float(np.linalg.norm(b)) for b, bad in zip(best, best_bad) if bad == 0]
+
+    trace: list[np.ndarray] = []
+    running_best = [None, math.inf]  # earliest least-inconsistent iterate so far
     total_iters = 0
 
-    def descend(x0: np.ndarray, gain_mult: float, iters: int) -> tuple[np.ndarray, int]:
+    def phase(starts: list, gain_mult: float, iters: int) -> tuple[np.ndarray, np.ndarray]:
+        """One block descent; the trace, running best and count go on in start order."""
         nonlocal total_iters
-        x, best_bad, steps = x0, math.inf, 0
-        while True:
-            # one apply per iterate: the sign residual of the step reuses it
-            ax = A.matvec(x)
-            bad = inconsistency(ax)
-            if bad < best_bad:
-                best, best_bad = x.copy(), bad
-            if best_bad < running_best[1]:
-                running_best[0], running_best[1] = best.copy(), best_bad
-            trace.append(float(running_best[1]))
-            if best_bad == 0 or steps >= iters:
-                return best, best_bad
-            r = s - np.where(ax >= 0.0, 1.0, -1.0)
-            x = _hard_threshold(x + 0.5 * base * gain_mult * A.rmatvec(r), k)
-            steps += 1
-            total_iters += 1
+        starts = [xi for xi in starts if xi is not None]
+        if not starts:
+            return np.empty((0, A.n)), np.empty(0, dtype=np.intp)
+        best, best_bad, bads = _biht_block(A, s, k, np.array(starts),
+                                           0.5 * base * gain_mult, iters)
+        trace.append(np.minimum(np.minimum.accumulate(bads), running_best[1], dtype=float))
+        first = int(np.argmin(best_bad))
+        if best_bad[first] < running_best[1]:
+            running_best[0], running_best[1] = best[first], int(best_bad[first])
+        total_iters += bads.size - len(starts)
+        return best, best_bad
 
-    x0 = unit_topk(A.rmatvec(s))
+    # every start point is drawn before its phase runs, in restart order
+    rng = np.random.default_rng(opts.seed)
+    dithered = np.tile(s, (BIHT_RESTARTS, 1))
+    for row in dithered[1:]:
+        row[rng.random(A.m) < BIHT_DITHER_FLIP] *= -1.0
+    starts = [unit_topk(u) for u in A.rmatmat(dithered)]
+    x0 = starts[0]
     if x0 is None:
         raise IllConditionedError("degenerate initialization: A^T s vanished")
-    init_bad = inconsistency(A.matvec(x0))
-    rng = np.random.default_rng(opts.seed)
+    init_bad = int(np.count_nonzero(s * A.matvec(x0) < 0))
 
-    consistent: list[np.ndarray] = []
-    for rr in range(BIHT_RESTARTS):
-        if rr == 0:
-            xi = x0
-        else:
-            dithered = s.copy()
-            flips = rng.random(A.m) < BIHT_DITHER_FLIP
-            dithered[flips] *= -1.0
-            xi = unit_topk(A.rmatvec(dithered))
-            if xi is None:
-                continue
-        sol, bad = descend(xi, 2.0, max_iter)
-        if bad == 0:
-            consistent.append(sol / float(np.linalg.norm(sol)))
-
+    consistent = unit_consistent(*phase(starts, 2.0, max_iter))
     pool = consistent if consistent else [running_best[0]]
     center = unit_topk(np.mean(pool, axis=0))
     if center is None:
         center = pool[0] / float(np.linalg.norm(pool[0]))
 
-    refined: list[np.ndarray] = [center]
-    for _ in range(BIHT_REFINE_RESTARTS):
-        pert = center + (BIHT_REFINE_SPREAD / math.sqrt(A.n)) * rng.standard_normal(A.n)
-        xi = unit_topk(pert)
-        if xi is None:
-            continue
-        sol, bad = descend(xi, 2.0, max_iter)
-        if bad == 0:
-            refined.append(sol / float(np.linalg.norm(sol)))
-    center = unit_topk(np.mean(refined, axis=0)) if len(refined) > 1 else center
+    spread = BIHT_REFINE_SPREAD / math.sqrt(A.n)
+    starts = [unit_topk(center + spread * rng.standard_normal(A.n))
+              for _ in range(BIHT_REFINE_RESTARTS)]
+    refined = [center] + unit_consistent(*phase(starts, 2.0, max_iter))
+    if len(refined) > 1:
+        merged = unit_topk(np.mean(refined, axis=0))
+        center = center if merged is None else merged
 
-    final, final_bad = descend(center, 0.5, max_iter // 2)
+    best, best_bad = phase([center], 0.5, max_iter // 2)
+    final, final_bad = best[0], int(best_bad[0])
     if final_bad > running_best[1]:
         final, final_bad = running_best[0], int(running_best[1])
     if final_bad > init_bad:  # never return worse consistency than the init
@@ -751,5 +788,5 @@ def biht_recover(
         measurements_used=A.m,
         converged=final_bad == 0,
         recovery_time=time.perf_counter() - t0,
-        objective_trace=np.asarray(trace),
+        objective_trace=np.concatenate(trace),
     )

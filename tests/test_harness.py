@@ -11,6 +11,7 @@ from cs_toolkit.detectors import (
     energy_threshold,
     quiet_time_threshold,
 )
+from cs_toolkit.errors import IllConditionedError
 from cs_toolkit.harness import (
     BandPlan,
     ExperimentConfig,
@@ -116,6 +117,37 @@ def test_recovery_trial_applies_a_once_before_the_solve(monkeypatch):
     y = compress(A, x, noise_variance=nv, seed=3)
     expected = omp(y, A, 6).x_hat
     assert metrics["re"] == evaluate_metrics(x, expected).recovery_error_Re
+
+
+def _omp_raising(exc):
+    def solver(*_args, **_kwargs):
+        raise exc
+    return solver
+
+
+@pytest.mark.parametrize("exc", [IllConditionedError("singular posterior"),
+                                 np.linalg.LinAlgError("Singular matrix")])
+def test_recovery_sweep_counts_numerical_failures(monkeypatch, exc):
+    monkeypatch.setattr(harness, "omp", _omp_raising(exc))
+    cfg = small_recovery_config(solver_list=("omp", "bayesian"), trials_Nt=3)
+    omp_rec, bayes_rec = run_recovery_mc(cfg).records
+    assert omp_rec["trials"] == 0
+    assert bayes_rec["trials"] == 3
+    with pytest.raises(RuntimeError, match=str(exc)):
+        recovery_trial("omp", "gaussian", 64, 4, 32, 20.0, (0, 1, 2),
+                       z_factor=0.1, inform_noise=True, measure_time=False)
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad shape"), TypeError("bad call"),
+                                 IndexError("bad index"), ZeroDivisionError()])
+def test_recovery_sweep_aborts_on_other_solver_errors(monkeypatch, exc):
+    # a programming error must surface, not read as a sweep of failed trials
+    monkeypatch.setattr(harness, "omp", _omp_raising(exc))
+    with pytest.raises(type(exc)):
+        run_recovery_mc(small_recovery_config(solver_list=("omp",), trials_Nt=3))
+    with pytest.raises(type(exc)):
+        run_recovery_mc(small_recovery_config(solver_list=("omp",), trials_Nt=3,
+                                              threads=2))
 
 
 def small_detection_config(**overrides):

@@ -87,6 +87,46 @@ def test_circulant_apply_pinned_to_its_fft_formula(scheme, m, n, seed, opts):
     assert np.array_equal(A.rmatvec(v), expected)
 
 
+@pytest.mark.parametrize("scheme", ["circulant", "toeplitz"])
+@pytest.mark.parametrize("m,n", [(150, 400), (512, 2048), (768, 3072)])
+@pytest.mark.parametrize("random_rows", [False, True])
+def test_structured_block_rows_equal_single_applies(scheme, m, n, random_rows):
+    A = build_matrix(scheme, m, n, seed=m + n, options={"random_rows": random_rows})
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((7, n))
+    V = rng.standard_normal((7, m))
+    Y, U = A.matmat(X), A.rmatmat(V)
+    assert Y.shape == (7, m) and U.shape == (7, n)
+    for r in range(7):
+        assert np.array_equal(Y[r], A.matvec(X[r]))
+        assert np.array_equal(U[r], A.rmatvec(V[r]))
+    assert np.array_equal(A.matmat(X[:1])[0], A.matvec(X[0]))
+    assert np.array_equal(A.rmatmat(V[:1])[0], A.rmatvec(V[0]))
+
+
+@pytest.mark.parametrize("scheme", ["gaussian", "bernoulli"])
+def test_dense_block_apply_matches_single_applies(scheme):
+    A = build_matrix(scheme, 40, 90, seed=3)
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((5, 90))
+    V = rng.standard_normal((5, 40))
+    assert np.allclose(A.matmat(X), np.array([A.matvec(x) for x in X]), atol=1e-12)
+    assert np.allclose(A.rmatmat(V), np.array([A.rmatvec(v) for v in V]), atol=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["gaussian", "circulant", "toeplitz"])
+def test_block_apply_shapes(scheme):
+    A = build_matrix(scheme, 6, 16, seed=5)
+    assert A.matmat(np.zeros((0, 16))).shape == (0, 6)
+    assert A.rmatmat(np.zeros((0, 6))).shape == (0, 16)
+    for bad in (np.zeros(16), np.zeros((2, 15)), np.zeros((1, 2, 16))):
+        with pytest.raises(ValueError):
+            A.matmat(bad)
+    for bad in (np.zeros(6), np.zeros((2, 16)), np.zeros((1, 2, 6))):
+        with pytest.raises(ValueError):
+            A.rmatmat(bad)
+
+
 @pytest.mark.parametrize("scheme,m,n,seed,opts", STRUCTURED_CASES + [
     ("gaussian", 12, 31, 11, None), ("bernoulli", 8, 24, 12, None)])
 def test_columns_match_dense_columns(scheme, m, n, seed, opts):

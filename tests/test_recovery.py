@@ -1,5 +1,6 @@
 """Sparse recovery solver tests with planted-signal oracles."""
 
+import hashlib
 import math
 import warnings
 
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cs_toolkit import recovery
+from cs_toolkit.errors import IllConditionedError
 from cs_toolkit.matrices import SensingMatrix, build_matrix, compress
 from cs_toolkit.recovery import (
     BIHT_REFINE_RESTARTS,
@@ -560,16 +563,107 @@ def test_biht_converged_flag_means_consistent_signs():
 def test_biht_applies_a_once_per_iteration(monkeypatch):
     A, _x, y = planted_instance("gaussian", 60, 128, 4, seed=13)
     signs = one_bit_quantize(y)
-    calls = []
-    matvec = SensingMatrix.matvec
+    applied = []  # vectors A was applied to, one per matvec, R per (R, n) matmat
+    matvec, matmat = SensingMatrix.matvec, SensingMatrix.matmat
     monkeypatch.setattr(SensingMatrix, "matvec",
-                        lambda self, v: calls.append(1) or matvec(self, v))
+                        lambda self, v: applied.append(1) or matvec(self, v))
+    monkeypatch.setattr(SensingMatrix, "matmat",
+                        lambda self, X: applied.append(len(X)) or matmat(self, X))
     res = biht_recover(signs, A, 4)
     assert res.iterations > 0
     # one trace entry per descent start and one per iteration
     descents = res.objective_trace.size - res.iterations
     assert descents <= BIHT_RESTARTS + BIHT_REFINE_RESTARTS + 1
-    assert len(calls) <= res.iterations + descents + 1  # + the init check
+    assert sum(applied) <= res.iterations + descents + 1  # + the init check
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+# (scheme, seed, x_hat digest, iterations, trace length, trace digest,
+# converged) of biht_recover on noiseless 150x400 instances with k = 15;
+# digests are sha256 prefixes of the arrays' bytes
+PINNED_BIHT_ROWS = (
+    ("circulant", 41, "f6441cc0b0976e93", 1021, 1042, "83f18fc665f4fbf8", True),
+    ("circulant", 42, "74645c0887fd651b", 832, 853, "b924641a27a4c275", True),
+    ("circulant", 43, "34baa7a98fc6b546", 2935, 2956, "23f62a536a220cc2", True),
+    ("toeplitz", 41, "f96708c3e20c2a0f", 2215, 2236, "93e8028f77e15638", True),
+    ("toeplitz", 42, "735d5e75e15c1201", 1374, 1395, "d140f189d33c1275", True),
+    ("toeplitz", 43, "0165b02d1e6e3b5c", 2302, 2323, "ede267405a6cca52", True),
+)
+
+
+def test_biht_structured_results_pinned():
+    rows = []
+    for scheme, seed, *_ in PINNED_BIHT_ROWS:
+        A, _x, y = planted_instance(scheme, 150, 400, 15, seed)
+        res = biht_recover(one_bit_quantize(y), A, 15)
+        rows.append((scheme, seed, _digest(res.x_hat), res.iterations,
+                     res.objective_trace.size, _digest(res.objective_trace),
+                     res.converged))
+    assert tuple(rows) == PINNED_BIHT_ROWS
+
+
+def _assert_usable_biht(res, A, signs):
+    assert res.x_hat.shape == (A.n,)
+    assert np.all(np.isfinite(res.x_hat))
+    assert abs(float(np.linalg.norm(res.x_hat)) - 1.0) < 1e-12
+    assert np.all(np.diff(res.objective_trace) <= 0.0)
+    if res.converged:
+        # a product that is zero in exact arithmetic (a zero column, or
+        # cancelling entries) comes out of the FFT apply as +-1e-17
+        assert not np.any(signs * A.matvec(res.x_hat) < -1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@example(scheme="gaussian", m=1, extra=5, seed=0, zero_col=0, equal_signs=True,
+         full_k=True)
+@example(scheme="toeplitz", m=3, extra=0, seed=1, zero_col=0, equal_signs=False,
+         full_k=True)
+@given(scheme=st.sampled_from(("gaussian", "circulant", "toeplitz")),
+       m=st.integers(1, 10), extra=st.integers(0, 30),
+       seed=st.integers(0, 10_000), zero_col=st.integers(0, 40),
+       equal_signs=st.booleans(), full_k=st.booleans())
+def test_biht_degenerate_inputs(scheme, m, extra, seed, zero_col, equal_signs, full_k):
+    # equal signs, zero columns, m = 1 and k = n are legitimate inputs: a
+    # finite unit-norm estimate, or the documented IllConditionedError when
+    # A^T s or every column vanishes
+    A = _degenerate_instance(scheme, m, extra, seed, zero_col)
+    rng = np.random.default_rng(seed + 1)
+    signs = np.ones(m) if equal_signs else rng.choice([-1.0, 1.0], size=m)
+    k = A.n if full_k else max(1, A.n // 4)
+    try:
+        res = biht_recover(signs, A, k, opts=SolverOpts(max_iter=40))
+    except IllConditionedError as exc:
+        assert "vanish" in str(exc)
+        return
+    _assert_usable_biht(res, A, signs)
+
+
+@pytest.mark.parametrize("restarts,refine", [(1, 0), (3, 0), (1, 2)])
+def test_biht_with_empty_restart_blocks(monkeypatch, restarts, refine):
+    # a restart block with no start points runs nothing and adds nothing
+    monkeypatch.setattr(recovery, "BIHT_RESTARTS", restarts)
+    monkeypatch.setattr(recovery, "BIHT_REFINE_RESTARTS", refine)
+    A, _x, y = planted_instance("circulant", 40, 100, 3, seed=29)
+    signs = one_bit_quantize(y).signs
+    res = biht_recover(signs, A, 3, opts=SolverOpts(max_iter=50))
+    _assert_usable_biht(res, A, signs)
+    assert res.objective_trace.size - res.iterations <= restarts + refine + 1
+
+
+def test_biht_dithered_starts_that_vanish_are_skipped():
+    # one nonzero column [1, 1]: A^T d vanishes for every dither d that flips
+    # exactly one of the two signs, so those starts are dropped from the block
+    entries = np.zeros((2, 6))
+    entries[:, 2] = 1.0
+    A = SensingMatrix("gaussian", 2, 6, entries, 0, 1.0, rows=np.arange(2))
+    signs = np.ones(2)
+    for seed in range(30):
+        res = biht_recover(signs, A, 1, opts=SolverOpts(seed=seed))
+        _assert_usable_biht(res, A, signs)
+        assert res.converged and abs(res.x_hat[2]) == 1.0
 
 
 def test_biht_validation():
