@@ -170,8 +170,8 @@ class SensingMatrix:
         return self.scale * self.generator[pos]
 
     def to_dense(self) -> np.ndarray:
-        """The full matrix, C-ordered. Only `bayesian_recover` and the Gram
-        diagnostics `mutual_coherence` and `compressive_detect` build it.
+        """The full matrix, C-ordered. No solver builds it; only the Gram
+        diagnostics `mutual_coherence` and `compressive_detect` do.
         """
         if self.scheme in ("gaussian", "bernoulli"):
             # generator[:, idx] comes back F-ordered, which moves the last

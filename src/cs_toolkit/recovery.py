@@ -3,9 +3,9 @@
 Basis pursuit denoising (FISTA with adaptive restart), orthogonal matching
 pursuit on an incremental Cholesky factor, CoSaMP, relevance-vector Bayesian
 recovery, and one-bit recovery via binary iterative hard thresholding, plus
-the sign quantizer. BP, OMP, CoSaMP and BIHT reach A only through
-`SensingMatrix` (`matvec`, `rmatvec`, the block applies `matmat` and
-`rmatmat`, `columns`, `column_norms`) and never build the dense matrix.
+the sign quantizer. All five solvers reach A only through `SensingMatrix`
+(`matvec`, `rmatvec`, the block applies `matmat` and `rmatmat`, `columns`,
+`column_norms`) and never build the dense matrix.
 """
 
 from __future__ import annotations
@@ -348,6 +348,161 @@ def cosamp(
     )
 
 
+# an update whose pivot ratio is at or below this is redone by a refresh; it
+# bounds how much the update can amplify rounding error in Sigma, S and Q
+_PIVOT_FLOOR = 1e-8
+
+
+class _RvmPosterior:
+    """The posterior of a relevance-vector model and every column's factors.
+
+    Holds the active columns in model order with their precisions `a`,
+    A^T Phi for them in a preallocated (n, capacity) buffer, and, at the
+    noise precision `b`, Sigma = (b Phi^T Phi + diag(a))^-1, mu = b Sigma
+    Phi^T y, log|H| for the posterior precision H = Sigma^-1, and every
+    column's sparsity and quality factors
+    S_i = b a_i^T a_i - b^2 a_i^T Phi Sigma Phi^T a_i and
+    Q_i = b a_i^T y - b^2 a_i^T Phi Sigma Phi^T y.
+
+    `refresh` rebuilds all of it. With `track`, `add`, `reestimate` and
+    `delete` keep it current through the closed-form updates of Tipping &
+    Faul (AISTATS 2003), O(n |S|) each: by the determinant lemma an add
+    multiplies |H| by a_i + S_i, a re-estimate by 1 + (a'_j - a_j) Sigma_jj
+    and a delete by Sigma_jj. An update whose pivot is not safely positive
+    refreshes instead. Without `track` they change only the model, and the
+    caller rebuilds before reading. A^T a_j is computed from the operator
+    once, when column j first enters the model.
+    """
+
+    def __init__(self, A: SensingMatrix, phi_y: np.ndarray, colsq: np.ndarray,
+                 b: float, ridge: float, track: bool, first: int, alpha: float) -> None:
+        """A one-column model; call `refresh` before reading it."""
+        self.A, self.phi_y, self.colsq = A, phi_y, colsq
+        self.b, self.ridge, self.track = b, ridge, track
+        self.active: list = []
+        self.a = np.empty(0)
+        self._buf = np.empty((A.n, min(A.n, 64)))
+        self._gram: dict = {}
+        self._append(first, alpha, self._gram_column(first))
+
+    @property
+    def cross(self) -> np.ndarray:
+        """A^T Phi, one column per active column in model order."""
+        return self._buf[:, : len(self.active)]
+
+    def posterior(self) -> None:
+        """Rebuild Sigma, mu and log|H| at the current b."""
+        self.sigma, self.logdet_h = _stable_inverse(
+            self.b * self.cross[self.active] + np.diag(self.a), self.ridge)
+        self.mu = self.b * (self.sigma @ self.phi_y[self.active])
+
+    def factors(self) -> None:
+        """Rebuild (S_i, Q_i) from Sigma at the current b."""
+        b, cross = self.b, self.cross
+        proj = cross @ self.sigma
+        self.big_s = b * self.colsq - b * b * np.sum(proj * cross, axis=1)
+        self.big_q = b * self.phi_y - b * b * (proj @ self.phi_y[self.active])
+
+    def refresh(self) -> None:
+        self.posterior()
+        self.factors()
+
+    def _gram_column(self, col: int) -> np.ndarray:
+        """A^T a_col, from the operator the first time col enters the model."""
+        if col not in self._gram:
+            self._gram[col] = self.A.rmatvec(self.A.columns([col])[:, 0])
+        return self._gram[col]
+
+    def _append(self, col: int, alpha: float, gram: np.ndarray) -> None:
+        k = len(self.active)
+        if k == self._buf.shape[1]:
+            grown = np.empty((self.A.n, min(self.A.n, 2 * k)))
+            grown[:, :k] = self._buf[:, :k]
+            self._buf = grown
+        self._buf[:, k] = gram
+        self.active.append(col)
+        self.a = np.append(self.a, alpha)
+
+    def add(self, col: int, alpha: float) -> None:
+        gram = self._gram_column(col)
+        updated = self.track and self._add_update(col, alpha, gram)
+        self._append(col, alpha, gram)
+        if self.track and not updated:
+            self.refresh()
+
+    def reestimate(self, j: int, alpha: float) -> None:
+        updated = self.track and self._reestimate_update(j, alpha)
+        self.a[j] = alpha
+        if self.track and not updated:
+            self.refresh()
+
+    def delete(self, j: int) -> None:
+        k = len(self.active)
+        updated = self.track and self._delete_update(j)
+        self._buf[:, j : k - 1] = self._buf[:, j + 1 : k]
+        self.active.pop(j)
+        self.a = np.delete(self.a, j)
+        if self.track and not updated:
+            self.refresh()
+
+    # The updates below bring Sigma, mu, log|H|, S and Q to the model after
+    # the action, and return False, changing nothing, when the pivot ratio is
+    # not safely positive. With e_i = b a_i^T (a_new - Phi s) for an add, or
+    # b a_i^T Phi Sigma_j for the others, S_i and Q_i move by multiples of
+    # e_i^2 and e_i.
+
+    def _add_update(self, col: int, alpha: float, gram: np.ndarray) -> bool:
+        b, k = self.b, len(self.active)
+        pivot = alpha + self.big_s[col]
+        if not pivot > _PIVOT_FLOOR * (alpha + b * self.colsq[col]):
+            return False
+        s = b * (self.sigma @ self.cross[col])
+        sii = 1.0 / pivot
+        mui = sii * self.big_q[col]
+        e = b * gram - b * (self.cross @ s)
+        sigma = np.empty((k + 1, k + 1))
+        sigma[:k, :k] = self.sigma + sii * np.outer(s, s)
+        sigma[:k, k] = sigma[k, :k] = -sii * s
+        sigma[k, k] = sii
+        self.sigma = sigma
+        self.mu = np.append(self.mu - mui * s, mui)
+        self.big_s = self.big_s - sii * e * e
+        self.big_q = self.big_q - mui * e
+        self.logdet_h += math.log(pivot)
+        return True
+
+    def _reestimate_update(self, j: int, alpha: float) -> bool:
+        delta = alpha - self.a[j]
+        ratio = 1.0 + delta * self.sigma[j, j]
+        if not (ratio > _PIVOT_FLOOR and math.isfinite(ratio)):
+            return False
+        kappa = delta / ratio
+        sig_j, mu_j = self.sigma[:, j].copy(), self.mu[j]
+        e = self.b * (self.cross @ sig_j)
+        self.sigma = self.sigma - kappa * np.outer(sig_j, sig_j)
+        self.mu = self.mu - (kappa * mu_j) * sig_j
+        self.big_s = self.big_s + kappa * e * e
+        self.big_q = self.big_q + (kappa * mu_j) * e
+        self.logdet_h += math.log(ratio)
+        return True
+
+    def _delete_update(self, j: int) -> bool:
+        sjj = self.sigma[j, j]
+        # Sigma_jj (a_j + b |a_j|^2) >= 1 in exact arithmetic
+        ratio = sjj * (self.a[j] + self.b * self.colsq[self.active[j]])
+        if not (ratio > _PIVOT_FLOOR and math.isfinite(ratio)):
+            return False
+        sig_j, mu_j = self.sigma[:, j], self.mu[j]
+        e = self.b * (self.cross @ sig_j)
+        keep = np.arange(len(self.active)) != j
+        self.sigma = (self.sigma - np.outer(sig_j, sig_j / sjj))[np.ix_(keep, keep)]
+        self.mu = (self.mu - (mu_j / sjj) * sig_j)[keep]
+        self.big_s = self.big_s + e * e / sjj
+        self.big_q = self.big_q + (mu_j / sjj) * e
+        self.logdet_h += math.log(sjj)
+        return True
+
+
 def bayesian_recover(
     y, A: SensingMatrix, opts: BayesOpts = BayesOpts()
 ) -> BayesianResult:
@@ -372,27 +527,33 @@ def bayesian_recover(
     opts.max_iter, and for the empty model.
 
     Posterior: Sigma = (b Phi^T Phi + diag(a))^-1 over the active set,
-    mu = b Sigma Phi^T y; the noise precision b is re-estimated as
-    (m - |S| + sum_j a_j Sigma_jj) / ||y - Phi mu||^2 every iteration,
-    floored during selection so the modeled SNR never exceeds 20 dB, then
-    re-estimated without the floor for the reported posterior. When
-    opts.noise_variance is given, b is held fixed at its reciprocal
-    instead. Inactive coefficients are exact zeros. A^T a_j is computed
-    once, when column j first enters the model, so one action costs
-    O(n |S|^2). The objective trace records, for every model scored during
-    selection, -log p(y) plus add_penalty / 2 per active column, as the best
-    value seen so far; it is nonincreasing.
+    mu = b Sigma Phi^T y. When opts.noise_variance is given, b is held
+    fixed at its reciprocal, and each action (add, re-estimate or delete)
+    updates Sigma, mu, log|H| and every column's (S_i, Q_i) in closed form
+    (Tipping & Faul, AISTATS 2003), which costs O(n |S|). The posterior and
+    factors are rebuilt in full, O(n |S|^2), at the start of each phase,
+    for the returned posterior, and whenever an update's pivot is not
+    safely positive. Otherwise b is re-estimated as
+    (m - |S| + sum_j a_j Sigma_jj) / ||y - Phi mu||^2 from the posterior
+    built at the previous b after every action, floored during selection so
+    the modeled SNR never exceeds 20 dB, and the posterior and factors are
+    rebuilt every action; after selection one unfloored re-estimate sets
+    the b of the returned posterior. Inactive coefficients are exact zeros.
+    A is reached only through `SensingMatrix`: the column norms, A^T y,
+    A^T a_j once per column j that enters the model, and (when b is
+    re-estimated) one apply of A per action. The objective trace records,
+    for every model scored during selection, -log p(y) plus add_penalty / 2
+    per active column, as the best value seen so far; it is nonincreasing.
     """
     yv = _measurements(y, A.m)
     t0 = time.perf_counter()
     n, m = A.n, A.m
     norm_y2 = float(yv @ yv)
-    active: list = []
     trace: list = []
 
     def empty_result(iters: int) -> BayesianResult:
         if norm_y2 > 0.0:
-            push_trace(0.0, 0.0, 0.0)
+            push_trace(0.0, 0.0, 0.0, 0)
         base = RecoveryResult(np.zeros(n), iters, m, True,
                               time.perf_counter() - t0,
                               np.asarray(trace if trace else [0.0]))
@@ -404,10 +565,9 @@ def bayesian_recover(
 
     if norm_y2 == 0.0:
         return empty_result(0)
-    dense = A.to_dense()
-    colsq = np.sum(dense**2, axis=0)
+    colsq = A.column_norms() ** 2
     usable = colsq > 0.0
-    phi_y = dense.T @ yv
+    phi_y = A.rmatvec(yv)
     b_known = None
     if opts.noise_variance is not None:
         b_known = float(np.clip(1.0 / max(opts.noise_variance, 1e-300),
@@ -415,14 +575,14 @@ def bayesian_recover(
     b = m / norm_y2 if b_known is None else b_known
     add_bar = math.log(n) if opts.add_penalty is None else float(opts.add_penalty)
 
-    def push_trace(logdet_h: float, log_a_sum: float, fit: float) -> None:
-        """Append -log p(y) of the current model at the current b, plus the
-        admission charge. With C = I/b + Phi diag(a)^-1 Phi^T and H the
-        posterior precision, log|C| = log|H| - sum log a - m log b and
+    def push_trace(logdet_h: float, log_a_sum: float, fit: float, size: int) -> None:
+        """Append -log p(y) of a model of `size` columns at the current b,
+        plus the admission charge. With C = I/b + Phi diag(a)^-1 Phi^T and H
+        the posterior precision, log|C| = log|H| - sum log a - m log b and
         y^T C^-1 y = b ||y||^2 - b (Phi^T y)^T mu; `fit` is (Phi^T y)^T mu."""
         log_c = logdet_h - log_a_sum - m * math.log(b)
         j = 0.5 * (m * math.log(2.0 * math.pi) + log_c + b * (norm_y2 - fit)
-                   + add_bar * len(active))
+                   + add_bar * size)
         trace.append(min(trace[-1], j) if trace else j)
 
     # seed with the single column that explains the data best; if none beats
@@ -434,110 +594,110 @@ def bayesian_recover(
     excess = quality[first] - 1.0 / b
     if excess <= 0.0:
         return empty_result(0)
-    active.append(first)
-    a_act = np.array([colsq[first] / excess])
+    post = _RvmPosterior(A, phi_y, colsq, b, opts.ridge, b_known is not None,
+                         first, colsq[first] / excess)
     iters = 0
 
     # noise floor: the modeled SNR is capped at 20 dB during selection;
     # without it the evidence update absorbs noise into spurious columns
     # once the residual gets small, and the noise estimate runs away
     b_cap = 100.0 * m / norm_y2
-    # A^T a_j for every column that has entered the model
-    gram: dict = {}
 
-    def posterior(floor: bool = True):
-        nonlocal b
-        for col in active:
-            if col not in gram:
-                gram[col] = dense.T @ dense[:, col]
-        cross = np.stack([gram[col] for col in active], axis=1)  # A^T Phi
-        phi_y_s = phi_y[active]
-        sigma, logdet_h = _stable_inverse(b * cross[active] + np.diag(a_act),
-                                          opts.ridge)
-        mu = b * (sigma @ phi_y_s)
-        if floor:
-            push_trace(logdet_h, float(np.sum(np.log(a_act))),
-                       float(phi_y_s @ mu))
-        if b_known is None:
-            resid = yv - dense[:, active] @ mu
-            rss = float(resid @ resid)
-            gamma_sum = float(np.sum(a_act * np.diag(sigma)))
-            b = float(np.clip((m - len(active) + gamma_sum)
+    def noise_precision(floor: bool) -> float:
+        """b re-estimated from the posterior built at the current b."""
+        mu_full = np.zeros(n)
+        mu_full[post.active] = post.mu
+        resid = yv - A.matvec(mu_full)
+        rss = float(resid @ resid)
+        gamma_sum = float(np.sum(post.a * np.diag(post.sigma)))
+        b_new = float(np.clip((m - len(post.active) + gamma_sum)
                               / max(rss, 1e-300), 1e-12, 1e12))
-            if floor:
-                b = min(b, b_cap)
-        return cross, sigma, mu
+        return min(b_new, b_cap) if floor else b_new
 
-    def factors(cross, sigma):
-        """Sparsity/quality factors (S_i, Q_i) for every column, plus the
-        exclusive versions (s_i, q_i) for columns already in the model."""
-        proj = cross @ sigma
-        big_s = b * colsq - b * b * np.sum(proj * cross, axis=1)
-        big_q = b * phi_y - b * b * (proj @ phi_y[active])
-        s_fac = big_s.copy()
-        q_fac = big_q.copy()
-        denom = a_act - big_s[active]
+    def score():
+        """Push the current model's trace entry and return every column's
+        (S_i, Q_i) and, in model order, the exclusive factors (s_j, q_j) of
+        the columns in the model. When b is re-estimated, the posterior is
+        rebuilt at the current b, b is re-estimated from it, and the factors
+        are rebuilt at the new b."""
+        nonlocal b
+        if b_known is None:
+            post.posterior()
+        push_trace(post.logdet_h, float(np.sum(np.log(post.a))),
+                   float(phi_y[post.active] @ post.mu), len(post.active))
+        if b_known is None:
+            b = post.b = noise_precision(floor=True)
+            post.factors()
+        big_s, big_q, a_act = post.big_s, post.big_q, post.a
+        s_in, q_in = big_s[post.active], big_q[post.active]
+        denom = a_act - s_in
         safe = np.abs(denom) > 1e-12
-        s_fac[active] = np.where(safe, a_act * big_s[active] / denom, np.inf)
-        q_fac[active] = np.where(safe, a_act * big_q[active] / denom, 0.0)
-        return big_s, big_q, s_fac, q_fac
+        return (big_s, big_q, np.where(safe, a_act * s_in / denom, np.inf),
+                np.where(safe, a_act * q_in / denom, 0.0))
 
     def action_step(barred: bool) -> bool:
-        """Apply the best greedy action; False once its gain is at most tol."""
-        nonlocal a_act
-        big_s, big_q, s_fac, q_fac = factors(*posterior()[:2])
-        in_model = np.zeros(n, dtype=bool)
-        in_model[active] = True
-        a_full = np.full(n, np.inf)
-        a_full[active] = a_act
-        theta = q_fac**2 - s_fac
+        """Apply the best greedy action; False once its gain is at most tol.
+
+        Adds are scored over the columns outside the model, whose exclusive
+        factors are (S_i, Q_i); re-estimates and deletes over the model's
+        columns. Ties go to the first action in the order add, re-estimate,
+        delete, then to the lowest column index."""
+        big_s, big_q, s_fac, q_fac = score()
+        active, a_act = post.active, post.a
+        outside = usable.copy()
+        outside[active] = False
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q2 = big_q**2
             pos_s = np.maximum(big_s, 1e-300)
             gain_add = np.where(
-                usable & ~in_model & (theta > 0) & (big_s > 0),
-                (big_q**2 - big_s) / pos_s
-                + np.log(pos_s / np.maximum(big_q**2, 1e-300)),
+                outside & (q2 - big_s > 0) & (big_s > 0),
+                (q2 - big_s) / pos_s + np.log(pos_s / np.maximum(q2, 1e-300)),
                 -np.inf)
             if barred:
                 gain_add = np.where(gain_add > add_bar, gain_add, -np.inf)
+            s_in, q2_in = big_s[active], q2[active]
+            theta = q_fac**2 - s_fac
             new_a = np.where(theta > 0,
                              s_fac**2 / np.maximum(theta, 1e-300), np.inf)
-            delta_inv = 1.0 / new_a - 1.0 / a_full
-            log_arg = np.maximum(1.0 + big_s * delta_inv, 1e-12)
+            delta_inv = 1.0 / new_a - 1.0 / a_act
+            log_arg = np.maximum(1.0 + s_in * delta_inv, 1e-12)
             gain_re = np.where(
-                in_model & (theta > 0) & np.isfinite(delta_inv)
-                & (np.abs(delta_inv) > 1e-300),
-                big_q**2 * delta_inv / log_arg - np.log(log_arg),
+                (theta > 0) & np.isfinite(delta_inv) & (np.abs(delta_inv) > 1e-300),
+                q2_in * delta_inv / log_arg - np.log(log_arg),
                 -np.inf)
             gain_del = np.where(
-                in_model & (theta <= 0) & (a_full > big_s),
-                big_q**2 / np.where(a_full > big_s, big_s - a_full, -1.0)
-                - np.log1p(-np.clip(big_s / np.where(a_full > 0, a_full, 1.0),
-                                    -np.inf, 1 - 1e-12)),
+                (theta <= 0) & (a_act > s_in),
+                q2_in / np.where(a_act > s_in, s_in - a_act, -1.0)
+                - np.log1p(-np.clip(s_in / a_act, -np.inf, 1 - 1e-12)),
                 -np.inf)
         if len(active) <= 1:
             gain_del[:] = -np.inf
-        gains = np.vstack([gain_add, gain_re, gain_del])
-        gains[~np.isfinite(gains)] = -np.inf
-        action, col = np.unravel_index(int(np.argmax(gains)), gains.shape)
-        best = float(gains[action, col])
+        tops = []
+        for gain in (gain_add, gain_re, gain_del):
+            gain[~np.isfinite(gain)] = -np.inf
+            tops.append(gain.max())
+        action = int(np.argmax(tops))
+        best = float(tops[action])
         if not np.isfinite(best) or best <= opts.tol:
             return False
         if action == 0:
-            active.append(int(col))
-            a_act = np.append(a_act, min(new_a[col], opts.prune_threshold))
-        elif action == 1:
-            a_act[active.index(int(col))] = min(new_a[col],
-                                                opts.prune_threshold)
+            col = int(np.argmax(gain_add))
+            theta_add = q2[col] - big_s[col]
+            post.add(col, min(big_s[col] * big_s[col] / max(theta_add, 1e-300),
+                              opts.prune_threshold))
+            return True
+        gain = gain_re if action == 1 else gain_del
+        j = active.index(int(np.asarray(active)[gain == best].min()))
+        if action == 1:
+            post.reestimate(j, min(new_a[j], opts.prune_threshold))
         else:
-            pos = active.index(int(col))
-            active.pop(pos)
-            a_act = np.delete(a_act, pos)
+            post.delete(j)
         return True
 
     def action_loop(barred: bool) -> bool:
         """Run actions until the stop rule fires (True) or max_iter runs out."""
         nonlocal iters
+        post.refresh()
         for _ in range(opts.max_iter):
             iters += 1
             if not action_step(barred):
@@ -549,36 +709,37 @@ def bayesian_recover(
     # backward elimination: drop the weakest column while its exclusive
     # evidence cannot pay the admission bar; the noise estimate recovers
     # as each deletion returns its share of the residual
-    while active:
+    post.refresh()
+    while post.active:
         iters += 1
-        _, _, s_fac, q_fac = factors(*posterior()[:2])
-        z2 = np.full(len(active), np.inf)
-        for j, col in enumerate(active):
-            s_j, q_j = s_fac[col], q_fac[col]
+        _, _, s_fac, q_fac = score()
+        z2 = np.full(len(post.active), np.inf)
+        for j, (s_j, q_j) in enumerate(zip(s_fac, q_fac)):
             if np.isfinite(s_j) and s_j > 0:
                 r = q_j * q_j / s_j
                 z2[j] = r - 1.0 - math.log(r) if r > 1.0 else 0.0
         worst = int(np.argmin(z2))
         if z2[worst] >= add_bar:
             break
-        active.pop(worst)
-        a_act = np.delete(a_act, worst)
-    if not active:
+        post.delete(worst)
+    if not post.active:
         return empty_result(iters)
 
     converged = action_loop(barred=True) and converged
 
-    # one unfloored noise re-estimate, then a last posterior pass with it:
+    # one unfloored noise re-estimate, then the returned posterior at it:
     # debiases the kept coefficients without feeding the uncapped estimate
     # back into model selection
-    posterior(floor=False)
-    _, sigma, mu = posterior(floor=False)
+    if b_known is None:
+        post.posterior()
+        b = post.b = noise_precision(floor=False)
+    post.posterior()
     mu_full = np.zeros(n)
     sigma_diag_full = np.zeros(n)
-    mu_full[active] = mu
-    sigma_diag_full[active] = np.diag(sigma)
+    mu_full[post.active] = post.mu
+    sigma_diag_full[post.active] = np.diag(post.sigma)
     hyper_a = np.full(n, np.inf)
-    hyper_a[active] = a_act
+    hyper_a[post.active] = post.a
     base = RecoveryResult(
         x_hat=mu_full,
         iterations=iters,
@@ -640,9 +801,10 @@ def _biht_block(A: SensingMatrix, s: np.ndarray, k: int, starts: np.ndarray,
                 gain: float, iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run one BIHT descent from every row of `starts`, all as one block.
 
-    Each row steps x <- H_k(x + gain * A^T (s - sign(A x))) and stops once an
-    iterate is sign-consistent or after `iters` steps; one block apply of A
-    per step serves both the sign count and the residual of the live rows.
+    Each row steps x <- H_k(x + gain * A^T (s - q)), with q the quantized
+    signs of A x (zero reads +1, as in `one_bit_quantize`), and stops once
+    q = s or after `iters` steps; one block apply of A per step serves both
+    the sign count and the residual of the live rows.
     Returns each row's best (first least-inconsistent) iterate, its count of
     inconsistent signs, and the per-iterate counts of every row laid end to
     end in row order.
@@ -653,8 +815,9 @@ def _biht_block(A: SensingMatrix, s: np.ndarray, k: int, starts: np.ndarray,
     history = np.full((rows, iters + 1), -1)  # -1: the row had stopped
     live, x = np.arange(rows), starts
     for step in range(iters + 1):
-        ax = A.matmat(x)
-        bad = np.count_nonzero(s * ax < 0, axis=1)
+        # the sign quantizer of `one_bit_quantize`: a zero product reads +1
+        q = np.where(A.matmat(x) >= 0.0, 1.0, -1.0)
+        bad = np.count_nonzero(q != s, axis=1)
         history[live, step] = bad
         better = bad < best_bad[live]
         if better.any():
@@ -664,9 +827,8 @@ def _biht_block(A: SensingMatrix, s: np.ndarray, k: int, starts: np.ndarray,
         if step == iters or not go.any():
             break
         if not go.all():
-            live, x, ax = live[go], x[go], ax[go]
-        r = s - np.where(ax >= 0.0, 1.0, -1.0)
-        x = _hard_threshold(x + gain * A.rmatmat(r), k)
+            live, x, q = live[go], x[go], q[go]
+        x = _hard_threshold(x + gain * A.rmatmat(s - q), k)
     return best, best_bad, history[history >= 0]
 
 
@@ -706,6 +868,10 @@ def biht_recover(
     taken in restart order, `iterations` sums the steps of every descent,
     and the earliest least-inconsistent iterate is the fallback estimate, so
     the result is the same as running the restarts one after another.
+
+    Signs are counted with the quantizer of `one_bit_quantize` (a zero
+    product reads +1). `converged` means that the returned unit-norm
+    estimate itself quantizes to s: one_bit_quantize(A x_hat) equals s.
 
     Raises IllConditionedError when every column of A vanishes or A^T s
     does.
@@ -759,9 +925,9 @@ def biht_recover(
     x0 = starts[0]
     if x0 is None:
         raise IllConditionedError("degenerate initialization: A^T s vanished")
-    init_bad = int(np.count_nonzero(s * A.matvec(x0) < 0))
 
     consistent = unit_consistent(*phase(starts, 2.0, max_iter))
+    init_bad = int(trace[0][0])  # x0 is the first start of the first block
     pool = consistent if consistent else [running_best[0]]
     center = unit_topk(np.mean(pool, axis=0))
     if center is None:
@@ -782,11 +948,16 @@ def biht_recover(
     if final_bad > init_bad:  # never return worse consistency than the init
         final, final_bad = x0, init_bad
     x_hat = final / float(np.linalg.norm(final))
+    # rescaling can flip the rounding of a product that is zero in exact
+    # arithmetic (the FFT apply returns those as +-1e-17), so the returned
+    # estimate itself must quantize to s
+    converged = final_bad == 0 and bool(
+        np.array_equal(one_bit_quantize(A.matvec(x_hat)).signs, s))
     return RecoveryResult(
         x_hat=x_hat,
         iterations=total_iters,
         measurements_used=A.m,
-        converged=final_bad == 0,
+        converged=converged,
         recovery_time=time.perf_counter() - t0,
         objective_trace=np.concatenate(trace),
     )

@@ -1,5 +1,6 @@
 """Sparse recovery solver tests with planted-signal oracles."""
 
+import copy
 import hashlib
 import math
 import warnings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from cs_toolkit import recovery
 from cs_toolkit.errors import IllConditionedError
+from cs_toolkit.harness import recovery_trial
 from cs_toolkit.matrices import SensingMatrix, build_matrix, compress
 from cs_toolkit.recovery import (
     BIHT_REFINE_RESTARTS,
@@ -488,6 +490,176 @@ def test_bayesian_length_validation():
         bayesian_recover(np.ones(29), A)
 
 
+@pytest.mark.parametrize("scheme", ["gaussian", "bernoulli", "circulant", "toeplitz"])
+def test_bayesian_never_builds_the_dense_matrix(scheme, monkeypatch):
+    A, x, y = planted_instance(scheme, 64, 160, 6, seed=33, noise_variance=1e-3)
+
+    def refuse(self):
+        raise AssertionError("bayesian_recover built the dense matrix")
+
+    monkeypatch.setattr(SensingMatrix, "to_dense", refuse)
+    for opts in (BayesOpts(noise_variance=1e-3), BayesOpts()):
+        res = bayesian_recover(y, A, opts)
+        assert rel_err(res.x_hat, x.samples) < 0.1
+
+
+def _dense_posterior(A, y, res):
+    """The posterior mean and variances that the returned support, hyper_a
+    and hyper_b define, recomputed from the dense matrix, and the condition
+    number of the posterior precision H."""
+    support = np.flatnonzero(np.isfinite(res.hyper_a))
+    phi = A.to_dense()[:, support]
+    hess = res.hyper_b * phi.T @ phi + np.diag(res.hyper_a[support])
+    sigma = np.linalg.inv(hess)
+    cond = float(np.linalg.cond(hess)) if support.size else 1.0
+    return support, res.hyper_b * sigma @ (phi.T @ y), np.diag(sigma), cond
+
+
+@settings(max_examples=40, deadline=None)
+@example(scheme="gaussian", m=1, extra=6, seed=2, zero_col=0, mode="noiseless")
+@example(scheme="toeplitz", m=12, extra=30, seed=5, zero_col=0, mode="noiseless")
+@given(scheme=st.sampled_from(("gaussian", "circulant", "toeplitz")),
+       m=st.integers(1, 24), extra=st.integers(1, 40), seed=st.integers(0, 10_000),
+       zero_col=st.integers(0, 63),
+       mode=st.sampled_from(("informed", "noiseless", "uninformed")))
+def test_property_bayesian_returns_the_exact_posterior(scheme, m, extra, seed,
+                                                      zero_col, mode):
+    # zero columns, m = 1 and noiseless informed runs (b = 1e12, where
+    # rounding in the rank-one updates grows fastest) included
+    A = _degenerate_instance(scheme, m, extra, seed, zero_col)
+    rng = np.random.default_rng(seed + 1)
+    x = np.zeros(A.n)
+    x[rng.choice(A.n, max(1, m // 3), replace=False)] = rng.choice([-1.0, 1.0], max(1, m // 3))
+    y = A.matvec(x)
+    nv = 0.01 * float(np.mean(y**2))
+    if mode != "noiseless":
+        y = y + rng.standard_normal(m) * math.sqrt(nv)
+    opts = {"informed": BayesOpts(noise_variance=nv),
+            "noiseless": BayesOpts(noise_variance=0.0),
+            "uninformed": BayesOpts()}[mode]
+    res = bayesian_recover(y, A, opts)
+    support, mu, var, cond = _dense_posterior(A, y, res)
+    off = np.ones(A.n, dtype=bool)
+    off[support] = False
+    assert not np.any(res.x_hat[off]) and not np.any(res.signal_variance_hat[off])
+    # rel 1e-9; past cond(H) = 1e5 (collinear support columns of a sparse
+    # generator at b = 1e12 reach 1e12) no inverse, the reference's
+    # included, is good to better than about cond(H) * eps
+    rtol = max(1e-9, 1e-14 * cond)
+    for got, want in ((res.x_hat[support], mu), (res.signal_variance_hat[support], var)):
+        assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+def _posterior_state(post):
+    return {name: getattr(post, name)
+            for name in ("sigma", "mu", "logdet_h", "big_s", "big_q")}
+
+
+@pytest.mark.parametrize("scheme,noise_variance", [
+    ("gaussian", 1e-3), ("toeplitz", 1e-3), ("circulant", 0.0)])
+def test_bayesian_rank_one_updates_match_a_refresh(scheme, noise_variance):
+    # random adds, re-estimates and deletes, each checked against the model
+    # rebuilt from scratch; noise_variance 0 is b = 1e12
+    A, _, y = planted_instance(scheme, 40, 120, 5, seed=34,
+                               noise_variance=noise_variance)
+    b = 1e12 if noise_variance == 0.0 else 1.0 / noise_variance
+    colsq = A.column_norms() ** 2
+    post = recovery._RvmPosterior(A, A.rmatvec(y.values), colsq, b, 1e-10,
+                                  True, 7, 1.0)
+    post.refresh()
+    rng = np.random.default_rng(35)
+    for step in range(60):
+        k = len(post.active)
+        action = rng.choice(3, p=[0.5, 0.3, 0.2]) if k > 1 else 0
+        alpha = 10.0 ** rng.uniform(-2.0, 2.0)
+        if action == 0:
+            col = int(rng.choice(np.setdiff1d(np.arange(A.n), post.active)))
+            post.add(col, alpha)
+        elif action == 1:
+            post.reestimate(int(rng.integers(k)), alpha)
+        else:
+            post.delete(int(rng.integers(k)))
+        ref = copy.deepcopy(post)
+        ref.refresh()
+        # errors relative to each quantity's natural scale: S_i and Q_i are
+        # differences of terms of size b |a_i|^2 and b |a_i| |y|
+        scales = {"sigma": np.max(np.abs(ref.sigma)), "mu": np.max(np.abs(ref.mu)),
+                  "logdet_h": max(abs(ref.logdet_h), 1.0), "big_s": b * colsq,
+                  "big_q": b * np.sqrt(colsq) * np.linalg.norm(y.values)}
+        for name, value in _posterior_state(ref).items():
+            err = np.abs(getattr(post, name) - value)
+            assert np.all(err <= 1e-9 * scales[name]), (step, name)
+
+
+def test_bayesian_unsafe_pivot_refreshes(monkeypatch):
+    # column 1 duplicates column 0: with tiny precisions, adding it, or
+    # bringing its precision back down, has a pivot ratio near 1e-12, and the
+    # update is replaced by a refresh
+    rng = np.random.default_rng(36)
+    entries = rng.standard_normal((10, 30)) / math.sqrt(10)
+    entries[:, 1] = entries[:, 0]
+    A = SensingMatrix("gaussian", 10, 30, entries, 0, 1.0, rows=np.arange(10))
+    y = rng.standard_normal(10)
+    refreshes = []
+    refresh = recovery._RvmPosterior.refresh
+    monkeypatch.setattr(recovery._RvmPosterior, "refresh",
+                        lambda self: refreshes.append(1) or refresh(self))
+    post = recovery._RvmPosterior(A, A.rmatvec(y), A.column_norms() ** 2, 1e6,
+                                  1e-10, True, 0, 1e-6)
+    post.refresh()
+    for change, refreshed in ((lambda: post.add(1, 1e-6), True),
+                              (lambda: post.reestimate(1, 1e6), False),
+                              (lambda: post.reestimate(1, 1e-6), True)):
+        calls = len(refreshes)
+        change()
+        assert len(refreshes) - calls == int(refreshed)
+        if refreshed:
+            ref = copy.deepcopy(post)
+            ref.refresh()
+            for name, value in _posterior_state(ref).items():
+                assert np.array_equal(getattr(post, name), value), name
+
+
+# (scheme, s, support, iterations, converged, Re) of the informed Bayesian
+# trial at n = 400, m = 150, k = 15 and 20 dB with seeds (3s, 3s+1, 3s+2),
+# as computed by rebuilding the posterior at every action; the rank-one
+# updates follow the same trajectory and differ only by rounding
+PINNED_BAYES_ROWS = (
+    ("gaussian", 1, (31, 112, 149, 178, 198, 232, 239, 249, 280, 319, 341, 364, 366, 380, 381),
+     122, True, 0.024354548840711043),
+    ("gaussian", 2, (2, 21, 88, 112, 118, 170, 199, 225, 241, 265, 303, 326, 346, 349, 363, 364),
+     241, True, 0.04123777782543767),
+    ("gaussian", 3, (45, 53, 58, 60, 80, 102, 161, 163, 201, 202, 274, 299, 309, 323, 328, 369),
+     188, True, 0.0414033517959161),
+    ("circulant", 1, (31, 112, 149, 178, 198, 232, 239, 249, 280, 319, 341, 364, 366, 380, 381),
+     120, True, 0.033641853028323),
+    ("circulant", 2, (2, 21, 88, 106, 112, 118, 199, 225, 241, 265, 303, 326, 346, 349, 363, 364,
+                      393),
+     182, True, 0.04804977850231261),
+    ("circulant", 3, (53, 58, 60, 80, 102, 161, 163, 201, 202, 274, 299, 309, 323, 328, 369, 383),
+     314, True, 0.04989654526233033),
+    ("toeplitz", 1, (31, 112, 149, 178, 198, 232, 239, 249, 280, 300, 319, 341, 364, 366, 380,
+                     381),
+     132, True, 0.03146598918844295),
+    ("toeplitz", 2, (2, 21, 67, 88, 112, 118, 199, 225, 227, 241, 244, 264, 265, 303, 326, 346, 349,
+                     363, 364),
+     148, True, 0.05727145226682934),
+    ("toeplitz", 3, (53, 58, 60, 80, 102, 161, 163, 201, 202, 234, 274, 299, 309, 323, 328, 369),
+     262, True, 0.034732681326573034),
+)
+
+
+@pytest.mark.parametrize("scheme,s,support,iterations,converged,re", PINNED_BAYES_ROWS)
+def test_bayesian_informed_trajectories_pinned(scheme, s, support, iterations,
+                                               converged, re):
+    metrics, res = recovery_trial("bayesian", scheme, 400, 15, 150, 20.0,
+                                  (3 * s, 3 * s + 1, 3 * s + 2), z_factor=0.1,
+                                  inform_noise=True, measure_time=False)
+    assert tuple(np.flatnonzero(res.x_hat)) == support
+    assert (res.iterations, res.converged) == (iterations, converged)
+    assert metrics["re"] == pytest.approx(re, rel=1e-7)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("solver", ["bp", "omp", "cosamp", "bayesian", "biht",
                                     "one_bit_quantize"])
@@ -574,7 +746,7 @@ def test_biht_applies_a_once_per_iteration(monkeypatch):
     # one trace entry per descent start and one per iteration
     descents = res.objective_trace.size - res.iterations
     assert descents <= BIHT_RESTARTS + BIHT_REFINE_RESTARTS + 1
-    assert sum(applied) <= res.iterations + descents + 1  # + the init check
+    assert sum(applied) <= res.iterations + descents + 1  # + the check of x_hat
 
 
 def _digest(a):
@@ -611,9 +783,9 @@ def _assert_usable_biht(res, A, signs):
     assert abs(float(np.linalg.norm(res.x_hat)) - 1.0) < 1e-12
     assert np.all(np.diff(res.objective_trace) <= 0.0)
     if res.converged:
-        # a product that is zero in exact arithmetic (a zero column, or
-        # cancelling entries) comes out of the FFT apply as +-1e-17
-        assert not np.any(signs * A.matvec(res.x_hat) < -1e-12)
+        # the estimate quantizes to the signs exactly, also where a product
+        # that is zero in exact arithmetic comes out of the FFT as +-1e-17
+        assert np.array_equal(one_bit_quantize(A.matvec(res.x_hat)).signs, signs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -664,6 +836,19 @@ def test_biht_dithered_starts_that_vanish_are_skipped():
         res = biht_recover(signs, A, 1, opts=SolverOpts(seed=seed))
         _assert_usable_biht(res, A, signs)
         assert res.converged and abs(res.x_hat[2]) == 1.0
+
+
+def test_biht_counts_a_zero_product_as_plus_one():
+    # A = [[1, 1, 0], [0, 1, 1]] / sqrt(2): e_2 and -e_0 each leave one
+    # product that is zero in exact arithmetic, which the FFT apply returns
+    # as +-5e-17 depending on the scale of x; `converged` must agree with
+    # the quantized signs of the returned estimate, not with s * A x < 0
+    A = build_matrix("circulant", 2, 3, options={"generator": [1.0, 1.0, 0.0]})
+    signs = np.array([-1.0, 1.0])
+    res = biht_recover(signs, A, 1)
+    _assert_usable_biht(res, A, signs)
+    hd = int(np.count_nonzero(one_bit_quantize(A.matvec(res.x_hat)).signs != signs))
+    assert res.converged == (hd == 0)
 
 
 def test_biht_validation():
