@@ -1,19 +1,16 @@
 """Monte-Carlo experiment harness and the simulated wideband scanning survey.
 
 Every trial derives its own RNG from (base_seed, grid indices, trial index),
-so results are independent of execution order and of the worker count; the
-reduction collects per-trial outputs into an indexed table and folds it
-single-threaded.
+so a trial's outcome does not depend on the trials run before it. Trials run
+in order in the calling thread.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,24 +58,6 @@ SOLVERS = ("bp", "omp", "cosamp", "bayesian", "biht")
 SCAN_TECHNIQUES = ("energy", "autocorr", "euclid")
 
 
-def _thread_count(requested: int | None) -> int:
-    if requested is not None and requested >= 1:
-        return requested
-    env = os.environ.get("CS_TOOLKIT_THREADS", "").strip()
-    if env.isdigit() and int(env) >= 1:
-        return int(env)
-    return 1
-
-
-def _pmap(fn, count: int, threads: int | None):
-    """Map fn over range(count) preserving index order in the result list."""
-    workers = _thread_count(threads)
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Configuration for every harness experiment kind.
@@ -121,6 +100,9 @@ class ExperimentConfig:
     energy_lambda_scan: float = 1e-10
     generator_p: float = 0.1
     compute_budget: int = 0
+    # Accepted and ignored: trials run in the calling thread, because a pool
+    # of per-trial threads did not pay on the measured workloads. The field
+    # stays so that saved configs and callers that pass it keep loading.
     threads: int | None = None
 
     def __post_init__(self) -> None:
@@ -158,6 +140,8 @@ class ExperimentConfig:
                     raise ValueError(
                         f"threshold factor {factor} puts the autocorr margin "
                         f"{factor * self.autocorr_margin} outside (0, 1]")
+        if self.experiment_kind == "scan_sim" and self.slots < 1:
+            raise ValueError("slots must be >= 1")
         if self.experiment_kind == "recovery_mc":
             # a bad cell fails here, not after the cells before it have run
             for n, k, m in itertools.product(*self.recovery_grids()):
@@ -350,11 +334,10 @@ def run_detection_mc(config: ExperimentConfig) -> PdPfaCurve:
         for si, snr_db in enumerate(config.snr_grid_db):
             for fi, factor in enumerate(config.threshold_factors):
                 key = (config.base_seed, ti, si, fi)
-                outcomes = _pmap(
-                    lambda j: _detection_trial(config, technique, float(snr_db),
-                                               float(factor), pilot, pilot_re_norm,
-                                               key, j),
-                    config.trials_Nt, config.threads)
+                outcomes = [_detection_trial(config, technique, float(snr_db),
+                                             float(factor), pilot, pilot_re_norm,
+                                             key, j)
+                            for j in range(config.trials_Nt)]
                 nd = sum(o[0] for o in outcomes)
                 nf = sum(o[1] for o in outcomes)
                 records.append({
@@ -437,12 +420,15 @@ def recovery_trial(solver: str, scheme: str, n: int, k: int, m: int,
 
 def _recovery_record(solver: str, scheme: str, n: int, k: int, m: int,
                      snr_db: float, rows: list) -> dict:
-    """One report record: the means over the trials that did not fail."""
+    """One report record: the means over the trials that did not fail.
+
+    A cell whose trials all failed has no mean, so every `mean_*` is NaN.
+    """
     sums = dict.fromkeys(("re", "mse", "cc", "rsnr", "hd", "tr", "tp"), 0.0)
     for r in rows:
         for key in sums:
             sums[key] += r[key]
-    denom = max(len(rows), 1)
+    denom = len(rows) or math.nan
     return {
         "solver": solver,
         "scheme": scheme,
@@ -463,20 +449,18 @@ def _recovery_record(solver: str, scheme: str, n: int, k: int, m: int,
 
 def _recovery_cell(cfg: ExperimentConfig, solver: str, scheme: str, n: int,
                    k: int, m: int, snr_db: float, cell_key: tuple) -> dict:
-    def one_trial(j: int) -> dict | None:
+    rows = []
+    for j in range(cfg.trials_Nt):
         rng = np.random.default_rng(list(cell_key) + [j])
         seeds = rng.integers(0, 2**62, size=3)
         try:
-            return recovery_trial(solver, scheme, n, k, m, snr_db, seeds,
-                                  z_factor=cfg.bp_z_factor,
-                                  inform_noise=cfg.inform_noise,
-                                  measure_time=cfg.measure_time)[0]
+            rows.append(recovery_trial(solver, scheme, n, k, m, snr_db, seeds,
+                                       z_factor=cfg.bp_z_factor,
+                                       inform_noise=cfg.inform_noise,
+                                       measure_time=cfg.measure_time)[0])
         except _SolverFailed:
-            return None
-
-    results = _pmap(one_trial, cfg.trials_Nt, cfg.threads)
-    return _recovery_record(solver, scheme, n, k, m, snr_db,
-                            [r for r in results if r is not None])
+            pass
+    return _recovery_record(solver, scheme, n, k, m, snr_db, rows)
 
 
 def run_recovery_mc(config: ExperimentConfig) -> RecoveryReport:
@@ -552,10 +536,8 @@ def run_scan_sim(
     channels = plan.channels()
     n_ch = len(channels)
 
-    cells = _pmap(
-        lambda i: _scan_cell(config, matrix, i // n_ch, i % n_ch,
-                             traffic.prob(i % n_ch, i // n_ch)),
-        config.slots * n_ch, config.threads)
+    cells = [_scan_cell(config, matrix, s, c, traffic.prob(c, s))
+             for s in range(config.slots) for c in range(n_ch)]
 
     truth_mat = np.zeros((n_ch, config.slots), dtype=bool)
     timeline = {path: {t: np.zeros((n_ch, config.slots), dtype=bool)

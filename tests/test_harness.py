@@ -1,6 +1,7 @@
 """Experiment harness tests: determinism, accounting, scan survey."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from cs_toolkit.harness import (
     BandPlan,
     ExperimentConfig,
     TrafficModel,
-    _thread_count,
     _threshold,
     default_band_plan,
     recovery_trial,
@@ -71,6 +71,9 @@ def test_config_validation():
                      technique_list=("energy", "matched_filter", "euclid"))
     with pytest.raises(ValueError, match="averaging_runs must be >= 1"):
         ExperimentConfig(averaging_runs=0)
+    # an empty survey must not read as a survey that detected nothing
+    with pytest.raises(ValueError, match="slots must be >= 1"):
+        ExperimentConfig(experiment_kind="scan_sim", slots=0)
 
 
 def test_detection_at_minus_inf_snr_is_noise_only():
@@ -132,6 +135,11 @@ def test_recovery_sweep_counts_numerical_failures(monkeypatch, exc):
     cfg = small_recovery_config(solver_list=("omp", "bayesian"), trials_Nt=3)
     omp_rec, bayes_rec = run_recovery_mc(cfg).records
     assert omp_rec["trials"] == 0
+    # a cell with no completed trial has no means, and must not read as a
+    # perfect recovery
+    for key in ("mean_re", "mean_mse", "mean_cc", "mean_rsnr", "mean_hd",
+                "mean_tr_ms", "mean_tp_ms"):
+        assert math.isnan(omp_rec[key]), key
     assert bayes_rec["trials"] == 3
     with pytest.raises(RuntimeError, match=str(exc)):
         recovery_trial("omp", "gaussian", 64, 4, 32, 20.0, (0, 1, 2),
@@ -506,14 +514,27 @@ def test_default_band_plan_channel_enumeration():
     assert channels[-1] == ("wifi58", 30)
 
 
-def test_thread_count_env_override(monkeypatch):
-    monkeypatch.setenv("CS_TOOLKIT_THREADS", "3")
-    assert _thread_count(None) == 3
-    assert _thread_count(8) == 8  # explicit request wins
-    monkeypatch.setenv("CS_TOOLKIT_THREADS", "junk")
-    assert _thread_count(None) >= 1
-    monkeypatch.delenv("CS_TOOLKIT_THREADS")
-    assert _thread_count(None) == 1
+def test_trials_run_in_calling_thread(monkeypatch):
+    # the threads field and CS_TOOLKIT_THREADS are accepted and ignored
+    monkeypatch.setenv("CS_TOOLKIT_THREADS", "4")
+    seen = []
+
+    def record_thread(name):
+        fn = getattr(harness, name)
+
+        def wrapped(*args, **kwargs):
+            seen.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(harness, name, wrapped)
+
+    for name in ("_detection_trial", "omp", "estimate_snr"):
+        record_thread(name)
+    run_detection_mc(small_detection_config(threads=4))
+    run_recovery_mc(small_recovery_config(solver_list=("omp",), trials_Nt=4,
+                                          threads=4))
+    run_scan_sim(small_scan_config(threads=4), plan=nine_channel_plan())
+    assert {name for name, _ in seen} == {"_detection_trial", "omp", "estimate_snr"}
+    assert {ident for _, ident in seen} == {threading.get_ident()}
 
 
 def test_harness_exposes_traced_layer_names(monkeypatch):

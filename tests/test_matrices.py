@@ -192,12 +192,14 @@ def test_dense_column_norms_skip_the_dense_copy(scheme, monkeypatch):
 def test_import_leaves_scipy_signal_unloaded():
     src = Path(cs_toolkit.__file__).resolve().parents[1]
     code = ("import sys, cs_toolkit; print('scipy.signal' in sys.modules, "
-            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "'concurrent.futures' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    # numpy and the standard library are the only runtime dependencies
-    assert out.stdout.strip() == "False []"
+    # numpy and the standard library are the only runtime dependencies, and
+    # the harness starts no thread pool
+    assert out.stdout.strip() == "False [] False"
 
 
 def test_circulant_rows_are_cyclic_shifts():
