@@ -281,8 +281,12 @@ def _cmd_report(ns: argparse.Namespace) -> int:
         for rec in records:
             groups.setdefault(rec[group_key], []).append(rec)
         for name in sorted(groups):
+            # a row stands for its trials; a failed cell (trials 0) has no means
+            rows = [r for r in groups[name] if r.get("trials", 1) > 0]
+            weights = [r.get("trials", 1) for r in rows]
             means = ", ".join(
-                "%s=%.6g" % (c, float(np.mean([r[c] for r in groups[name]])))
+                "%s=%.6g" % (c, np.average([r[c] for r in rows], weights=weights)
+                             if rows else math.nan)
                 for c in numeric)
             print(f"{name}: {means}")
     return 0

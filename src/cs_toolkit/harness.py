@@ -56,6 +56,8 @@ __all__ = [
 SOLVERS = ("bp", "omp", "cosamp", "bayesian", "biht")
 # detectors run on every scanned channel in the survey
 SCAN_TECHNIQUES = ("energy", "autocorr", "euclid")
+# the survey's pipelines: detectors on the M compressed or the N raw samples
+PATHS = ("compressive", "conventional")
 
 
 @dataclass(frozen=True)
@@ -140,13 +142,28 @@ class ExperimentConfig:
                     raise ValueError(
                         f"threshold factor {factor} puts the autocorr margin "
                         f"{factor * self.autocorr_margin} outside (0, 1]")
-        if self.experiment_kind == "scan_sim" and self.slots < 1:
-            raise ValueError("slots must be >= 1")
+            # euclid needs more samples than lags; fail before the sweep runs
+            if "euclid" in self.technique_list and self.samples_N <= self.euclid_lags_M:
+                raise ValueError(f"euclid needs samples_N {self.samples_N} above "
+                                 f"euclid_lags_M {self.euclid_lags_M}")
+        if self.experiment_kind == "scan_sim":
+            if self.slots < 1:
+                raise ValueError("slots must be >= 1")
+            # the survey runs euclid on the m compressed samples of each cell
+            m = self.scan_measurements()
+            if not self.euclid_lags_M < m <= self.samples_N:
+                raise ValueError(f"scan compressive length {m} must be above "
+                                 f"euclid_lags_M {self.euclid_lags_M} and at most "
+                                 f"samples_N {self.samples_N}")
         if self.experiment_kind == "recovery_mc":
             # a bad cell fails here, not after the cells before it have run
             for n, k, m in itertools.product(*self.recovery_grids()):
                 if not 1 <= k <= n or not 1 <= m <= n:
                     raise ValueError(f"invalid cell n={n}, k={k}, m={m}")
+
+    def scan_measurements(self) -> int:
+        """The survey's compressive length: measurements_M, else samples_N // 4."""
+        return self.measurements_M or max(1, self.samples_N // 4)
 
     def recovery_grids(self) -> tuple[tuple, tuple, tuple]:
         """The recovery sweep's n, k and m grids, with their fallbacks."""
@@ -481,7 +498,8 @@ def run_recovery_mc(config: ExperimentConfig) -> RecoveryReport:
 
 
 def _scan_cell(cfg: ExperimentConfig, matrix: SensingMatrix, slot: int,
-               ch_idx: int, p_busy: float) -> dict:
+               ch_idx: int, p_busy: float) -> tuple[bool, float, float, np.ndarray]:
+    """One channel-slot: (truth, snr_db, est_snr_db, decisions[path, technique])."""
     n = cfg.samples_N
     rng = np.random.default_rng([cfg.base_seed, 15013, slot, ch_idx])
     truth = bool(rng.random() < p_busy)
@@ -491,25 +509,24 @@ def _scan_cell(cfg: ExperimentConfig, matrix: SensingMatrix, slot: int,
     if truth:
         gain = math.sqrt(cfg.noise_variance * 10.0 ** (snr_db / 10.0))
         x = x + gain * _ma_waveform(rng, n, window)
-    y_c = matrix.matvec(x)
 
-    def decisions(samples: np.ndarray) -> dict:
+    def decisions(samples: np.ndarray) -> list:
         # energy threshold is relative to the nominal noise energy of the block
         lams = {"energy": cfg.energy_lambda_scan * samples.size * cfg.noise_variance,
                 "autocorr": cfg.autocorr_margin, "euclid": cfg.euclid_lambda}
-        return {t: det.detect(t, samples, lams[t], lags=cfg.euclid_lags_M).occupied
-                for t in SCAN_TECHNIQUES}
+        return [det.detect(t, samples, lams[t], lags=cfg.euclid_lags_M).occupied
+                for t in SCAN_TECHNIQUES]
 
-    est = estimate_snr(x, L=10, K=50)
-    return {
-        "slot": slot,
-        "channel": ch_idx,
-        "truth": truth,
-        "snr_db": snr_db,
-        "est_snr_db": est.snr_db,
-        "compressive": decisions(y_c),
-        "conventional": decisions(x),
-    }
+    # one row per entry of PATHS
+    decided = np.array([decisions(matrix.matvec(x)), decisions(x)], dtype=bool)
+    return truth, snr_db, estimate_snr(x, L=10, K=50).snr_db, decided
+
+
+def _rate(hits: np.ndarray, among: np.ndarray, empty: float) -> float:
+    """count(hits & among) / count(among), or `empty` when `among` is empty."""
+    hits, among = np.broadcast_arrays(hits, among)
+    count = int(np.count_nonzero(among))
+    return int(np.count_nonzero(hits & among)) / count if count else empty
 
 
 def run_scan_sim(
@@ -526,83 +543,58 @@ def run_scan_sim(
     samples) and conventional (detectors on the N raw samples); a blind SNR
     estimate is recorded per channel-slot. The compute budget is counted in
     samples processed per channel: M compressive vs N conventional.
+
+    Each channel-slot result is held once, in `truth`, `snr` and
+    `decided[path, technique]` over (channel, slot), and in the record's SNR
+    estimate; the timelines, occupancy and every rate are read from them.
     """
     plan = plan if plan is not None else default_band_plan()
     traffic = traffic if traffic is not None else TrafficModel(config.busy_prob)
     n = config.samples_N
-    m = config.measurements_M or max(1, n // 4)
+    m = config.scan_measurements()
     matrix = build_matrix("circulant", m, n, seed=config.base_seed + 65537,
                           options={"p": config.generator_p})
-    channels = plan.channels()
-    n_ch = len(channels)
-
-    cells = [_scan_cell(config, matrix, s, c, traffic.prob(c, s))
-             for s in range(config.slots) for c in range(n_ch)]
-
-    truth_mat = np.zeros((n_ch, config.slots), dtype=bool)
-    timeline = {path: {t: np.zeros((n_ch, config.slots), dtype=bool)
-                       for t in SCAN_TECHNIQUES}
-                for path in ("compressive", "conventional")}
+    n_ch = len(plan.channels())
+    truth = np.zeros((n_ch, config.slots), dtype=bool)
+    snr = np.zeros((n_ch, config.slots))
+    decided = np.zeros((len(PATHS), len(SCAN_TECHNIQUES)) + truth.shape, dtype=bool)
     records = []
-    per_snr: dict = {}
-    for cell in cells:
-        s, c = cell["slot"], cell["channel"]
-        truth_mat[c, s] = cell["truth"]
-        for path in ("compressive", "conventional"):
-            for t in SCAN_TECHNIQUES:
-                timeline[path][t][c, s] = cell[path][t]
-        for t in SCAN_TECHNIQUES:
-            records.append({
-                "slot": s,
-                "channel": c,
-                "technique": t,
-                "decision": det.OCCUPIED if cell["compressive"][t] else det.IDLE,
-                "truth": int(cell["truth"]),
-                "est_snr_db": cell["est_snr_db"],
-            })
-        bucket = per_snr.setdefault(cell["snr_db"], [])
-        bucket.append(cell)
+    for s in range(config.slots):
+        for c in range(n_ch):
+            truth[c, s], snr[c, s], est_snr_db, decided[..., c, s] = _scan_cell(
+                config, matrix, s, c, traffic.prob(c, s))
+            records.extend(
+                {"slot": s, "channel": c, "technique": t,
+                 "decision": det.OCCUPIED if decided[0, i, c, s] else det.IDLE,
+                 "truth": int(truth[c, s]), "est_snr_db": est_snr_db}
+                for i, t in enumerate(SCAN_TECHNIQUES))
 
+    idle = ~truth
+    # levels in draw order (slot-major), so of 0.0 and -0.0 the first drawn is the key
+    at_snr = {level: snr == level for level in sorted(set(snr.T.ravel().tolist()))}
     rate_tables = {}
-    occupied = truth_mat
-    idle = ~truth_mat
-    for path in ("compressive", "conventional"):
-        for t in SCAN_TECHNIQUES:
-            decided = timeline[path][t]
-            n_occ = int(occupied.sum())
-            n_idle = int(idle.sum())
-            det_rate = float((decided & occupied).sum() / n_occ) if n_occ else 0.0
-            fa_rate = float((decided & idle).sum() / n_idle) if n_idle else 0.0
-            snr_rates = {}
-            for snr_db, bucket in sorted(per_snr.items()):
-                hits = [c[path][t] for c in bucket if c["truth"]]
-                fas = [c[path][t] for c in bucket if not c["truth"]]
-                snr_rates[snr_db] = {
-                    "detection": float(np.mean(hits)) if hits else math.nan,
-                    "false": float(np.mean(fas)) if fas else math.nan,
-                }
-            rate_tables[(path, t)] = {"detection": det_rate, "false": fa_rate,
-                                      "per_snr": snr_rates}
-
-    comp_decided = np.stack([timeline["compressive"][t] for t in SCAN_TECHNIQUES])
-    pooled_det = float((comp_decided & occupied[None]).sum()
-                       / max(1, len(SCAN_TECHNIQUES) * occupied.sum()))
-    pooled_fa = float((comp_decided & idle[None]).sum()
-                      / max(1, len(SCAN_TECHNIQUES) * idle.sum()))
-    occupancy_pct = {
-        t: 100.0 * timeline["compressive"][t].mean(axis=0) for t in SCAN_TECHNIQUES
-    }
+    for (p, path), (i, t) in itertools.product(enumerate(PATHS),
+                                               enumerate(SCAN_TECHNIQUES)):
+        hits = decided[p, i]
+        rate_tables[(path, t)] = {
+            "detection": _rate(hits, truth, 0.0), "false": _rate(hits, idle, 0.0),
+            "per_snr": {level: {"detection": _rate(hits, truth & at, math.nan),
+                                "false": _rate(hits, idle & at, math.nan)}
+                        for level, at in at_snr.items()}}
     budget = config.compute_budget or n * n_ch
     budget_channels = {"compressive": budget // m, "conventional": budget // n}
     ts = float(config.slots * n_ch * n)  # survey period in sample-time units
     tsc = ts / (len(SCAN_TECHNIQUES) * n_ch)
     return OccupancyReport(
         records=tuple(records),
-        per_channel_timeline=timeline,
-        occupancy_pct=occupancy_pct,
-        ground_truth=truth_mat,
-        detection_rate=pooled_det,
-        false_rate=pooled_fa,
+        per_channel_timeline={path: dict(zip(SCAN_TECHNIQUES, decided[p]))
+                              for p, path in enumerate(PATHS)},
+        occupancy_pct={t: 100.0 * decided[0, i].mean(axis=0)
+                       for i, t in enumerate(SCAN_TECHNIQUES)},
+        ground_truth=truth,
+        # pooled over the techniques of the compressive path
+        detection_rate=_rate(decided[0], truth, 0.0),
+        false_rate=_rate(decided[0], idle, 0.0),
         rate_tables=rate_tables,
         channels_scanned=n_ch,
         survey_period_Ts=ts,

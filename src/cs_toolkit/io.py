@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -90,7 +91,8 @@ def serialize_report(report, path: str | Path, fmt: str = "csv") -> Path:
     elif fmt == "json":
         rows = [{c: _json_value(rec[c]) for c in cols} for rec in report.records]
         with open(path, "w") as fh:
-            json.dump({"kind": kind, "records": rows}, fh, indent=2)
+            json.dump({"kind": kind, "records": rows}, fh, indent=2,
+                      allow_nan=False)
             fh.write("\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -98,12 +100,13 @@ def serialize_report(report, path: str | Path, fmt: str = "csv") -> Path:
 
 
 def _json_value(value):
+    """A JSON-safe value; a non-finite float, such as a failed cell's mean, is null."""
     if isinstance(value, (bool, np.bool_)):
         return int(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return float("%.9g" % float(value))
+        return float("%.9g" % float(value)) if math.isfinite(value) else None
     return value
 
 
@@ -117,7 +120,10 @@ def read_report(path: str | Path) -> list[dict]:
     if path.suffix == ".json":
         with open(path) as fh:
             payload = json.load(fh)
-        return payload["records"]
+        # null stands for a non-finite float, which CSV writes as nan
+        typed = _STR_COLUMNS | _INT_COLUMNS
+        return [{key: math.nan if value is None and key not in typed else value
+                 for key, value in rec.items()} for rec in payload["records"]]
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         out = []

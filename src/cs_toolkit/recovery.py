@@ -922,12 +922,10 @@ def biht_recover(
     for row in dithered[1:]:
         row[rng.random(A.m) < BIHT_DITHER_FLIP] *= -1.0
     starts = [unit_topk(u) for u in A.rmatmat(dithered)]
-    x0 = starts[0]
-    if x0 is None:
+    if starts[0] is None:
         raise IllConditionedError("degenerate initialization: A^T s vanished")
 
     consistent = unit_consistent(*phase(starts, 2.0, max_iter))
-    init_bad = int(trace[0][0])  # x0 is the first start of the first block
     pool = consistent if consistent else [running_best[0]]
     center = unit_topk(np.mean(pool, axis=0))
     if center is None:
@@ -945,8 +943,6 @@ def biht_recover(
     final, final_bad = best[0], int(best_bad[0])
     if final_bad > running_best[1]:
         final, final_bad = running_best[0], int(running_best[1])
-    if final_bad > init_bad:  # never return worse consistency than the init
-        final, final_bad = x0, init_bad
     x_hat = final / float(np.linalg.norm(final))
     # rescaling can flip the rounding of a product that is zero in exact
     # arithmetic (the FFT apply returns those as +-1e-17), so the returned

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from cs_toolkit.cli import (
     _read_samples,
     run_cli,
 )
-from cs_toolkit.harness import ExperimentConfig, run_detection_mc
+from cs_toolkit.harness import ExperimentConfig, RecoveryReport, run_detection_mc
 from cs_toolkit.io import (
     CONFIG_SCHEMA_VERSION,
     RECOVERY_COLUMNS,
@@ -78,6 +79,61 @@ def test_json_round_trip_and_kind_tag(tmp_path):
     back = read_report(path)
     for orig, loaded in zip(curve.records, back):
         assert loaded["pfa"] == g9(orig["pfa"])
+
+
+def failed_cell_report():
+    """A 2-cell omp report whose second cell had no completed trial."""
+    ok = {"solver": "omp", "scheme": "gaussian", "n": 64, "k": 4, "m": 32,
+          "snr_db": 20.0, "trials": 6, "mean_re": 0.125, "mean_mse": 0.0025,
+          "mean_cc": 0.99, "mean_rsnr": 18.5, "mean_hd": 0.5, "mean_tr_ms": 1.5,
+          "mean_tp_ms": 0.0}
+    failed = {**ok, "m": 16, "trials": 0,
+              **{c: math.nan for c in RECOVERY_COLUMNS if c.startswith("mean_")}}
+    return RecoveryReport(records=(ok, failed))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_json_report_is_strict_and_round_trips_like_csv(tmp_path):
+    report = failed_cell_report()
+    csv_path = serialize_report(report, tmp_path / "rec.csv")
+    json_path = serialize_report(report, tmp_path / "rec.json", fmt="json")
+    # a failed cell's means are null, which a strict JSON reader accepts
+    payload = json.loads(json_path.read_text(), parse_constant=_reject_constant)
+    assert payload["records"][1]["mean_re"] is None
+    assert payload["records"][1]["trials"] == 0
+    from_csv, from_json = read_report(csv_path), read_report(json_path)
+    for a, b in zip(from_csv, from_json, strict=True):
+        assert list(a) == list(b) == list(RECOVERY_COLUMNS)
+        for key in a:
+            if isinstance(a[key], float) and math.isnan(a[key]):
+                assert math.isnan(b[key]), key
+            else:
+                assert a[key] == b[key] and type(a[key]) is type(b[key]), key
+    assert math.isnan(from_json[1]["mean_cc"])
+    # CSV still writes nan for a failed cell's means
+    assert csv_path.read_text().splitlines()[2].endswith(",0,nan,nan,nan,nan,nan,nan,nan")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_report_means_weighted_by_trials(tmp_path, capsys, fmt):
+    path = serialize_report(failed_cell_report(), tmp_path / f"rec.{fmt}", fmt=fmt)
+    assert run_cli(["report", "--input", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the failed cell adds no trials, so the omp means are the finite cell's
+    assert lines[lines.index("-- group means --") + 1] == (
+        "omp: snr_db=20, mean_re=0.125, mean_mse=0.0025, mean_cc=0.99, "
+        "mean_rsnr=18.5, mean_hd=0.5, mean_tr_ms=1.5, mean_tp_ms=0")
+
+
+def test_cli_report_weights_cells_by_trials(tmp_path, capsys):
+    small = {**failed_cell_report().records[0], "trials": 1, "mean_re": 1.0}
+    big = {**small, "trials": 3, "mean_re": 0.2}
+    path = serialize_report(RecoveryReport(records=(small, big)), tmp_path / "r.csv")
+    assert run_cli(["report", "--input", str(path)]) == 0
+    assert "omp: snr_db=20, mean_re=0.4," in capsys.readouterr().out
 
 
 def test_csv_reserialization_byte_identical(tmp_path):
@@ -453,6 +509,13 @@ def test_cli_scan_sim(tmp_path, capsys):
     assert len(records) == 87 * 3
     assert {r["technique"] for r in records} == {"energy", "autocorr", "euclid"}
     assert (out_dir / "scan_manifest.json").exists()
+    # the default m = 256 // 4 leaves euclid no more samples than lags: the
+    # survey fails before it runs and writes nothing
+    bad_dir = tmp_path / "bad"
+    assert run_cli(["scan-sim", "--samples", "256", "--slots", "1",
+                    "--output-dir", str(bad_dir)]) == 1
+    assert "length 64 must be above euclid_lags_M 64" in capsys.readouterr().err
+    assert not bad_dir.exists()
 
 
 def test_cli_runtime_errors_exit_one(tmp_path, capsys):

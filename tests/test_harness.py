@@ -8,6 +8,8 @@ import pytest
 
 from cs_toolkit import harness
 from cs_toolkit.detectors import (
+    IDLE,
+    OCCUPIED,
     closed_form_roc,
     energy_threshold,
     quiet_time_threshold,
@@ -74,6 +76,27 @@ def test_config_validation():
     # an empty survey must not read as a survey that detected nothing
     with pytest.raises(ValueError, match="slots must be >= 1"):
         ExperimentConfig(experiment_kind="scan_sim", slots=0)
+    # euclid needs more samples than lags: a cell that cannot run fails when
+    # the config is built, not partway through the sweep
+    with pytest.raises(ValueError, match="samples_N 50 above euclid_lags_M 64"):
+        ExperimentConfig(technique_list=("energy", "euclid"), samples_N=50)
+    with pytest.raises(ValueError, match="samples_N 64 above euclid_lags_M 64"):
+        ExperimentConfig(technique_list=("euclid",), samples_N=64)
+    ExperimentConfig(technique_list=("euclid",), samples_N=65)
+    ExperimentConfig(technique_list=("energy",), samples_N=50)
+    # the survey's default compressive length is samples_N // 4
+    assert ExperimentConfig(experiment_kind="scan_sim", samples_N=3072
+                            ).scan_measurements() == 768
+    assert ExperimentConfig(experiment_kind="scan_sim", samples_N=3072,
+                            measurements_M=100).scan_measurements() == 100
+    with pytest.raises(ValueError, match="length 64 must be above euclid_lags_M 64"):
+        ExperimentConfig(experiment_kind="scan_sim", samples_N=256)
+    with pytest.raises(ValueError, match="length 40 must be above euclid_lags_M 64"):
+        ExperimentConfig(experiment_kind="scan_sim", samples_N=256, measurements_M=40)
+    with pytest.raises(ValueError, match="length 300 .* at most samples_N 256"):
+        ExperimentConfig(experiment_kind="scan_sim", samples_N=256, measurements_M=300)
+    ExperimentConfig(experiment_kind="scan_sim", samples_N=256, measurements_M=256)
+    ExperimentConfig(experiment_kind="scan_sim", samples_N=256, measurements_M=65)
 
 
 def test_detection_at_minus_inf_snr_is_noise_only():
@@ -456,6 +479,63 @@ def test_scan_truth_recount_consistent():
     # each channel-slot produces one record per technique
     rec_truth = sum(r["truth"] for r in report.records)
     assert rec_truth == 3 * truth_total
+
+
+# small_scan_config(busy_prob=0.5) on nine_channel_plan(): ground truth per
+# (channel, slot), the blind SNR estimate per (slot, channel), and the one
+# value every (path, technique) timeline holds in this survey
+PINNED_SCAN_TRUTH = ((1, 1, 0), (0, 0, 1), (0, 1, 1), (0, 0, 0), (0, 0, 0),
+                     (1, 1, 1), (1, 1, 1), (0, 1, 1), (1, 0, 0))
+PINNED_SCAN_EST_SNR = (
+    (-8.015457145688039, -40.0, -27.590544714203503, -25.457345808245652, -40.0,
+     -30.519576707785987, 2.8383487502234948, -18.067419680566708,
+     -3.4890328155154697),
+    (0.73724403637617, -40.0, -7.871436499206592, -40.0, -40.0,
+     -1.5169730808987922, -0.8842390275130703, -7.606989425670644, -40.0),
+    (-26.66828658507707, -4.108459242766038, -40.0, -23.320012174248824, -40.0,
+     -40.0, -4.232264857346016, -10.939636195014508, -11.821510313034779),
+)
+PINNED_SCAN_DECIDED = {"energy": True, "autocorr": False, "euclid": False}
+
+
+def _nan_as_none(value):
+    """`value` with every NaN float replaced by None, so `==` compares NaN as NaN."""
+    if isinstance(value, dict):
+        return {k: _nan_as_none(v) for k, v in value.items()}
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
+def test_scan_report_pinned():
+    report = run_scan_sim(small_scan_config(busy_prob=0.5, slots=3),
+                          plan=nine_channel_plan())
+    expected = tuple(
+        {"slot": s, "channel": c, "technique": t,
+         "decision": OCCUPIED if PINNED_SCAN_DECIDED[t] else IDLE,
+         "truth": PINNED_SCAN_TRUTH[c][s], "est_snr_db": PINNED_SCAN_EST_SNR[s][c]}
+        for s in range(3) for c in range(9) for t in PINNED_SCAN_DECIDED)
+    assert report.records == expected
+    assert [list(r) for r in report.records] == [list(r) for r in expected]
+    assert report.ground_truth.tolist() == [[bool(v) for v in row]
+                                            for row in PINNED_SCAN_TRUTH]
+    assert list(report.per_channel_timeline) == ["compressive", "conventional"]
+    for path, timeline in report.per_channel_timeline.items():
+        assert list(timeline) == list(PINNED_SCAN_DECIDED)
+        for t, decided in timeline.items():
+            assert decided.dtype == bool
+            assert decided.tolist() == [[PINNED_SCAN_DECIDED[t]] * 3] * 9, (path, t)
+    assert {t: v.tolist() for t, v in report.occupancy_pct.items()} == {
+        "energy": [100.0] * 3, "autocorr": [0.0] * 3, "euclid": [0.0] * 3}
+    per_snr = {-10.0: {"detection": 1.0, "false": 1.0},
+               0.0: {"detection": 1.0, "false": 1.0}}
+    zero = {"detection": 0.0, "false": 0.0}
+    tables = {}
+    for path in ("compressive", "conventional"):
+        tables[(path, "energy")] = {"detection": 1.0, "false": 1.0, "per_snr": per_snr}
+        for t in ("autocorr", "euclid"):
+            tables[(path, t)] = {**zero, "per_snr": {-10.0: zero, 0.0: zero}}
+    assert list(report.rate_tables) == list(tables)
+    assert _nan_as_none(report.rate_tables) == _nan_as_none(tables)
+    assert report.detection_rate == report.false_rate == 1 / 3
 
 
 def test_scan_deterministic_across_thread_counts():
