@@ -1,11 +1,12 @@
 """Sparse recovery solvers for underdetermined measurement systems.
 
 Basis pursuit denoising (FISTA with adaptive restart), orthogonal matching
-pursuit on an incremental Cholesky factor, CoSaMP, relevance-vector Bayesian
-recovery, and one-bit recovery via binary iterative hard thresholding, plus
-the sign quantizer. All five solvers reach A only through `SensingMatrix`
-(`matvec`, `rmatvec`, the block applies `matmat` and `rmatmat`, `columns`,
-`column_norms`) and never build the dense matrix.
+pursuit on an incremental Cholesky factor, CoSaMP refitting through a
+Cholesky factor of the merged columns' Gram matrix, relevance-vector
+Bayesian recovery, and one-bit recovery via binary iterative hard
+thresholding, plus the sign quantizer. All five solvers reach A only
+through `SensingMatrix` (`matvec`, `rmatvec`, the block applies `matmat`
+and `rmatmat`, `columns`, `column_norms`) and never build the dense matrix.
 """
 
 from __future__ import annotations
@@ -289,10 +290,39 @@ def omp(y, A: SensingMatrix, k_or_tol) -> RecoveryResult:
     )
 
 
+def _cholesky_fit(sub: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """The least-squares fit of y on the columns of sub, from the normal equations.
+
+    Two solves with the Cholesky factor L of the Gram matrix sub^T sub. None
+    if the factor does not exist or a squared pivot is at most 1e-12 of its
+    Gram diagonal entry (OMP's test): such a column lies, to working
+    precision, in the span of the ones before it. None also when sub has
+    more columns than rows: they are dependent, but the rounding of their
+    Gram matrix can leave every pivot above the test.
+    """
+    if sub.shape[0] < sub.shape[1]:
+        return None
+    gram = sub.T @ sub
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    if np.any(np.diag(chol) ** 2 <= 1e-12 * np.diag(gram)):
+        return None
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, sub.T @ y))
+
+
 def cosamp(
     y, A: SensingMatrix, k: int, opts: SolverOpts = SolverOpts()
 ) -> RecoveryResult:
     """CoSaMP: merge the 2k strongest proxy indices, least-squares, prune to k.
+
+    Each refit solves the normal equations of the merged columns through a
+    Cholesky factor of their Gram matrix. A merged set that `_cholesky_fit`
+    turns down (more columns than rows, or a failed pivot test) goes to the
+    SVD solve `np.linalg.lstsq`, which warns that the merged columns are
+    linearly dependent when it finds them rank deficient and continues with
+    its pseudo-inverse fit.
 
     The residual norm never increases: a pruned fit worse than the last one
     is dropped and ends the loop. `converged` is False only if opts.max_iter
@@ -319,11 +349,15 @@ def cosamp(
         proxy = np.abs(A.rmatvec(resid))
         candidates = np.argpartition(proxy, -min(2 * k, A.n))[-min(2 * k, A.n):]
         merged = np.union1d(candidates, np.flatnonzero(x))
-        sub = A.columns(merged)
-        coef, _, rank, _ = np.linalg.lstsq(sub, yv, rcond=None)
-        if rank < merged.size:
-            warnings.warn("cosamp: merged columns are linearly dependent; "
-                          "continuing with the pseudo-inverse fit", RuntimeWarning)
+        # matmul rounds differently on an F-ordered block (a dense scheme's
+        # `columns`), so the Gram matrix is formed from a C-ordered copy
+        sub = np.ascontiguousarray(A.columns(merged))
+        coef = _cholesky_fit(sub, yv)
+        if coef is None:
+            coef, _, rank, _ = np.linalg.lstsq(sub, yv, rcond=None)
+            if rank < merged.size:
+                warnings.warn("cosamp: merged columns are linearly dependent; "
+                              "continuing with the pseudo-inverse fit", RuntimeWarning)
         keep = np.argsort(np.abs(coef))[-k:]
         x_new = np.zeros(A.n)
         x_new[merged[keep]] = coef[keep]

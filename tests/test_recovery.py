@@ -245,6 +245,159 @@ def test_greedy_converged_means_the_stop_rule_fired():
     assert not cosamp(y, A, 8, SolverOpts(max_iter=1)).converged
 
 
+# (n, m, k, scheme, snr_db, iterations, converged, support, coefficients) of the
+# CoSaMP trial with seeds (15, 16, 17), as computed with an SVD least-squares
+# refit of every merged set; another refit may move only the last bits
+PINNED_COSAMP_ROWS = (
+    (2048, 512, 32, "circulant", 20.0, 4, True, (27, 43, 90, 91, 146, 190, 272, 316, 376, 440,
+     533, 606, 704, 870, 894, 941, 1060, 1070, 1086, 1144, 1259, 1413, 1419, 1549, 1633, 1641,
+     1663, 1735, 1775, 1800, 1961, 2017), (0.9872027656447796, 1.0343825547183858,
+     1.0708010539069326, -1.0068905863374935, 0.9774312159319805, 1.0406455243894597,
+     -1.001486948781683, -0.9919028202355532, 1.012702799246638, -0.9563815001303818,
+     1.0108379571023935, -1.0303395791987944, 0.9971471142488748, -0.9495722237556213,
+     0.9688675241933429, 0.9722934909741697, 1.0061145623500787, 0.9634634920785273,
+     -1.015708417549561, -0.9768677488257119, -0.948316792334186, 1.0469216101276442,
+     1.0028536498043419, 0.9975623641621705, 1.0367860667910576, 0.9955352823090744,
+     1.0309676135202321, -0.9692670130019622, -0.9671439191390316, -1.007958622989871,
+     1.0070050400154855, 0.9904759668129408)),
+    (2048, 512, 32, "circulant", -10.0, 3, True, (90, 103, 118, 124, 258, 349, 361, 386, 421,
+     456, 511, 536, 587, 755, 831, 842, 845, 1026, 1032, 1132, 1184, 1373, 1386, 1482, 1534,
+     1650, 1687, 1692, 1722, 1777, 1858, 2006), (2.392009212712092, 2.2742087832828632,
+     -1.8892018617668425, 1.8360719192982105, -2.112777892355271, 2.5958792521050333,
+     1.663189569780069, -1.771025504442128, -2.1593565547260405, 2.1036702955566993,
+     -1.9033587182534788, -3.5164690168859156, 1.5873580902476079, -2.3162702539872955,
+     -2.06895587679759, 3.3817106397861307, 1.7257092549041069, -2.763500682075727,
+     -2.4190179964634737, 2.881889151739853, -2.2135970028550305, -1.6980277993634025,
+     2.1000248207328585, -2.4684869909115226, -2.3112016651484595, -1.845892405927985,
+     2.352674988821349, -1.8942163908822154, 1.7327806774565597, 2.061130812053604,
+     -1.9994411575522668, -1.9793031995981305)),
+    (2048, 512, 32, "toeplitz", 20.0, 5, True, (27, 43, 90, 91, 146, 190, 272, 316, 376, 440,
+     533, 606, 704, 870, 894, 941, 1060, 1070, 1086, 1144, 1259, 1413, 1419, 1549, 1633, 1641,
+     1663, 1735, 1775, 1800, 1961, 2017), (0.9839911873023856, 0.9423621416950799,
+     0.9902729030964477, -1.0311234521676633, 1.018363921962127, 1.0152067258347124,
+     -0.9979515988516477, -1.016376864060579, 0.9657817686231182, -0.9644014028147188,
+     0.9340020788563119, -0.9236562239911429, 0.9812966335851805, -0.9763708239116837,
+     1.0103953528587737, 1.0282797975404816, 0.9823295601385513, 1.0234733118725476,
+     -1.0307890544623644, -0.9561768045324469, -0.9650825494168562, 1.0212716436394662,
+     0.9666790370706673, 0.9927502091048436, 1.009538473922579, 0.973902880681496,
+     0.9962346090355059, -0.9715067584267525, -1.0119803389512403, -1.000639835374715,
+     0.9841628141003067, 1.0033642934067288)),
+    (2048, 512, 32, "toeplitz", 0.0, 3, True, (0, 5, 25, 74, 91, 146, 190, 272, 316, 395, 514,
+     704, 839, 870, 875, 894, 941, 1060, 1070, 1086, 1113, 1144, 1176, 1413, 1549, 1611, 1633,
+     1775, 1935, 1961, 1972, 2017), (-0.7351817158980021, -0.6827973582761795,
+     -1.1123392857396492, 0.6217906786444782, -0.7441226446176576, 0.8944899624696034,
+     0.8306070633900929, -1.0352537795086754, -1.0339032756977728, -0.7048265016338935,
+     -0.6086418500841906, 0.6705065965610204, 0.9165306424274638, -0.7035145680307793,
+     0.7227588430069308, 1.2088291329610175, 0.7634852197260021, 0.8991439894895334,
+     0.9178775698832374, -1.156824980968447, -0.7427311664426337, -0.7408800010485797,
+     0.5831928461356328, 1.043701161707502, 0.8909868850600761, 0.7145733206645012,
+     1.002365862014631, -1.2937706461975162, 0.8539982102642504, 0.55964370720509,
+     -0.6638664294832212, 1.1039142078046762)),
+    (400, 150, 15, "gaussian", 20.0, 4, True, (5, 8, 28, 36, 118, 136, 167, 183, 207, 219, 245,
+     299, 319, 348, 391), (0.9540284362327536, -1.0040754774573524, 1.002845784101034,
+     -0.9570659802771921, 0.9921178045664834, -0.9811646365492164, -0.9427395423592466,
+     1.030772236007731, -0.9982214759439254, 0.9951499566033958, -1.025269734025852,
+     -1.058380693748189, 0.991606034820088, 0.9743186165399923, -0.9701381918678393)),
+    (400, 150, 15, "gaussian", -10.0, 3, True, (9, 24, 42, 49, 61, 94, 163, 228, 232, 243, 265,
+     297, 320, 321, 332), (-2.92580299849149, -1.9197721064766256, -3.0302502289964193,
+     -1.9443665320144377, -2.773109747263424, 2.0326588221269977, 1.987032123767874,
+     1.7203440854735885, -2.6249657167046982, 2.376175785305771, 1.84267570429117,
+     2.2024020800221473, -1.766056902723264, -2.0611244597900096, 2.0585657861496314)),
+    (400, 150, 15, "bernoulli", 0.0, 2, True, (5, 8, 15, 26, 28, 80, 136, 148, 158, 167, 183,
+     196, 224, 259, 299), (0.9861664053107616, -0.6994879639587241, -0.5967446625891433,
+     0.6445166303443841, 0.9528639612243515, -0.8296050929249362, -0.5192081336639734,
+     -0.5463447465069049, 1.083395491948513, -0.8674133164988208, 1.3415082716178095,
+     -0.5846970908663082, 0.5357961239266585, 0.5470114209118779, -1.0121048682442297)),
+    (400, 150, 15, "circulant", -10.0, 2, True, (93, 103, 113, 145, 220, 255, 263, 280, 299,
+     320, 361, 365, 377, 389, 391), (-1.802197684868189, 1.4276844152739334,
+     -3.0927249209548866, -2.5014817042943243, -1.5354783282594615, -2.1911316412615904,
+     -2.2120542153763223, -1.5554102220288284, -1.8836608315251857, 1.6588926712162106,
+     1.3522274842934863, 1.517364811542958, 2.5578964981826844, -1.8542144115694879,
+     -1.6177017237082614)),
+    (400, 150, 15, "toeplitz", 20.0, 2, True, (5, 8, 28, 36, 118, 136, 167, 183, 207, 219, 245,
+     299, 319, 348, 391), (0.9553029061574205, -0.9927521537211109, 1.0148051061005567,
+     -1.015877310431524, 0.9735142559878719, -0.9599096706982946, -0.9668821962362456,
+     0.9140867873137853, -0.971006769073905, 1.024846962440052, -0.9707819253095659,
+     -0.9917328958758139, 0.9411406294740617, 0.9993037184674036, -0.9615041535404675)),
+    (400, 150, 15, "toeplitz", 0.0, 6, True, (28, 36, 118, 157, 162, 167, 212, 219, 228, 249,
+     264, 294, 299, 348, 382), (0.9213960278992337, -1.0692392473137229, 1.0763805981802719,
+     -0.8728325465558919, -0.6753703991884638, -0.8215513307655811, 1.500353755421784,
+     1.7272768338245061, 1.4235665312921755, -1.0878592308670176, -1.1270466191285509,
+     -0.9526420140759232, -1.4454858523062768, 1.5583623753943898, 1.3092572615609923)),
+)
+
+
+@pytest.mark.parametrize(
+    "n,m,k,scheme,snr_db,iterations,converged,support,coef", PINNED_COSAMP_ROWS,
+    ids=[f"{r[3]}-{r[1]}x{r[0]}-{r[4]:g}dB" for r in PINNED_COSAMP_ROWS])
+def test_cosamp_results_pinned(n, m, k, scheme, snr_db, iterations, converged,
+                               support, coef):
+    _metrics, res = recovery_trial("cosamp", scheme, n, k, m, snr_db, (15, 16, 17),
+                                   z_factor=0.1, inform_noise=True, measure_time=False)
+    assert tuple(np.flatnonzero(res.x_hat)) == support
+    assert (res.iterations, res.converged) == (iterations, converged)
+    assert np.max(np.abs(res.x_hat[list(support)] - coef)) <= 1e-12
+
+
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """The shapes of the blocks passed to np.linalg.lstsq, call by call."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    return calls
+
+
+@pytest.mark.parametrize("scheme", ["circulant", "toeplitz"])
+def test_cosamp_refits_well_conditioned_sets_without_lstsq(scheme, lstsq_calls):
+    _metrics, res = recovery_trial("cosamp", scheme, 2048, 32, 512, 20.0, (3, 4, 5),
+                                   z_factor=0.1, inform_noise=True, measure_time=False)
+    assert res.iterations >= 2
+    assert lstsq_calls == []
+
+
+# a zero nudge plants two identical columns, which the SVD solve finds rank
+# deficient; at 1e-7 they are independent but fail the pivot test, and the
+# SVD solve fits them at full rank as before
+@pytest.mark.parametrize("nudge,dependent", [(0.0, True), (1e-7, False)])
+def test_cosamp_falls_back_to_lstsq_on_a_failed_pivot_test(nudge, dependent, lstsq_calls):
+    m, n = 60, 200
+    rng = np.random.default_rng(21)
+    entries = rng.standard_normal((m, n)) / math.sqrt(m)
+    entries[:, 17] = entries[:, 3] + nudge * rng.standard_normal(m)
+    A = SensingMatrix("gaussian", m, n, entries, 21, 1.0, rows=np.arange(m))
+    x = np.zeros(n)
+    x[[3, 17, 40, 88, 130, 171]] = [1.0, 1.0, -1.0, 1.0, -1.0, 1.0]
+    y = A.matvec(x) + 0.01 * rng.standard_normal(m)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = cosamp(y, A, 6)
+    assert lstsq_calls
+    assert all("linearly dependent" in str(w.message) for w in caught)
+    assert len(caught) == (len(lstsq_calls) if dependent else 0)
+    assert np.all(np.isfinite(res.x_hat))
+    assert np.all(np.diff(res.objective_trace) <= 1e-12 * res.objective_trace[0])
+
+
+def test_cosamp_fits_more_merged_columns_than_rows_by_svd(lstsq_calls):
+    # the third refit merges 9 columns in 8 rows; their Gram matrix rounds to
+    # one whose Cholesky pivots all pass the pivot test
+    rng = np.random.default_rng(315)
+    A = SensingMatrix("gaussian", 8, 30, rng.standard_normal((8, 30)) / math.sqrt(8), 315,
+                      1.0, rows=np.arange(8))
+    y = rng.standard_normal(8)
+    with pytest.warns(RuntimeWarning, match="linearly dependent"):
+        res = cosamp(y, A, 3)
+    assert lstsq_calls == [(8, 9)]
+    assert tuple(np.flatnonzero(res.x_hat)) == (8, 10, 12)
+    assert res.iterations == 3
+
+
 @pytest.mark.parametrize("scheme,opts", [
     ("circulant", None), ("toeplitz", None),
     ("circulant", {"random_rows": True}), ("toeplitz", {"random_rows": True})])
