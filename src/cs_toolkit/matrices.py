@@ -99,6 +99,11 @@ class SensingMatrix:
         # positions wrap
         return self.rows - self.diag_offset
 
+    @cached_property
+    def _column_base(self) -> np.ndarray:
+        # each row's generator index in column 0, in [0, len(g))
+        return (self.diag_offset - self.rows) % self.generator.size
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Fast apply y = A x."""
         x = np.asarray(x, dtype=float)
@@ -166,8 +171,10 @@ class SensingMatrix:
             raise ValueError(f"column index outside [0, {self.n})")
         if self.scheme in ("gaussian", "bernoulli"):
             return self.generator[:, idx]
-        pos = (idx[None, :] - self.rows[:, None] + self.diag_offset) % self.generator.size
-        return self.scale * self.generator[pos]
+        # base + idx stays below twice the generator length, which is at
+        # least n, so one wrap puts it in range
+        pos = self._column_base[:, None] + idx
+        return self.scale * self.generator.take(pos, mode="wrap")
 
     def to_dense(self) -> np.ndarray:
         """The full matrix, C-ordered. No solver builds it; only the Gram

@@ -44,6 +44,8 @@ class SolverOpts:
     tol: float | None = None
     max_iter: int | None = None
     step: float | None = None
+    # only BIHT draws from it (sign dithers and refinement starts); basis
+    # pursuit's step needs no random start
     seed: int = 0
 
 
@@ -106,20 +108,10 @@ def _measurements(y, m: int | None = None) -> np.ndarray:
     return yv
 
 
-def _largest_sq_singular_value(A: SensingMatrix, iters: int = 20, seed: int = 0) -> float:
-    """Power iteration on A^T A for the squared spectral norm."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.n)
-    v /= np.linalg.norm(v)
-    est = 1.0
-    for _ in range(iters):
-        w = A.rmatvec(A.matvec(v))
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 1.0
-        est = nrm
-        v = w / nrm
-    return est
+# basis pursuit's backtracking: L shrinks by _BP_SHRINK before each step and
+# grows by _BP_GROW on each failed bound test
+_BP_SHRINK = 0.9
+_BP_GROW = 2.0
 
 
 def _soft(u: np.ndarray, thresh: float) -> np.ndarray:
@@ -134,19 +126,32 @@ def basis_pursuit(
     Accelerated proximal gradient (Beck & Teboulle 2009) with the
     function-value restart of O'Donoghue & Candes (2015): a momentum step
     that raises the objective is rejected and the momentum reset, so the
-    next step is a plain proximal step from the current iterate. One matvec
-    and one rmatvec per step: A v for the momentum point v is the same
-    affine mix of A x_k and A x_(k-1) as v itself.
+    next step is a plain proximal step from the current iterate. A v for the
+    momentum point v is the same affine mix of A x_k and A x_(k-1) as v
+    itself, so a step costs one rmatvec and one matvec.
 
-    Step size 1/L with L the largest squared singular value of A (power
-    iteration, 20 rounds, padded 5% for safety). Stops when an accepted
-    step changes the objective by at most opts.tol (default 1e-8) of its
-    value, or after opts.max_iter steps (default 5000), rejected ones
-    included. The objective trace holds the accepted steps and is
-    nonincreasing. `converged` means the relative-change rule fired; a
-    plain step that raises the objective (an overshoot, possible with a
-    user-set opts.step) ends the loop with the previous iterate and
-    converged False.
+    The step is 1/L, with L found by backtracking (Beck & Teboulle 2009,
+    section 4) and allowed to fall between steps (Scheinberg, Goldfarb &
+    Bai 2014), so it follows the curvature of A along the iterates rather
+    than its largest squared singular value. L starts at
+    ||A^T y||^2 / ||y||^2, which never exceeds ||A||_2^2 (1 if A^T y = 0).
+    Each step first multiplies L by 0.9, then takes the proximal step x+
+    from v and keeps it if the quadratic upper bound of 0.5||y - Ax||^2
+    holds at x+, which for this quadratic is ||A(x+ - v)||^2 <= L ||x+ - v||^2,
+    with a slack of 1e-12 ||y - Av||^2 for rounding (a step whose
+    L ||x+ - v||^2 is within the slack is taken untested). Otherwise L
+    doubles and the step is redone from the same gradient, for one more
+    matvec; a redone step is not an iteration. A user-set opts.step fixes
+    the step at that value, with no backtracking.
+
+    Stops when an accepted step changes the objective by at most opts.tol
+    (default 1e-8) of its value, or after opts.max_iter steps (default
+    5000), rejected ones included. The objective trace holds the accepted
+    steps and is nonincreasing. `converged` means the relative-change rule
+    fired. A plain step that raises the objective ends the loop with the
+    previous iterate, converged only if the rise is within opts.tol of the
+    objective: the backtracking step's bound allows a rise only by
+    rounding, while a user-set opts.step can overshoot.
     """
     if z < 0:
         raise ValueError("z must be >= 0")
@@ -156,8 +161,13 @@ def basis_pursuit(
     t0 = time.perf_counter()
     # minimizing ||y-Ax||^2 + z|x|_1 is the half-scaled problem
     # 0.5||y-Ax||^2 + (z/2)|x|_1 for gradient purposes
-    lips = 1.05 * _largest_sq_singular_value(A, seed=opts.seed)
-    step = (1.0 / lips) if opts.step is None else opts.step
+    adaptive = opts.step is None
+    grad = A.rmatvec(yv)
+    if adaptive:
+        # ||A^T y||^2 / ||y||^2 <= ||A||_2^2; a zero A^T y (y = 0 included)
+        # leaves x = 0 optimal, and any L serves
+        g2 = float(grad @ grad)
+        lips = g2 / float(yv @ yv) if g2 > 0.0 else 1.0
     x = np.zeros(A.n)
     resid = yv.copy()
     obj = float(resid @ resid)
@@ -172,14 +182,35 @@ def basis_pursuit(
         beta = (t - 1.0) / t_next
         v = x + beta * (x - x_prev)
         resid_v = resid + beta * (resid - resid_prev)
-        # the gradient of 0.5||y-Av||^2 is -A^T (y - Av)
-        x_new = _soft(v + step * A.rmatvec(resid_v), step * z / 2.0)
-        resid_new = yv - A.matvec(x_new)
+        # the gradient of 0.5||y-Av||^2 is -A^T (y - Av); at x = 0 it is A^T y,
+        # already formed for the starting L
+        if it > 1:
+            grad = A.rmatvec(resid_v)
+        if adaptive:
+            lips *= _BP_SHRINK
+            slack = 1e-12 * float(resid_v @ resid_v)
+        while True:
+            step = 1.0 / lips if adaptive else opts.step
+            x_new = _soft(v + step * grad, step * z / 2.0)
+            resid_new = yv - A.matvec(x_new)
+            if not adaptive:
+                break
+            d = x_new - v
+            dr = resid_v - resid_new
+            # a step whose curvature term is within the slack cannot be
+            # tested apart from rounding, and is taken
+            curv = lips * float(d @ d)
+            if curv <= slack or float(dr @ dr) <= curv + slack:
+                break
+            lips *= _BP_GROW
         obj_new = float(resid_new @ resid_new) + z * float(np.abs(x_new).sum())
         if obj_new > obj:
             if beta == 0.0:
-                # a plain step overshoot from an underestimated L: keep the
-                # previous iterate, which the stop rule has not vouched for
+                # a plain step that raises the objective: keep the previous
+                # iterate. The backtracking bound allows a rise only by
+                # rounding, which the stop rule's tolerance covers; a
+                # user-set step can overshoot by more
+                converged = obj_new - obj <= tol * obj
                 break
             x_prev, resid_prev, t = x, resid, 1.0
             continue

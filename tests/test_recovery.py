@@ -104,9 +104,15 @@ def test_bp_step_overshoot_is_not_convergence():
     assert basis_pursuit(y, A, z=z).converged
 
 
-@pytest.mark.parametrize("scheme", ["gaussian", "circulant", "toeplitz"])
-def test_bp_default_tol_objective_near_the_tight_reference(scheme):
-    A, _, y = planted_instance(scheme, 128, 512, 12, seed=31, noise_variance=1e-3)
+@pytest.mark.parametrize("scheme,m,n,k,seed", [
+    pytest.param(scheme, 128, 512, 12, 31, id=scheme)
+    for scheme in ("gaussian", "circulant", "toeplitz")] + [
+    # circulant builds whose ||A||_2^2 a 20-round power iteration
+    # underestimates by 6-8%
+    pytest.param("circulant", 512, 2048, 32, seed, id=f"circulant-512x2048-{seed}")
+    for seed in (3, 11)])
+def test_bp_default_tol_objective_near_the_tight_reference(scheme, m, n, k, seed):
+    A, _, y = planted_instance(scheme, m, n, k, seed=seed, noise_variance=1e-3)
     z = 0.1 * float(np.max(np.abs(A.rmatvec(y.values))))
     res = basis_pursuit(y, A, z=z)
     ref = basis_pursuit(y, A, z=z, opts=SolverOpts(tol=1e-14, max_iter=50_000))
@@ -123,6 +129,48 @@ def test_bp_momentum_overshoot_restarts_instead_of_stopping():
     assert res.iterations > res.objective_trace.size - 1
     assert res.converged
     assert np.all(np.diff(res.objective_trace) <= 0.0)
+
+
+def test_bp_operator_applies_per_call(monkeypatch):
+    # the harness's shape and penalty at 20 and 0 dB, where the backtracking
+    # step takes about 150 applies per call and a step from the squared
+    # spectral norm about 330
+    applies = []
+    for method in ("matvec", "rmatvec"):
+        apply = getattr(SensingMatrix, method)
+        monkeypatch.setattr(SensingMatrix, method,
+                            lambda self, v, apply=apply: applies.append(1) or apply(self, v))
+    counts = []
+    for scheme in ("circulant", "toeplitz"):
+        for snr_db in (20.0, 0.0):
+            for seed in (1, 2, 3, 4):
+                A = build_matrix(scheme, 512, 2048, seed=seed)
+                x = gen_sparse_signal(2048, 32, seed=seed + 1)
+                power = float(np.mean(A.matvec(x.samples) ** 2))
+                y = compress(A, x, noise_variance=power / 10 ** (snr_db / 10),
+                             seed=seed + 2)
+                z = 0.1 * float(np.max(np.abs(A.rmatvec(y.values))))
+                applies.clear()
+                assert basis_pursuit(y, A, z=z).converged
+                counts.append(len(applies))
+    assert np.mean(counts) <= 200
+
+
+@pytest.mark.parametrize("z", [0.0, 0.1])
+def test_bp_measurements_orthogonal_to_the_range(z):
+    # y != 0 with A^T y = 0: x = 0 is optimal and the starting L has no
+    # curvature to read, so it falls back to 1
+    rng = np.random.default_rng(7)
+    entries = rng.standard_normal((5, 12))
+    entries[-1] = 0.0
+    A = SensingMatrix("gaussian", 5, 12, entries, 7, 1.0, rows=np.arange(5))
+    y = np.array([0.0, 0.0, 0.0, 0.0, 3.0])
+    assert not np.any(A.rmatvec(y))
+    res = basis_pursuit(y, A, z=z)
+    assert not np.any(res.x_hat)
+    assert res.converged
+    assert np.all(np.isfinite(res.objective_trace))
+    assert res.objective_trace[-1] == 9.0
 
 
 # -------------------------------------------------------------------------- omp
@@ -455,12 +503,23 @@ def test_matrix_free_solvers_on_degenerate_inputs(solver, scheme, m, extra, seed
         "omp_tol": lambda: omp(y, A, 1e-6),
         "cosamp": lambda: cosamp(y, A, k),
     }[solver]
-    with warnings.catch_warnings(record=True) as caught:
+    # BP thresholds every tried step at z / (2L), so these show its L
+    thresholds = []
+    soft = recovery._soft
+
+    def spy(u, thresh):
+        thresholds.append(thresh)
+        return soft(u, thresh)
+
+    with warnings.catch_warnings(record=True) as caught, pytest.MonkeyPatch.context() as mp:
         warnings.simplefilter("always")
+        mp.setattr(recovery, "_soft", spy)
         res = call()
     for w in caught:
         assert issubclass(w.category, RuntimeWarning)
         assert "linearly dependent" in str(w.message) or "working regime" in str(w.message)
+    # 0 < L < inf on every step
+    assert all(0.0 < t < math.inf for t in thresholds)
     assert res.x_hat.shape == (A.n,)
     assert np.all(np.isfinite(res.x_hat))
     assert np.all(np.isfinite(res.objective_trace))
