@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import re
 import sys
@@ -30,7 +29,10 @@ from .io import (
     RECOVERY_COLUMNS,
     TOOL_VERSION,
     RunManifest,
+    _csv_text,
     _fmt,
+    _json_text,
+    _write_in_place,
     config_hash,
     load_config,
     matrix_descriptor,
@@ -89,12 +91,9 @@ def _read_samples(path: str) -> np.ndarray:
 
 
 def _write_samples(path: Path, values: np.ndarray, column: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", column])
-        for i, v in enumerate(values):
-            writer.writerow([i, "%.9g" % v.real if not np.iscomplexobj(values)
-                             else repr(complex(v))])
+    rows = [[i, "%.9g" % v.real if not np.iscomplexobj(values) else repr(complex(v))]
+            for i, v in enumerate(values)]
+    _write_in_place(path, _csv_text([["index", column], *rows]), newline="")
 
 
 def _emit_manifest(started_at: str, hashed: dict, base_seed: int,
@@ -134,9 +133,7 @@ def _cmd_compress(ns: argparse.Namespace) -> int:
     out = Path(ns.output)
     _write_samples(out, y.values, "measurement")
     desc_path = out.with_name(out.stem + "_matrix.json")
-    with open(desc_path, "w") as fh:
-        json.dump(matrix_descriptor(A), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_in_place(desc_path, _json_text(matrix_descriptor(A), sort_keys=True))
     _emit_manifest(started, _public_args(ns), ns.seed, [out, desc_path])
     print(f"wrote {out} and {desc_path} (m={ns.m}, n={x.size})")
     return 0
@@ -151,13 +148,9 @@ def _cmd_recover(ns: argparse.Namespace) -> int:
                               measure_time=ns.measure_time)
     record = _recovery_record(ns.solver, ns.scheme, ns.n, ns.k, ns.m, snr_db, [row])
     out = Path(ns.output)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "x_hat"])
-        for i, v in enumerate(res.x_hat):
-            writer.writerow([i, "%.9g" % v])
-        writer.writerow(RECOVERY_COLUMNS)
-        writer.writerow([_fmt(record[c]) for c in RECOVERY_COLUMNS])
+    rows = [["index", "x_hat"], *([i, "%.9g" % v] for i, v in enumerate(res.x_hat)),
+            RECOVERY_COLUMNS, [_fmt(record[c]) for c in RECOVERY_COLUMNS]]
+    _write_in_place(out, _csv_text(rows), newline="")
     _emit_manifest(started, _public_args(ns), ns.seed, [out])
     print(f"wrote {out} (Re={row['re']:.3e}, iterations={res.iterations})")
     return 0
@@ -175,7 +168,7 @@ def _cmd_detect(ns: argparse.Namespace) -> int:
     print(row)
     if ns.output:
         out = Path(ns.output)
-        out.write_text(header + "\n" + row + "\n")
+        _write_in_place(out, header + "\n" + row + "\n")
         _emit_manifest(started, _public_args(ns), 0, [out])
     return 0
 
@@ -191,12 +184,11 @@ def _cmd_estimate_snr(ns: argparse.Namespace) -> int:
         "mdl_order_M": est.mdl_order_M,
         "clamped": est.clamped,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    text = _json_text(payload, sort_keys=True)
+    print(text, end="")
     if ns.output:
         out = Path(ns.output)
-        with open(out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_in_place(out, text)
         _emit_manifest(started, _public_args(ns), 0, [out])
     return 0
 

@@ -10,8 +10,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
+import os
+import stat
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -75,25 +78,56 @@ def _report_kind(report) -> str:
     raise TypeError(f"unsupported report type {type(report).__name__}")
 
 
+def _write_in_place(path: str | Path, text: str, newline: str | None = None) -> None:
+    """Write `text` to `path` with the bytes, inode and permissions that a
+    text-mode open() for writing gives, but without truncating first.
+
+    Truncating a file to zero makes ext4 (auto_da_alloc) flush its last
+    write's pages when the file closes, so rewriting an output on such a
+    filesystem waits on the disk for tens of milliseconds. Writing over the
+    old bytes and then cutting the file at the end of the new ones does not.
+    The file is cut only if it is a regular file, as O_TRUNC only affects
+    those, so a device such as /dev/null still takes the write.
+    """
+    # O_BINARY (Windows only) leaves line endings to the text layer, as
+    # open() does
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", newline=newline) as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO(newline="")
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _json_text(obj, **kwargs) -> str:
+    return json.dumps(obj, indent=2, **kwargs) + "\n"
+
+
 def serialize_report(report, path: str | Path, fmt: str = "csv") -> Path:
-    """Write a report's records to CSV or JSON; returns the path written."""
+    """Write a report's records to CSV or JSON; returns the path written.
+
+    The whole file is formatted before it is opened, so a formatting error
+    leaves an existing file as it was. An existing file is rewritten in
+    place and then cut to the new length, not truncated to zero first: on
+    ext4 a truncating rewrite waits for the old contents to reach the disk.
+    """
     kind = _report_kind(report)
     cols = _COLUMNS[kind]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
+        rows = [[_fmt(rec[c]) for c in cols] for rec in report.records]
         # newline='' so csv controls line endings on every platform
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(cols)
-            for rec in report.records:
-                writer.writerow([_fmt(rec[c]) for c in cols])
+        _write_in_place(path, _csv_text([cols, *rows]), newline="")
     elif fmt == "json":
         rows = [{c: _json_value(rec[c]) for c in cols} for rec in report.records]
-        with open(path, "w") as fh:
-            json.dump({"kind": kind, "records": rows}, fh, indent=2,
-                      allow_nan=False)
-            fh.write("\n")
+        _write_in_place(path, _json_text({"kind": kind, "records": rows},
+                                         allow_nan=False))
     else:
         raise ValueError(f"unknown format {fmt!r}")
     return path
@@ -153,9 +187,7 @@ def save_config(config: dict, path: str | Path) -> Path:
     path = Path(path)
     body = dict(config)
     body.setdefault("schema", CONFIG_SCHEMA_VERSION)
-    with open(path, "w") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_in_place(path, _json_text(body, sort_keys=True))
     return path
 
 
@@ -219,9 +251,7 @@ def write_manifest(manifest: RunManifest, directory: str | Path,
     path = directory / f"{stem}_manifest.json"
     body = dataclasses.asdict(manifest)
     body["output_paths"] = list(body["output_paths"])
-    with open(path, "w") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_in_place(path, _json_text(body, sort_keys=True))
     return path
 
 

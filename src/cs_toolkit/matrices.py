@@ -51,7 +51,7 @@ class SensingMatrix:
     whose index never wraps, so its descending diagonals are constant. Row i
     is position (rows[i] - diag_offset) mod P of a circulant of period P whose
     generator is g zero-padded to P: P = n for circulant, and for toeplitz the
-    next power of two at or above len(g), so no Toeplitz row wraps around.
+    smallest 2^a 3^b 5^c at or above len(g), so no Toeplitz row wraps around.
     Dense schemes keep their entries in `generator` with shape (m, n) and
     scale 1. The generator's spectrum is computed once and cached, so the
     generator must not be mutated after construction.
@@ -83,11 +83,13 @@ class SensingMatrix:
 
     @cached_property
     def _period(self) -> int:
-        # a toeplitz generator padded to a power of two never wraps, and keeps
-        # the FFT length smooth (generator sizes like 3 * 853 are slow)
+        # a toeplitz generator padded to any length at or above its own never
+        # wraps; a 5-smooth length keeps the FFT fast (generator sizes like
+        # 3 * 853 are slow) and pads less than a power of two (2560, not 4096,
+        # at 512 x 2048)
         if self.scheme == "circulant":
             return self.n
-        return 1 << (self.generator.size - 1).bit_length()
+        return _next_5_smooth(self.generator.size)
 
     @cached_property
     def _generator_spectrum(self) -> np.ndarray:
@@ -206,6 +208,20 @@ class SensingMatrix:
                           period)[: self.n]
         sq[sq <= period * np.finfo(float).eps * self.m * gen_sq.max()] = 0.0
         return abs(self.scale) * np.sqrt(sq)
+
+
+def _next_5_smooth(size: int) -> int:
+    """The smallest 2^a 3^b 5^c at or above size (size >= 1)."""
+    best = 1 << (size - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        odd = p5
+        while odd < best:
+            # the smallest odd * 2^a at or above size
+            best = min(best, odd << (-(-size // odd) - 1).bit_length())
+            odd *= 3
+        p5 *= 5
+    return best
 
 
 def _masked_rademacher(rng: np.random.Generator, size: int, p: float) -> np.ndarray:

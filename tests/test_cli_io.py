@@ -1,13 +1,17 @@
 """Serialization round trips and command-line end-to-end flows."""
 
+import builtins
 import csv
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
 
 from cs_toolkit import cli
+from cs_toolkit import io as cio
 from cs_toolkit.cli import (
     _merge_negative_values,
     _read_samples,
@@ -206,6 +210,112 @@ def test_manifest_round_trip(tmp_path):
     path = write_manifest(manifest, tmp_path, stem="results")
     assert path.name == "results_manifest.json"
     assert read_manifest(path) == manifest
+
+
+def _recovery_report(cells, char):
+    ok = failed_cell_report().records[0]
+    return RecoveryReport(records=tuple({**ok, "scheme": char * 4, "k": i}
+                                        for i in range(cells)))
+
+
+def _manifest(cells, char):
+    return RunManifest(config_hash=char * 64, tool_version=TOOL_VERSION,
+                       started_at="2026-01-01T00:00:00+00:00",
+                       finished_at="2026-01-01T00:00:05+00:00", base_seed=1,
+                       output_paths=tuple(f"{char}{i}.csv" for i in range(cells)))
+
+
+# each writer puts a payload of `cells` entries into a fixed file name in a
+# directory; payloads with the same `cells` have the same length
+WRITERS = {
+    "csv": lambda d, cells, char: serialize_report(_recovery_report(cells, char),
+                                                   d / "out.csv"),
+    "json": lambda d, cells, char: serialize_report(_recovery_report(cells, char),
+                                                    d / "out.json", fmt="json"),
+    "manifest": lambda d, cells, char: write_manifest(_manifest(cells, char), d,
+                                                      stem="out"),
+    "config": lambda d, cells, char: save_config({"pad": [char] * cells},
+                                                 d / "cfg.json"),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+@pytest.mark.parametrize("cells", [8, 4, 2])  # longer, equal, shorter than 4
+def test_rewrite_matches_a_fresh_write_in_place(tmp_path, writer, cells):
+    write = WRITERS[writer]
+    for name in ("fresh", "old", "link"):
+        (tmp_path / name).mkdir()
+    fresh = write(tmp_path / "fresh", cells, "b")
+    (tmp_path / "reference").write_text("")
+    assert (stat.S_IMODE(fresh.stat().st_mode)
+            == stat.S_IMODE((tmp_path / "reference").stat().st_mode))
+    old = write(tmp_path / "old", 4, "a")
+    old_bytes, inode = old.read_bytes(), old.stat().st_ino
+    assert np.sign(len(fresh.read_bytes()) - len(old_bytes)) == np.sign(cells - 4)
+    assert write(tmp_path / "old", cells, "b") == old
+    assert old.read_bytes() == fresh.read_bytes()
+    assert old.stat().st_ino == inode
+    # a symlinked path is written through, and stays a link
+    link = tmp_path / "link" / old.name
+    link.symlink_to(old)
+    write(tmp_path / "link", 4, "a")
+    assert link.is_symlink()
+    assert old.read_bytes() == old_bytes
+    assert old.stat().st_ino == inode
+
+
+def test_writers_never_truncate_a_path(tmp_path, monkeypatch, capsys):
+    # an open that truncates an existing file to zero waits for its old
+    # pages to reach the disk on ext4; every writer rewrites in place
+    truncating = []
+    real_os_open, real_open = os.open, builtins.open
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        if flags & os.O_TRUNC:
+            truncating.append(path)
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int) and "w" in mode:
+            truncating.append(file)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    for module in (cio, cli):
+        monkeypatch.setattr(module, "open", spy_open, raising=False)
+    for write in WRITERS.values():
+        write(tmp_path, 2, "a")
+    sig, meas = tmp_path / "sig.csv", tmp_path / "meas.csv"
+    noise = tmp_path / "noise.csv"
+    noise.write_text("\n".join("%.9g" % v for v in
+                               np.random.default_rng(0).standard_normal(512)))
+    for argv in (["generate", "--n", "64", "--k", "5", "--output", str(sig)],
+                 ["compress", "--input", str(sig), "--m", "32",
+                  "--scheme", "toeplitz", "--output", str(meas)],
+                 ["recover", "--solver", "omp", "--n", "32", "--k", "2",
+                  "--m", "16", "--output", str(tmp_path / "rec.csv")],
+                 ["detect", "--technique", "energy", "--threshold", "1",
+                  "--input", str(noise), "--output", str(tmp_path / "dec.csv")],
+                 ["estimate-snr", "--input", str(noise),
+                  "--output", str(tmp_path / "est.json")]):
+        assert run_cli(argv) == 0, argv
+    capsys.readouterr()
+    assert truncating == []
+
+
+def test_formatting_error_leaves_the_old_file(tmp_path):
+    path = serialize_report(failed_cell_report(), tmp_path / "rec.json", fmt="json")
+    before = path.read_bytes()
+    ok = failed_cell_report().records[0]
+    with pytest.raises(TypeError):
+        serialize_report(RecoveryReport(records=(ok, {**ok, "solver": object()})),
+                         path, fmt="json")
+    assert path.read_bytes() == before
+
+
+def test_write_in_place_to_a_device():
+    # O_TRUNC leaves a device alone, and so does the in-place writer
+    cio._write_in_place(os.devnull, "written to a device\n")
 
 
 def test_merge_negative_values():
@@ -481,6 +591,12 @@ def test_cli_experiment_and_report(tmp_path, capsys):
                     "--output-dir", str(out_b)]) == 0
     results_a = out_a / "results.csv"
     assert results_a.read_bytes() == (out_b / "results.csv").read_bytes()
+    # a re-run into the same directory rewrites the report in place
+    inode = results_a.stat().st_ino
+    assert run_cli(["experiment", "--config", str(cfg_path),
+                    "--output-dir", str(out_a)]) == 0
+    assert results_a.read_bytes() == (out_b / "results.csv").read_bytes()
+    assert results_a.stat().st_ino == inode
     manifest = read_manifest(out_a / "results_manifest.json")
     assert manifest.config_hash == config_hash(load_config(cfg_path))
     assert manifest.base_seed == 21

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import cs_toolkit
 from cs_toolkit.matrices import (
     SensingMatrix,
+    _next_5_smooth,
     build_matrix,
     compress,
     mutual_coherence,
@@ -44,13 +45,29 @@ STRUCTURED_CASES = [
     ("toeplitz", 12, 31, 3, None),
     ("toeplitz", 8, 24, 4, {"random_rows": True}),
     ("toeplitz", 10, 40, 5, {"p": 0.3}),
-    # toeplitz applies as rows of a circulant padded to a power of two
+    # toeplitz applies as rows of a circulant padded to a 5-smooth length
     ("toeplitz", 28, 28, 6, None),  # m = n
     ("toeplitz", 1, 28, 7, None),  # m = 1
     ("toeplitz", 5, 28, 8, None),  # generator length 32, no padding
-    ("toeplitz", 6, 28, 9, None),  # generator length 33, padded to 64
+    ("toeplitz", 6, 28, 9, None),  # generator length 33, padded to 36
     ("toeplitz", 9, 28, 10, {"random_rows": True}),
+    ("toeplitz", 10, 28, 11, None),  # generator length 37, padded to 40
 ]
+
+
+def test_toeplitz_period_is_the_next_5_smooth_length():
+    def smooth(p):
+        for f in (2, 3, 5):
+            while p % f == 0:
+                p //= f
+        return p == 1
+
+    for size in range(1, 600):
+        expected = next(p for p in range(size, 2 * size + 1) if smooth(p))
+        assert _next_5_smooth(size) == expected
+    assert build_matrix("toeplitz", 512, 2048, seed=1)._period == 2560
+    assert build_matrix("toeplitz", 150, 400, seed=1)._period == 576
+    assert build_matrix("circulant", 150, 400, seed=1)._period == 400
 
 
 @pytest.mark.parametrize("scheme,m,n,seed,opts", STRUCTURED_CASES)

@@ -972,9 +972,9 @@ PINNED_BIHT_ROWS = (
     ("circulant", 41, "f6441cc0b0976e93", 1021, 1042, "83f18fc665f4fbf8", True),
     ("circulant", 42, "74645c0887fd651b", 832, 853, "b924641a27a4c275", True),
     ("circulant", 43, "34baa7a98fc6b546", 2935, 2956, "23f62a536a220cc2", True),
-    ("toeplitz", 41, "f96708c3e20c2a0f", 2215, 2236, "93e8028f77e15638", True),
-    ("toeplitz", 42, "735d5e75e15c1201", 1374, 1395, "d140f189d33c1275", True),
-    ("toeplitz", 43, "0165b02d1e6e3b5c", 2302, 2323, "ede267405a6cca52", True),
+    ("toeplitz", 41, "ce79ed06342d86fa", 2623, 2644, "da78025cdea7b001", True),
+    ("toeplitz", 42, "ee5dee8c80774aab", 1419, 1440, "7c5b8bd3980500b2", True),
+    ("toeplitz", 43, "b284a5fa45f46636", 1618, 1639, "51231dbc9678b0e3", True),
 )
 
 
