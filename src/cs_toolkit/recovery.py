@@ -429,48 +429,48 @@ class _RvmPosterior:
     S_i = b a_i^T a_i - b^2 a_i^T Phi Sigma Phi^T a_i and
     Q_i = b a_i^T y - b^2 a_i^T Phi Sigma Phi^T y.
 
-    `refresh` rebuilds all of it. With `track`, `add`, `reestimate` and
+    `refresh` rebuilds all of it, O(n |S|^2). `add`, `reestimate` and
     `delete` keep it current through the closed-form updates of Tipping &
     Faul (AISTATS 2003), O(n |S|) each: by the determinant lemma an add
     multiplies |H| by a_i + S_i, a re-estimate by 1 + (a'_j - a_j) Sigma_jj
     and a delete by Sigma_jj. An update whose pivot is not safely positive
-    refreshes instead. Without `track` they change only the model, and the
-    caller rebuilds before reading. A^T a_j is computed from the operator
-    once, when column j first enters the model.
+    refreshes instead, and a caller that changes b must refresh. A^T a_j is
+    computed from the operator once, when column j first enters the model.
     """
 
     def __init__(self, A: SensingMatrix, phi_y: np.ndarray, colsq: np.ndarray,
-                 b: float, ridge: float, track: bool, first: int, alpha: float) -> None:
-        """A one-column model; call `refresh` before reading it."""
+                 b: float, ridge: float, first: int, alpha: float) -> None:
+        """A one-column model, with its posterior and factors at b."""
         self.A, self.phi_y, self.colsq = A, phi_y, colsq
-        self.b, self.ridge, self.track = b, ridge, track
+        self.b, self.ridge = b, ridge
         self.active: list = []
         self.a = np.empty(0)
         self._buf = np.empty((A.n, min(A.n, 64)))
         self._gram: dict = {}
         self._append(first, alpha, self._gram_column(first))
+        self.refresh()
 
     @property
     def cross(self) -> np.ndarray:
         """A^T Phi, one column per active column in model order."""
         return self._buf[:, : len(self.active)]
 
-    def posterior(self) -> None:
-        """Rebuild Sigma, mu and log|H| at the current b."""
-        self.sigma, self.logdet_h = _stable_inverse(
-            self.b * self.cross[self.active] + np.diag(self.a), self.ridge)
-        self.mu = self.b * (self.sigma @ self.phi_y[self.active])
-
-    def factors(self) -> None:
-        """Rebuild (S_i, Q_i) from Sigma at the current b."""
+    def refresh(self) -> None:
+        """Rebuild Sigma, mu, log|H| and every (S_i, Q_i) at the current b."""
         b, cross = self.b, self.cross
+        self.sigma, self.logdet_h = _stable_inverse(
+            b * cross[self.active] + np.diag(self.a), self.ridge)
+        phi_y = self.phi_y[self.active]
+        self.mu = b * (self.sigma @ phi_y)
         proj = cross @ self.sigma
         self.big_s = b * self.colsq - b * b * np.sum(proj * cross, axis=1)
-        self.big_q = b * self.phi_y - b * b * (proj @ self.phi_y[self.active])
+        self.big_q = b * self.phi_y - b * b * (proj @ phi_y)
 
-    def refresh(self) -> None:
-        self.posterior()
-        self.factors()
+    def scatter(self, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
+        """A length-n vector with `values` at the active columns."""
+        out = np.full(self.A.n, fill)
+        out[self.active] = values
+        return out
 
     def _gram_column(self, col: int) -> np.ndarray:
         """A^T a_col, from the operator the first time col enters the model."""
@@ -490,24 +490,24 @@ class _RvmPosterior:
 
     def add(self, col: int, alpha: float) -> None:
         gram = self._gram_column(col)
-        updated = self.track and self._add_update(col, alpha, gram)
+        updated = self._add_update(col, alpha, gram)
         self._append(col, alpha, gram)
-        if self.track and not updated:
+        if not updated:
             self.refresh()
 
     def reestimate(self, j: int, alpha: float) -> None:
-        updated = self.track and self._reestimate_update(j, alpha)
+        updated = self._reestimate_update(j, alpha)
         self.a[j] = alpha
-        if self.track and not updated:
+        if not updated:
             self.refresh()
 
     def delete(self, j: int) -> None:
         k = len(self.active)
-        updated = self.track and self._delete_update(j)
+        updated = self._delete_update(j)
         self._buf[:, j : k - 1] = self._buf[:, j + 1 : k]
         self.active.pop(j)
         self.a = np.delete(self.a, j)
-        if self.track and not updated:
+        if not updated:
             self.refresh()
 
     # The updates below bring Sigma, mu, log|H|, S and Q to the model after
@@ -587,28 +587,33 @@ def bayesian_recover(
     Stop rule: an action loop (phase 1 or 3) stops when the best action's
     gain is at most opts.tol (default 1e-3). Gains are in units of
     2 * (change in log evidence), so 1e-3 stops once no single action
-    raises the marginal likelihood by a factor above about 1.0005.
-    `converged` is True when both loops stopped on this rule rather than on
-    opts.max_iter, and for the empty model.
+    raises the marginal likelihood by a factor above about 1.0005. When b
+    is re-estimated, such a stall first re-estimates b, and the loop stops
+    only on a stall right after a re-estimate. `converged` is True when
+    both loops stopped on this rule rather than on opts.max_iter, and for
+    the empty model. A column is added only while S_i exceeds 1e-8 of
+    b ||a_i||^2, so a column in the span of the model, up to rounding, is
+    never added.
 
     Posterior: Sigma = (b Phi^T Phi + diag(a))^-1 over the active set,
-    mu = b Sigma Phi^T y. When opts.noise_variance is given, b is held
-    fixed at its reciprocal, and each action (add, re-estimate or delete)
-    updates Sigma, mu, log|H| and every column's (S_i, Q_i) in closed form
-    (Tipping & Faul, AISTATS 2003), which costs O(n |S|). The posterior and
-    factors are rebuilt in full, O(n |S|^2), at the start of each phase,
-    for the returned posterior, and whenever an update's pivot is not
-    safely positive. Otherwise b is re-estimated as
-    (m - |S| + sum_j a_j Sigma_jj) / ||y - Phi mu||^2 from the posterior
-    built at the previous b after every action, floored during selection so
-    the modeled SNR never exceeds 20 dB, and the posterior and factors are
-    rebuilt every action; after selection one unfloored re-estimate sets
-    the b of the returned posterior. Inactive coefficients are exact zeros.
-    A is reached only through `SensingMatrix`: the column norms, A^T y,
-    A^T a_j once per column j that enters the model, and (when b is
-    re-estimated) one apply of A per action. The objective trace records,
-    for every model scored during selection, -log p(y) plus add_penalty / 2
-    per active column, as the best value seen so far; it is nonincreasing.
+    mu = b Sigma Phi^T y. Each action (add, re-estimate or delete) updates
+    Sigma, mu, log|H| and every column's (S_i, Q_i) in closed form
+    (Tipping & Faul, AISTATS 2003), which costs O(n |S|). When
+    opts.noise_variance is given, b is held fixed at its reciprocal.
+    Otherwise b is re-estimated as (m - |S| + sum_j a_j Sigma_jj) /
+    ||y - Phi mu||^2 from the current posterior at the start of each action
+    loop, when an action loop stalls, and before each deletion of phase 2,
+    floored during selection so the modeled SNR never exceeds 20 dB; after
+    selection one unfloored re-estimate sets the b of the returned
+    posterior. The posterior and factors are rebuilt in full, O(n |S|^2),
+    at the start of each phase, after each re-estimate of b, for the
+    returned posterior, and whenever an update's pivot is not safely
+    positive. Inactive coefficients are exact zeros. A is reached only
+    through `SensingMatrix`: the column norms, A^T y, A^T a_j once per
+    column j that enters the model, and one apply of A per re-estimate of
+    b. The objective trace records, for every model scored during
+    selection, -log p(y) plus add_penalty / 2 per active column, as the
+    best value seen so far; it is nonincreasing.
     """
     yv = _measurements(y, A.m)
     t0 = time.perf_counter()
@@ -659,40 +664,34 @@ def bayesian_recover(
     excess = quality[first] - 1.0 / b
     if excess <= 0.0:
         return empty_result(0)
-    post = _RvmPosterior(A, phi_y, colsq, b, opts.ridge, b_known is not None,
-                         first, colsq[first] / excess)
+    post = _RvmPosterior(A, phi_y, colsq, b, opts.ridge, first,
+                         colsq[first] / excess)
     iters = 0
 
     # noise floor: the modeled SNR is capped at 20 dB during selection;
     # without it the evidence update absorbs noise into spurious columns
     # once the residual gets small, and the noise estimate runs away
-    b_cap = 100.0 * m / norm_y2
+    b_cap = min(100.0 * m / norm_y2, 1e12)
 
-    def noise_precision(floor: bool) -> float:
-        """b re-estimated from the posterior built at the current b."""
-        mu_full = np.zeros(n)
-        mu_full[post.active] = post.mu
-        resid = yv - A.matvec(mu_full)
-        rss = float(resid @ resid)
-        gamma_sum = float(np.sum(post.a * np.diag(post.sigma)))
-        b_new = float(np.clip((m - len(post.active) + gamma_sum)
-                              / max(rss, 1e-300), 1e-12, 1e12))
-        return min(b_new, b_cap) if floor else b_new
+    def refit_noise(floor: bool) -> None:
+        """Re-estimate b from the current posterior when it is not known,
+        then rebuild the posterior and factors at it."""
+        nonlocal b
+        if b_known is None:
+            resid = yv - A.matvec(post.scatter(post.mu))
+            rss = float(resid @ resid)
+            gamma_sum = float(np.sum(post.a * np.diag(post.sigma)))
+            b = post.b = float(np.clip(
+                (m - len(post.active) + gamma_sum) / max(rss, 1e-300),
+                1e-12, b_cap if floor else 1e12))
+        post.refresh()
 
     def score():
         """Push the current model's trace entry and return every column's
         (S_i, Q_i) and, in model order, the exclusive factors (s_j, q_j) of
-        the columns in the model. When b is re-estimated, the posterior is
-        rebuilt at the current b, b is re-estimated from it, and the factors
-        are rebuilt at the new b."""
-        nonlocal b
-        if b_known is None:
-            post.posterior()
+        the columns in the model."""
         push_trace(post.logdet_h, float(np.sum(np.log(post.a))),
                    float(phi_y[post.active] @ post.mu), len(post.active))
-        if b_known is None:
-            b = post.b = noise_precision(floor=True)
-            post.factors()
         big_s, big_q, a_act = post.big_s, post.big_q, post.a
         s_in, q_in = big_s[post.active], big_q[post.active]
         denom = a_act - s_in
@@ -715,7 +714,7 @@ def bayesian_recover(
             q2 = big_q**2
             pos_s = np.maximum(big_s, 1e-300)
             gain_add = np.where(
-                outside & (q2 - big_s > 0) & (big_s > 0),
+                outside & (q2 - big_s > 0) & (big_s > _PIVOT_FLOOR * b * colsq),
                 (q2 - big_s) / pos_s + np.log(pos_s / np.maximum(q2, 1e-300)),
                 -np.inf)
             if barred:
@@ -760,13 +759,22 @@ def bayesian_recover(
         return True
 
     def action_loop(barred: bool) -> bool:
-        """Run actions until the stop rule fires (True) or max_iter runs out."""
+        """Run actions until the stop rule fires (True) or max_iter runs out.
+
+        It refits (rebuilds the posterior, re-estimating b first when b is
+        not known) at its start. Then, when b is re-estimated, a stall after
+        an action refits and goes on, and a stall right after a refit stops
+        the loop."""
         nonlocal iters
-        post.refresh()
+        refit = True
         for _ in range(opts.max_iter):
+            if refit:
+                refit_noise(floor=True)
             iters += 1
-            if not action_step(barred):
+            moved = action_step(barred)
+            if not moved and (refit or b_known is not None):
                 return True
+            refit = not moved
         return False
 
     converged = action_loop(barred=False)
@@ -774,7 +782,7 @@ def bayesian_recover(
     # backward elimination: drop the weakest column while its exclusive
     # evidence cannot pay the admission bar; the noise estimate recovers
     # as each deletion returns its share of the residual
-    post.refresh()
+    refit_noise(floor=True)
     while post.active:
         iters += 1
         _, _, s_fac, q_fac = score()
@@ -787,6 +795,8 @@ def bayesian_recover(
         if z2[worst] >= add_bar:
             break
         post.delete(worst)
+        if b_known is None:
+            refit_noise(floor=True)
     if not post.active:
         return empty_result(iters)
 
@@ -795,18 +805,9 @@ def bayesian_recover(
     # one unfloored noise re-estimate, then the returned posterior at it:
     # debiases the kept coefficients without feeding the uncapped estimate
     # back into model selection
-    if b_known is None:
-        post.posterior()
-        b = post.b = noise_precision(floor=False)
-    post.posterior()
-    mu_full = np.zeros(n)
-    sigma_diag_full = np.zeros(n)
-    mu_full[post.active] = post.mu
-    sigma_diag_full[post.active] = np.diag(post.sigma)
-    hyper_a = np.full(n, np.inf)
-    hyper_a[post.active] = post.a
+    refit_noise(floor=False)
     base = RecoveryResult(
-        x_hat=mu_full,
+        x_hat=post.scatter(post.mu),
         iterations=iters,
         measurements_used=m,
         converged=converged,
@@ -816,8 +817,8 @@ def bayesian_recover(
     return BayesianResult(
         base=base,
         noise_variance_hat=float(max(1.0 / b, 1e-300)),
-        signal_variance_hat=np.maximum(sigma_diag_full, 0.0),
-        hyper_a=hyper_a,
+        signal_variance_hat=np.maximum(post.scatter(np.diag(post.sigma)), 0.0),
+        hyper_a=post.scatter(post.a, np.inf),
         hyper_b=float(b),
     )
 

@@ -26,7 +26,8 @@ from cs_toolkit.harness import (
     run_recovery_mc,
     run_scan_sim,
 )
-from cs_toolkit.matrices import SensingMatrix, build_matrix, compress
+from cs_toolkit.io import serialize_report
+from cs_toolkit.matrices import SCHEMES, SensingMatrix, build_matrix, compress
 from cs_toolkit.recovery import omp
 from cs_toolkit.signals import (
     evaluate_metrics,
@@ -416,6 +417,24 @@ def test_recovery_inform_noise_changes_bayesian_result():
         solver_list=("bayesian",), snr_grid_db=(0.0,), trials_Nt=4,
         inform_noise=False))
     assert informed.records[0]["mean_re"] != blind.records[0]["mean_re"]
+
+
+def test_recovery_uninformed_bayesian_sweep(tmp_path):
+    # the noise variance is estimated, not told, on every scheme
+    cfg = small_recovery_config(
+        solver_list=("bayesian",), matrix_scheme=SCHEMES, samples_N=400,
+        measurements_M=150, sparsity_k=15, snr_grid_db=(20.0,), trials_Nt=4,
+        inform_noise=False)
+    first, again = run_recovery_mc(cfg), run_recovery_mc(cfg)
+    assert [rec["scheme"] for rec in first.records] == list(SCHEMES)
+    for rec in first.records:
+        assert rec["trials"] == 4
+        for key, value in rec.items():
+            if key.startswith("mean_"):
+                assert math.isfinite(value), (rec["scheme"], key)
+    paths = [serialize_report(report, tmp_path / f"{name}.csv")
+             for name, report in (("first", first), ("again", again))]
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_recovery_empty_model_is_scored_not_fatal():

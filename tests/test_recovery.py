@@ -777,7 +777,7 @@ def test_bayesian_rank_one_updates_match_a_refresh(scheme, noise_variance):
     b = 1e12 if noise_variance == 0.0 else 1.0 / noise_variance
     colsq = A.column_norms() ** 2
     post = recovery._RvmPosterior(A, A.rmatvec(y.values), colsq, b, 1e-10,
-                                  True, 7, 1.0)
+                                  7, 1.0)
     post.refresh()
     rng = np.random.default_rng(35)
     for step in range(60):
@@ -817,7 +817,7 @@ def test_bayesian_unsafe_pivot_refreshes(monkeypatch):
     monkeypatch.setattr(recovery._RvmPosterior, "refresh",
                         lambda self: refreshes.append(1) or refresh(self))
     post = recovery._RvmPosterior(A, A.rmatvec(y), A.column_norms() ** 2, 1e6,
-                                  1e-10, True, 0, 1e-6)
+                                  1e-10, 0, 1e-6)
     post.refresh()
     for change, refreshed in ((lambda: post.add(1, 1e-6), True),
                               (lambda: post.reestimate(1, 1e6), False),
@@ -830,6 +830,48 @@ def test_bayesian_unsafe_pivot_refreshes(monkeypatch):
             ref.refresh()
             for name, value in _posterior_state(ref).items():
                 assert np.array_equal(getattr(post, name), value), name
+
+
+def test_bayesian_uninformed_refreshes_after_every_apply_of_a(monkeypatch):
+    # b is re-estimated from a residual, one apply of A, and every
+    # re-estimate rebuilds the posterior; between re-estimates the rank-one
+    # updates keep it current, so no apply goes without a rebuild
+    rng = np.random.default_rng([41, 0])
+    A = build_matrix("toeplitz", 100, 400, seed=int(rng.integers(2**31)))
+    x = np.zeros(400)
+    x[rng.choice(400, 20, replace=False)] = rng.choice([-1.0, 1.0], 20)
+    clean = A.matvec(x)
+    y = clean + rng.normal(0.0, math.sqrt(float(np.mean(clean**2)) / 1e3), A.m)
+    counts = {"matvec": 0, "refresh": 0}
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args):
+            counts[name] += 1
+            return method(self, *args)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(SensingMatrix, "matvec")
+    counted(recovery._RvmPosterior, "refresh")
+    res = bayesian_recover(y, A)
+    assert counts["matvec"] >= 1
+    assert counts["matvec"] <= counts["refresh"]
+    assert rel_err(res.x_hat, x) < 0.1
+
+
+def test_bayesian_noiseless_does_not_add_a_collinear_column():
+    # columns 2 and 11 of this sparse toeplitz matrix are parallel, so at
+    # b = 1e12 column 11 must not enter a model that holds column 2
+    A = _degenerate_instance("toeplitz", 6, 8, 5271, 0)
+    dense = A.to_dense()
+    assert np.linalg.matrix_rank(dense[:, [2, 11]]) == 1
+    x = np.zeros(A.n)
+    x[2] = x[10] = 1.0
+    res = bayesian_recover(A.matvec(x), A, BayesOpts(noise_variance=0.0))
+    assert tuple(np.flatnonzero(res.x_hat)) == (2, 10)
+    assert res.base.converged
+    assert np.max(np.abs(res.x_hat - x)) < 1e-9
 
 
 # (scheme, s, support, iterations, converged, Re) of the informed Bayesian
