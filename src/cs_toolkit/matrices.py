@@ -36,7 +36,6 @@ class MeasurementVector:
 
     values: np.ndarray
     noise_variance: float = 0.0
-    quantized: bool = False
 
     def __len__(self) -> int:
         return self.values.size
@@ -56,11 +55,11 @@ class SensingMatrix:
     scale 1. The generator's spectrum is computed once and cached, so the
     generator must not be mutated after construction.
 
-    `matvec`/`rmatvec` apply A and A^T to one vector; `matmat`/`rmatmat`
-    apply them to every row of an (R, n) or (R, m) block. Structured schemes
-    run one FFT formula along the last axis for both, so block rows are
-    bit-identical to single applies. Dense schemes apply a block as one
-    matrix product and a single vector as a matrix-vector product.
+    `matvec`/`rmatvec` apply A and A^T to one vector, or to every row of an
+    (R, n) or (R, m) block. Structured schemes run one FFT formula along the
+    last axis, so block rows are bit-identical to single applies. Dense
+    schemes apply either as one product with the rows on the left, which may
+    differ from single applies in the last bit for a block.
     """
 
     scheme: str
@@ -107,45 +106,18 @@ class SensingMatrix:
         return (self.diag_offset - self.rows) % self.generator.size
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Fast apply y = A x."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected length-{self.n} vector, got {x.shape}")
+        """Fast apply y = A x, row by row for an (R, n) block."""
+        x = _vector_or_rows(x, self.n)
         if self.scheme in ("gaussian", "bernoulli"):
-            return self.generator @ x
+            return x @ self.generator.T
         return self._fft_apply(x)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        """Fast transpose apply u = A^T v."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.m,):
-            raise ValueError(f"expected length-{self.m} vector, got {v.shape}")
+        """Fast transpose apply u = A^T v, row by row for an (R, m) block."""
+        v = _vector_or_rows(v, self.m)
         if self.scheme in ("gaussian", "bernoulli"):
-            return self.generator.T @ v
+            return v @ self.generator
         return self._fft_rapply(v)
-
-    def matmat(self, X: np.ndarray) -> np.ndarray:
-        """Block apply: row r of the (R, m) result is A X[r] for an (R, n) block X.
-
-        Structured rows are bit-identical to `matvec` of each row; dense
-        blocks are one matrix product, which may differ from `matvec` in the
-        last bit.
-        """
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n:
-            raise ValueError(f"expected an (R, {self.n}) block, got {X.shape}")
-        if self.scheme in ("gaussian", "bernoulli"):
-            return X @ self.generator.T
-        return self._fft_apply(X)
-
-    def rmatmat(self, V: np.ndarray) -> np.ndarray:
-        """Block transpose apply: row r of the (R, n) result is A^T V[r]."""
-        V = np.asarray(V, dtype=float)
-        if V.ndim != 2 or V.shape[1] != self.m:
-            raise ValueError(f"expected an (R, {self.m}) block, got {V.shape}")
-        if self.scheme in ("gaussian", "bernoulli"):
-            return V @ self.generator
-        return self._fft_rapply(V)
 
     def _fft_apply(self, x: np.ndarray) -> np.ndarray:
         # row r of the circulant holds c cyclically shifted:
@@ -167,12 +139,15 @@ class SensingMatrix:
         return self.scale * full[..., : self.n]
 
     def columns(self, idx) -> np.ndarray:
-        """Columns idx of A as an (m, len(idx)) block; O(m) per structured column."""
+        """Columns idx of A as a C-ordered (m, len(idx)) block.
+
+        O(m) per structured column.
+        """
         idx = np.asarray(idx, dtype=np.intp)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise ValueError(f"column index outside [0, {self.n})")
         if self.scheme in ("gaussian", "bernoulli"):
-            return self.generator[:, idx]
+            return self.generator.take(idx, axis=1)
         # base + idx stays below twice the generator length, which is at
         # least n, so one wrap puts it in range
         pos = self._column_base[:, None] + idx
@@ -182,10 +157,6 @@ class SensingMatrix:
         """The full matrix, C-ordered. No solver builds it; only the Gram
         diagnostics `mutual_coherence` and `compressive_detect` do.
         """
-        if self.scheme in ("gaussian", "bernoulli"):
-            # generator[:, idx] comes back F-ordered, which moves the last
-            # bit of products with the copy
-            return self.generator.copy()
         return self.columns(np.arange(self.n))
 
     def column_norms(self) -> np.ndarray:
@@ -208,6 +179,15 @@ class SensingMatrix:
                           period)[: self.n]
         sq[sq <= period * np.finfo(float).eps * self.m * gen_sq.max()] = 0.0
         return abs(self.scale) * np.sqrt(sq)
+
+
+def _vector_or_rows(x, length: int) -> np.ndarray:
+    """x as floats, checked to be a length-`length` vector or an (R, length) block."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != length:
+        raise ValueError(f"expected a length-{length} vector or an (R, {length}) "
+                         f"block, got {x.shape}")
+    return x
 
 
 def _next_5_smooth(size: int) -> int:

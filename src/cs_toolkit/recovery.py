@@ -5,8 +5,8 @@ pursuit on an incremental Cholesky factor, CoSaMP refitting through a
 Cholesky factor of the merged columns' Gram matrix, relevance-vector
 Bayesian recovery, and one-bit recovery via binary iterative hard
 thresholding, plus the sign quantizer. All five solvers reach A only
-through `SensingMatrix` (`matvec`, `rmatvec`, the block applies `matmat`
-and `rmatmat`, `columns`, `column_norms`) and never build the dense matrix.
+through `SensingMatrix` (`matvec` and `rmatvec`, on a vector or a row
+block, `columns`, `column_norms`) and never build the dense matrix.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class SolverOpts:
 
     tol: float | None = None
     max_iter: int | None = None
-    step: float | None = None
     # only BIHT draws from it (sign dithers and refinement starts); basis
     # pursuit's step needs no random start
     seed: int = 0
@@ -141,8 +140,7 @@ def basis_pursuit(
     with a slack of 1e-12 ||y - Av||^2 for rounding (a step whose
     L ||x+ - v||^2 is within the slack is taken untested). Otherwise L
     doubles and the step is redone from the same gradient, for one more
-    matvec; a redone step is not an iteration. A user-set opts.step fixes
-    the step at that value, with no backtracking.
+    matvec; a redone step is not an iteration.
 
     Stops when an accepted step changes the objective by at most opts.tol
     (default 1e-8) of its value, or after opts.max_iter steps (default
@@ -150,8 +148,7 @@ def basis_pursuit(
     steps and is nonincreasing. `converged` means the relative-change rule
     fired. A plain step that raises the objective ends the loop with the
     previous iterate, converged only if the rise is within opts.tol of the
-    objective: the backtracking step's bound allows a rise only by
-    rounding, while a user-set opts.step can overshoot.
+    objective: the backtracking step's bound allows a rise only by rounding.
     """
     if z < 0:
         raise ValueError("z must be >= 0")
@@ -161,13 +158,11 @@ def basis_pursuit(
     t0 = time.perf_counter()
     # minimizing ||y-Ax||^2 + z|x|_1 is the half-scaled problem
     # 0.5||y-Ax||^2 + (z/2)|x|_1 for gradient purposes
-    adaptive = opts.step is None
     grad = A.rmatvec(yv)
-    if adaptive:
-        # ||A^T y||^2 / ||y||^2 <= ||A||_2^2; a zero A^T y (y = 0 included)
-        # leaves x = 0 optimal, and any L serves
-        g2 = float(grad @ grad)
-        lips = g2 / float(yv @ yv) if g2 > 0.0 else 1.0
+    # ||A^T y||^2 / ||y||^2 <= ||A||_2^2; a zero A^T y (y = 0 included)
+    # leaves x = 0 optimal, and any L serves
+    g2 = float(grad @ grad)
+    lips = g2 / float(yv @ yv) if g2 > 0.0 else 1.0
     x = np.zeros(A.n)
     resid = yv.copy()
     obj = float(resid @ resid)
@@ -186,15 +181,12 @@ def basis_pursuit(
         # already formed for the starting L
         if it > 1:
             grad = A.rmatvec(resid_v)
-        if adaptive:
-            lips *= _BP_SHRINK
-            slack = 1e-12 * float(resid_v @ resid_v)
+        lips *= _BP_SHRINK
+        slack = 1e-12 * float(resid_v @ resid_v)
         while True:
-            step = 1.0 / lips if adaptive else opts.step
+            step = 1.0 / lips
             x_new = _soft(v + step * grad, step * z / 2.0)
             resid_new = yv - A.matvec(x_new)
-            if not adaptive:
-                break
             d = x_new - v
             dr = resid_v - resid_new
             # a step whose curvature term is within the slack cannot be
@@ -208,8 +200,7 @@ def basis_pursuit(
             if beta == 0.0:
                 # a plain step that raises the objective: keep the previous
                 # iterate. The backtracking bound allows a rise only by
-                # rounding, which the stop rule's tolerance covers; a
-                # user-set step can overshoot by more
+                # rounding, which the stop rule's tolerance covers
                 converged = obj_new - obj <= tol * obj
                 break
             x_prev, resid_prev, t = x, resid, 1.0
@@ -380,9 +371,7 @@ def cosamp(
         proxy = np.abs(A.rmatvec(resid))
         candidates = np.argpartition(proxy, -min(2 * k, A.n))[-min(2 * k, A.n):]
         merged = np.union1d(candidates, np.flatnonzero(x))
-        # matmul rounds differently on an F-ordered block (a dense scheme's
-        # `columns`), so the Gram matrix is formed from a C-ordered copy
-        sub = np.ascontiguousarray(A.columns(merged))
+        sub = A.columns(merged)
         coef = _cholesky_fit(sub, yv)
         if coef is None:
             coef, _, rank, _ = np.linalg.lstsq(sub, yv, rcond=None)
@@ -882,7 +871,7 @@ def _biht_block(A: SensingMatrix, s: np.ndarray, k: int, starts: np.ndarray,
     live, x = np.arange(rows), starts
     for step in range(iters + 1):
         # the sign quantizer of `one_bit_quantize`: a zero product reads +1
-        q = np.where(A.matmat(x) >= 0.0, 1.0, -1.0)
+        q = np.where(A.matvec(x) >= 0.0, 1.0, -1.0)
         bad = np.count_nonzero(q != s, axis=1)
         history[live, step] = bad
         better = bad < best_bad[live]
@@ -894,7 +883,7 @@ def _biht_block(A: SensingMatrix, s: np.ndarray, k: int, starts: np.ndarray,
             break
         if not go.all():
             live, x, q = live[go], x[go], q[go]
-        x = _hard_threshold(x + gain * A.rmatmat(s - q), k)
+        x = _hard_threshold(x + gain * A.rmatvec(s - q), k)
     return best, best_bad, history[history >= 0]
 
 
@@ -948,11 +937,10 @@ def biht_recover(
     if not 1 <= k <= A.n:
         raise ValueError("need 1 <= k <= n")
     max_iter = 300 if opts.max_iter is None else opts.max_iter
-    step = (1.0 / A.m) if opts.step is None else opts.step
     col_scale = float(np.mean(A.column_norms()))
     if col_scale <= 0.0:
         raise IllConditionedError("sensing matrix has vanishing columns")
-    base = step * math.sqrt(A.m) / col_scale
+    base = (1.0 / A.m) * math.sqrt(A.m) / col_scale
     t0 = time.perf_counter()
 
     def unit_topk(v: np.ndarray) -> np.ndarray | None:
@@ -987,7 +975,7 @@ def biht_recover(
     dithered = np.tile(s, (BIHT_RESTARTS, 1))
     for row in dithered[1:]:
         row[rng.random(A.m) < BIHT_DITHER_FLIP] *= -1.0
-    starts = [unit_topk(u) for u in A.rmatmat(dithered)]
+    starts = [unit_topk(u) for u in A.rmatvec(dithered)]
     if starts[0] is None:
         raise IllConditionedError("degenerate initialization: A^T s vanished")
 

@@ -654,3 +654,14 @@ def test_harness_exposes_traced_layer_names(monkeypatch):
     A = build_matrix("circulant", 16, 40, seed=2)
     omp(compress(A, gen_sparse_signal(40, 2, seed=3)), A, 2)
     assert len(calls) == 1
+    # BIHT's block applies go through the same class attributes, so the
+    # tracer sees them: each of its three descent phases steps with rmatvec
+    applies = {"matvec": [], "rmatvec": []}
+    for name, seen in applies.items():
+        monkeypatch.setattr(SensingMatrix, name,
+                            lambda self, x, seen=seen, apply=SensingMatrix.__dict__[name]:
+                            seen.append(1) or apply(self, x))
+    recovery_trial("biht", "circulant", 128, 4, 60, 20.0, (1, 2, 3), z_factor=0.1,
+                   inform_noise=False, measure_time=False)
+    assert len(applies["rmatvec"]) >= 3
+    assert len(applies["matvec"]) >= len(applies["rmatvec"])

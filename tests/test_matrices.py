@@ -112,13 +112,13 @@ def test_structured_block_rows_equal_single_applies(scheme, m, n, random_rows):
     rng = np.random.default_rng(n)
     X = rng.standard_normal((7, n))
     V = rng.standard_normal((7, m))
-    Y, U = A.matmat(X), A.rmatmat(V)
+    Y, U = A.matvec(X), A.rmatvec(V)
     assert Y.shape == (7, m) and U.shape == (7, n)
     for r in range(7):
         assert np.array_equal(Y[r], A.matvec(X[r]))
         assert np.array_equal(U[r], A.rmatvec(V[r]))
-    assert np.array_equal(A.matmat(X[:1])[0], A.matvec(X[0]))
-    assert np.array_equal(A.rmatmat(V[:1])[0], A.rmatvec(V[0]))
+    assert np.array_equal(A.matvec(X[:1])[0], A.matvec(X[0]))
+    assert np.array_equal(A.rmatvec(V[:1])[0], A.rmatvec(V[0]))
 
 
 @pytest.mark.parametrize("scheme", ["gaussian", "bernoulli"])
@@ -127,21 +127,26 @@ def test_dense_block_apply_matches_single_applies(scheme):
     rng = np.random.default_rng(4)
     X = rng.standard_normal((5, 90))
     V = rng.standard_normal((5, 40))
-    assert np.allclose(A.matmat(X), np.array([A.matvec(x) for x in X]), atol=1e-12)
-    assert np.allclose(A.rmatmat(V), np.array([A.rmatvec(v) for v in V]), atol=1e-12)
+    assert np.allclose(A.matvec(X), np.array([A.matvec(x) for x in X]), atol=1e-12)
+    assert np.allclose(A.rmatvec(V), np.array([A.rmatvec(v) for v in V]), atol=1e-12)
+    # a single vector is the matrix-vector product itself, bit for bit
+    assert np.array_equal(A.matvec(X[0]), A.generator @ X[0])
+    assert np.array_equal(A.rmatvec(V[0]), A.generator.T @ V[0])
 
 
 @pytest.mark.parametrize("scheme", ["gaussian", "circulant", "toeplitz"])
 def test_block_apply_shapes(scheme):
     A = build_matrix(scheme, 6, 16, seed=5)
-    assert A.matmat(np.zeros((0, 16))).shape == (0, 6)
-    assert A.rmatmat(np.zeros((0, 6))).shape == (0, 16)
-    for bad in (np.zeros(16), np.zeros((2, 15)), np.zeros((1, 2, 16))):
+    assert A.matvec(np.zeros((0, 16))).shape == (0, 6)
+    assert A.rmatvec(np.zeros((0, 6))).shape == (0, 16)
+    assert A.matvec(np.zeros(16)).shape == (6,)
+    assert A.rmatvec(np.zeros(6)).shape == (16,)
+    for bad in (np.zeros(15), np.zeros((2, 15)), np.zeros((1, 2, 16))):
         with pytest.raises(ValueError):
-            A.matmat(bad)
-    for bad in (np.zeros(6), np.zeros((2, 16)), np.zeros((1, 2, 6))):
+            A.matvec(bad)
+    for bad in (np.zeros(16), np.zeros((2, 16)), np.zeros((1, 2, 6))):
         with pytest.raises(ValueError):
-            A.rmatmat(bad)
+            A.rmatvec(bad)
 
 
 @pytest.mark.parametrize("scheme,m,n,seed,opts", STRUCTURED_CASES + [
@@ -150,11 +155,14 @@ def test_columns_match_dense_columns(scheme, m, n, seed, opts):
     A = build_matrix(scheme, m, n, seed=seed, options=opts)
     dense = A.to_dense()
     assert dense.flags["C_CONTIGUOUS"]
+    if scheme in ("gaussian", "bernoulli"):
+        assert np.array_equal(dense, A.generator)
     rng = np.random.default_rng(300 + seed)
     for idx in (np.array([], dtype=int), [n - 1, 0, n - 1],
                 rng.permutation(n)[: n // 2], np.arange(n)):
         block = A.columns(idx)
         assert block.shape == (m, len(idx))
+        assert block.flags["C_CONTIGUOUS"]
         assert np.array_equal(block, dense[:, idx])
     # the modular entry formula would wrap these silently
     for idx in ([-1], [n], [0, n + 3]):
