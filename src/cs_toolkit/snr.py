@@ -70,23 +70,35 @@ def mdl_order(eigenvalues: np.ndarray, L: int, N: int) -> int:
     return int(np.argmin(val))
 
 
-def _mp_support_and_cdf(grid: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Marchenko-Pastur CDFs for ratio q, one 256-point row per variance in grid."""
+def _mp_support(grid: np.ndarray, q: float) -> np.ndarray:
+    """256-point Marchenko-Pastur supports for ratio q, one row per variance in grid.
+
+    Row k spans [pi_k (1 - sqrt(q))^2, pi_k (1 + sqrt(q))^2] in equal steps.
+    """
     pi_k = grid[:, None]
     lo = pi_k * (1.0 - math.sqrt(q)) ** 2
     hi = pi_k * (1.0 + math.sqrt(q)) ** 2
-    # np.linspace on each row alone, bit for bit; on all rows at once it is
-    # not, as one zero-width row switches every row to another formula
+    # np.linspace on each row alone, bit for bit, unless a subnormal variance
+    # underflows the step to zero; on all rows at once it is not, as one
+    # zero-width row switches every row to another formula
     v = np.arange(MP_GRID_POINTS) * ((hi - lo) / (MP_GRID_POINTS - 1)) + lo
     v[:, -1:] = hi
-    inner = np.clip((v - lo) * (hi - v), 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dens = np.sqrt(inner) / (2.0 * math.pi * pi_k * q * np.maximum(v, 1e-300))
-    # cumulative trapezoid rule from 0 at the left edge of each row
-    steps = np.diff(v, axis=1) * (dens[:, 1:] + dens[:, :-1]) / 2.0
+    return v
+
+
+def _mp_unit_cdf(q: float) -> np.ndarray:
+    """Unit-variance Marchenko-Pastur CDF for ratio q in (0, 1) on its 256-point support.
+
+    The cumulative trapezoid rule over the density, from 0 at the left edge.
+    The law is a scale family, so this one row is also the CDF of variance
+    pi at the support scaled by pi, apart from rounding.
+    """
+    v = _mp_support(np.ones(1), q)[0]
+    lo, hi = v[0], v[-1]
+    dens = np.sqrt(np.clip((v - lo) * (hi - v), 0.0, None)) / (2.0 * math.pi * q * v)
     cdf = np.zeros_like(dens)
-    cdf[:, 1:] = np.cumsum(steps, axis=1)
-    return v, cdf
+    cdf[1:] = np.cumsum(np.diff(v) * (dens[1:] + dens[:-1]) / 2.0)
+    return cdf
 
 
 def mp_fit(
@@ -99,18 +111,30 @@ def mp_fit(
     with c = L/N. The endpoints are swapped when the bracket is inverted,
     which is routine: on a noise-only channel the extreme eigenvalues fall
     inside the Marchenko-Pastur edges, so the lower end lands above the
-    upper one. For each candidate the empirical CDF of the noise eigenvalues
-    is compared against the MP CDF on a 256-point support discretization;
-    returns the l2-distance argmin and its distance.
+    upper one. For each candidate the empirical CDF of the noise eigenvalues,
+    taken at 256 points spanning the candidate's MP support, is compared
+    against the MP CDF at those points. The law with ratio
+    q = (1 - M_hat/L) c is a scale family (Marchenko & Pastur 1967): scaling
+    the variance by pi scales the support by pi and the density by 1/pi, so
+    one unit-variance CDF per call serves every candidate. Returns the
+    l2-distance argmin, the first of any ties, and its distance. A zero
+    candidate variance has no law and gets distance inf; when every
+    candidate is zero (all-zero eigenvalues) the result is (0.0, inf).
+    Raises ValueError on non-finite or negative eigenvalues and unless
+    0 <= M_hat < L.
     """
     eigs = np.asarray(noise_eigs, dtype=float)
     if eigs.size < 1:
         raise ValueError("noise_eigs must be nonempty")
+    if not np.all(np.isfinite(eigs)) or np.any(eigs < 0):
+        raise ValueError("noise_eigs must be finite and nonnegative")
     if K < 2:
         raise ValueError("K must be >= 2")
     c = L / N
     if not 0.0 < c < 1.0:
         raise ValueError("need c = L/N in (0, 1)")
+    if not 0 <= M_hat < L:
+        raise ValueError(f"need 0 <= M_hat < L, got M_hat={M_hat}, L={L}")
     sq = math.sqrt(c)
     sigma_lo = float(eigs[-1]) / (1.0 - sq) ** 2
     sigma_hi = float(eigs[0]) / (1.0 + sq) ** 2
@@ -118,11 +142,12 @@ def mp_fit(
         sigma_lo, sigma_hi = sigma_hi, sigma_lo
     q = (1.0 - M_hat / L) * c
     grid = np.linspace(sigma_lo, sigma_hi, K)
-    v, mp_cdf = _mp_support_and_cdf(grid, q)
-    emp_cdf = np.searchsorted(np.sort(eigs), v, side="right") / eigs.size
-    # np.linalg.norm per row, bit for bit; a sum over axis 1 rounds differently
-    dist = np.sqrt([np.dot(row, row) for row in emp_cdf - mp_cdf])
-    dist[np.isnan(dist)] = math.inf  # never chosen; all-NaN gives (grid[0], inf)
+    v = _mp_support(grid, q)
+    d = np.searchsorted(np.sort(eigs), v, side="right") / eigs.size - _mp_unit_cdf(q)
+    # the stacked product rounds as np.linalg.norm does on each row; a sum
+    # over axis 1 rounds differently
+    dist = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    dist[grid == 0.0] = math.inf
     best = int(np.argmin(dist))
     return float(grid[best]), float(dist[best])
 

@@ -11,7 +11,8 @@ from scipy.integrate import cumulative_trapezoid
 
 from cs_toolkit.snr import (
     SnrEstimate,
-    _mp_support_and_cdf,
+    _mp_support,
+    _mp_unit_cdf,
     estimate_snr,
     mdl_order,
     mp_fit,
@@ -87,34 +88,65 @@ def test_mp_fit_inverted_bracket_recovers():
     assert 0.5 < fitted < 2.2
 
 
-def mp_fit_oracle(noise_eigs, L, N, M_hat, K):
-    """The noise fit as one candidate at a time: a 256-point support and CDF
-    per candidate, its distance by np.linalg.norm, strict improvement only."""
-    eigs = np.asarray(noise_eigs, dtype=float)
+def noise_bracket_grid(eigs, L, N, K):
     c = L / N
-    sq = math.sqrt(c)
-    sigma_lo = float(eigs[-1]) / (1.0 - sq) ** 2
-    sigma_hi = float(eigs[0]) / (1.0 + sq) ** 2
+    sigma_lo = float(eigs[-1]) / (1.0 - math.sqrt(c)) ** 2
+    sigma_hi = float(eigs[0]) / (1.0 + math.sqrt(c)) ** 2
     if sigma_lo > sigma_hi:
         sigma_lo, sigma_hi = sigma_hi, sigma_lo
-    q = (1.0 - M_hat / L) * c
+    return np.linspace(sigma_lo, sigma_hi, K)
+
+
+def mp_density(v, pi_k, q):
+    lo = pi_k * (1.0 - math.sqrt(q)) ** 2
+    hi = pi_k * (1.0 + math.sqrt(q)) ** 2
+    inner = np.clip((v - lo) * (hi - v), 0.0, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.sqrt(inner) / (2.0 * math.pi * pi_k * q * np.maximum(v, 1e-300))
+
+
+def mp_fit_oracle(noise_eigs, L, N, M_hat, K):
+    """The noise fit as one candidate at a time: each candidate's empirical
+    CDF on its own 256-point support against the one unit-variance MP CDF,
+    its distance by np.linalg.norm, a zero candidate at distance inf, strict
+    improvement only."""
+    eigs = np.asarray(noise_eigs, dtype=float)
+    q = (1.0 - M_hat / L) * (L / N)
+    unit_v = np.linspace((1.0 - math.sqrt(q)) ** 2, (1.0 + math.sqrt(q)) ** 2, 256)
+    mp_cdf = cumulative_trapezoid(mp_density(unit_v, 1.0, q), unit_v, initial=0)
     sorted_eigs = np.sort(eigs)
     best_pi, best_d = None, math.inf
-    grid = np.linspace(sigma_lo, sigma_hi, K)
+    grid = noise_bracket_grid(eigs, L, N, K)
     for pi_k in grid:
         pi_k = float(pi_k)
-        lo = pi_k * (1.0 - math.sqrt(q)) ** 2
-        hi = pi_k * (1.0 + math.sqrt(q)) ** 2
-        v = np.linspace(lo, hi, 256)
-        inner = np.clip((v - lo) * (hi - v), 0.0, None)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dens = np.sqrt(inner) / (2.0 * math.pi * pi_k * q * np.maximum(v, 1e-300))
-        mp_cdf = np.concatenate([[0.0], cumulative_trapezoid(dens, v)])
+        v = np.linspace(pi_k * (1.0 - math.sqrt(q)) ** 2,
+                        pi_k * (1.0 + math.sqrt(q)) ** 2, 256)
         emp_cdf = np.searchsorted(sorted_eigs, v, side="right") / eigs.size
-        d = float(np.linalg.norm(emp_cdf - mp_cdf))
+        d = math.inf if pi_k == 0.0 else float(np.linalg.norm(emp_cdf - mp_cdf))
         if d < best_d:
             best_pi, best_d = pi_k, d
     return (float(grid[0]) if best_pi is None else best_pi), best_d
+
+
+def per_candidate_distances(noise_eigs, L, N, M_hat, K):
+    """The fit's candidate grid and each candidate's distance against an MP
+    CDF built afresh on its own support (the density is 0/0 at a zero
+    candidate, whose distance is then inf)."""
+    eigs = np.asarray(noise_eigs, dtype=float)
+    q = (1.0 - M_hat / L) * (L / N)
+    sorted_eigs = np.sort(eigs)
+    grid = noise_bracket_grid(eigs, L, N, K)
+    dists = []
+    for pi_k in grid:
+        pi_k = float(pi_k)
+        v = np.linspace(pi_k * (1.0 - math.sqrt(q)) ** 2,
+                        pi_k * (1.0 + math.sqrt(q)) ** 2, 256)
+        mp_cdf = cumulative_trapezoid(mp_density(v, pi_k, q), v, initial=0)
+        emp_cdf = np.searchsorted(sorted_eigs, v, side="right") / eigs.size
+        dists.append(float(np.linalg.norm(emp_cdf - mp_cdf)))
+    dists = np.array(dists)
+    dists[np.isnan(dists)] = math.inf
+    return grid, dists
 
 
 @st.composite
@@ -129,8 +161,8 @@ def descending_spectra(draw):
 @settings(max_examples=60, deadline=None)
 @given(lam=descending_spectra(), n_extra=st.integers(1, 5000), K=st.integers(2, 80))
 @example(lam=np.ones(6), n_extra=94, K=10)  # flat spectrum: inverted bracket
-@example(lam=np.array([4.0, 2.0, 1.0, 0.0, 0.0]), n_extra=200, K=30)  # a NaN row
-@example(lam=np.zeros(4), n_extra=50, K=5)  # every distance NaN
+@example(lam=np.array([4.0, 2.0, 1.0, 0.0, 0.0]), n_extra=200, K=30)  # a zero candidate
+@example(lam=np.zeros(4), n_extra=50, K=5)  # every candidate zero
 def test_noise_fit_and_split_equal_loop_oracles(lam, n_extra, K):
     L = lam.size
     N = L + n_extra
@@ -140,26 +172,49 @@ def test_noise_fit_and_split_equal_loop_oracles(lam, n_extra, K):
             lam[m_hat:], L, N, m_hat, K)
 
 
+@settings(max_examples=60, deadline=None)
+@given(lam=descending_spectra(), n_extra=st.integers(1, 5000), K=st.integers(2, 80))
+@example(lam=np.array([4.0, 2.0, 1.0, 0.0, 0.0]), n_extra=200, K=30)  # a zero candidate
+@example(lam=np.zeros(4), n_extra=50, K=5)  # every candidate zero
+def test_noise_fit_stays_at_the_per_candidate_minimum(lam, n_extra, K):
+    # the unit CDF and a candidate's own CDF differ only by rounding, so the
+    # chosen candidate is a minimum of the per-candidate distances to 1e-12
+    L = lam.size
+    N = L + n_extra
+    for m_hat in range(L):
+        fitted, goodness = mp_fit(lam[m_hat:], L, N, m_hat, K)
+        grid, dists = per_candidate_distances(lam[m_hat:], L, N, m_hat, K)
+        chosen = dists[int(np.flatnonzero(grid == fitted)[0])]
+        assert math.isclose(chosen, float(np.min(dists)), rel_tol=1e-12)
+        assert math.isclose(goodness, chosen, rel_tol=1e-12)
+
+
 @settings(max_examples=100, deadline=None)
-@given(grid=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=80),
+@given(grid=st.lists(st.floats(0.0, 1e6, allow_subnormal=False), min_size=1,
+                     max_size=80),
        q=st.floats(1e-6, 0.999))
-@example(grid=[0.0, 1.0], q=0.5)  # a zero candidate gives a NaN row
-def test_mp_cdf_equals_cumulative_trapezoid(grid, q):
-    grid = np.asarray(grid)
-    v, cdf = _mp_support_and_cdf(grid, q)
-    pi_k = grid[:, None]
-    lo = pi_k * (1.0 - math.sqrt(q)) ** 2
-    hi = pi_k * (1.0 + math.sqrt(q)) ** 2
-    inner = np.clip((v - lo) * (hi - v), 0.0, None)
-    with np.errstate(all="ignore"):
-        dens = np.sqrt(inner) / (2.0 * math.pi * pi_k * q * np.maximum(v, 1e-300))
-        expected = cumulative_trapezoid(dens, v, axis=1, initial=0)
-    assert np.array_equal(cdf, expected, equal_nan=True)
+@example(grid=[0.0, 1.0], q=0.5)  # a zero-width row
+def test_mp_support_rows_equal_linspace(grid, q):
+    # a subnormal variance is left out: its step underflows to zero, and
+    # np.linspace then takes another formula
+    v = _mp_support(np.asarray(grid), q)
+    for pi_k, row in zip(grid, v):
+        expected = np.linspace(pi_k * (1.0 - math.sqrt(q)) ** 2,
+                               pi_k * (1.0 + math.sqrt(q)) ** 2, 256)
+        assert np.array_equal(row, expected)
 
 
-def test_mp_fit_skips_nan_distances():
-    # a zero smallest eigenvalue puts a zero-variance candidate first, whose
-    # Marchenko-Pastur density is 0/0
+@settings(max_examples=100, deadline=None)
+@given(q=st.floats(1e-6, 0.999))
+def test_mp_cdf_equals_cumulative_trapezoid(q):
+    v = np.linspace((1.0 - math.sqrt(q)) ** 2, (1.0 + math.sqrt(q)) ** 2, 256)
+    expected = cumulative_trapezoid(mp_density(v, 1.0, q), v, initial=0)
+    assert np.array_equal(_mp_unit_cdf(q), expected)
+
+
+def test_mp_fit_skips_zero_variance_candidates():
+    # a zero smallest eigenvalue puts a zero-variance candidate first, which
+    # has no Marchenko-Pastur law
     fitted, goodness = mp_fit(np.array([4.0, 2.0, 1.0, 0.0]), 6, 200, M_hat=2, K=30)
     assert fitted > 0.0 and math.isfinite(goodness)
     assert mp_fit(np.zeros(4), 4, 100, M_hat=0, K=5) == (0.0, math.inf)
@@ -172,6 +227,13 @@ def test_mp_fit_validation():
         mp_fit(np.ones(5), 10, 100, 0, 1)
     with pytest.raises(ValueError):
         mp_fit(np.ones(5), 10, 5, 0, 10)  # c = L/N not in (0, 1)
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            mp_fit(np.array([2.0, 1.0, bad]), 10, 100, 7, 10)
+    # a model order outside [0, L): no noise eigenvalue left, or q > c
+    for m_hat in (10, 12, -1):
+        with pytest.raises(ValueError, match="M_hat"):
+            mp_fit(np.ones(3), 10, 100, m_hat, 10)
 
 
 def sinusoid_plus_noise(snr_db, n, seed):
@@ -211,19 +273,19 @@ def test_estimate_snr_deterministic():
     assert a.smoothing_L == 10 and a.grid_K == 50
 
 
-# float.hex of the estimates the one-candidate-at-a-time fit gave (numpy 2.4,
-# scipy 1.17, OpenBLAS); another LAPACK build may move the eigenvalues' last
-# bits and so these
+# float.hex of the estimates, each fit against one unit-variance MP CDF
+# (numpy 2.4, scipy 1.17, OpenBLAS); another LAPACK build may move the
+# eigenvalues' last bits and so these
 PINNED = [
     (lambda: sinusoid_plus_noise(5.0, 3072, seed=21), 10, 50,
      ("0x1.48efbb1e7927ep+2", "0x1.f833901808903p-1", "0x1.0cd71db8a27cbp+2",
-      "0x1.73eac3671f0f7p+0", 2, False)),
+      "0x1.73eac3671f0e2p+0", 2, False)),
     (lambda: sinusoid_plus_noise(-5.0, 1000, seed=22), 8, 30,
      ("-0x1.18838ed289b4bp+2", "0x1.02d51f2ca1d3fp+0", "0x1.612d45dfdc784p+0",
-      "0x1.8e77f45d9ea87p+0", 2, False)),
+      "0x1.8e77f45d9ea86p+0", 2, False)),
     (lambda: np.random.default_rng(23).standard_normal(3072), 10, 50,
-     ("-0x1.4000000000000p+5", "0x1.0b76685d59211p+0", "0x1.0052057a170b0p+0",
-      "0x1.00ba63581d6ebp+2", 0, True)),
+     ("-0x1.4000000000000p+5", "0x1.0b6d0e7d97fbap+0", "0x1.0052057a170b0p+0",
+      "0x1.00ba63581d6f0p+2", 0, True)),
 ]
 
 
