@@ -4,6 +4,18 @@ Decision directions differ by technique: energy, matched filter, and
 autocorrelation declare occupied when T >= lambda; the Euclidean-distance
 and wavelet detectors declare idle when their statistic reaches the
 threshold (distance from a reference shape, spectral edge height).
+
+The narrowband detectors (`energy_detect`, `matched_filter_detect`,
+`autocorr_detect`, `euclid_detect` and `detect`) take either a length-n
+vector or an (R, n) row block, as `SensingMatrix.matvec` does. A vector
+gets one `DetectionOutcome` of floats and a decision string. A block gets
+one statistic, threshold and decision per row, as length-R arrays, and its
+threshold may be a scalar or one value per row. Both shapes run the same
+statistic code, and row r of a block's outcome equals, bit for bit, the
+vector call on row r. Samples are computed on as float64, or complex128
+when complex. Input with more than two axes, an empty last axis or a
+non-finite sample is rejected with ValueError, as is a block in which one
+row fails a check the vector call makes.
 """
 
 from __future__ import annotations
@@ -44,13 +56,15 @@ TECHNIQUES = ("energy", "matched_filter", "autocorr", "euclid")
 
 @dataclass(frozen=True)
 class DetectionOutcome:
-    statistic_T: float
-    threshold_lambda: float
-    decision: str
+    """A detector's decision on a vector, or one per row (as arrays) on a block."""
+
+    statistic_T: float | np.ndarray
+    threshold_lambda: float | np.ndarray
+    decision: str | np.ndarray
     technique: str
 
     @property
-    def occupied(self) -> bool:
+    def occupied(self) -> bool | np.ndarray:
         return self.decision == OCCUPIED
 
 
@@ -71,13 +85,66 @@ class WaveletOpts:
     invert: bool = False  # flip the literal idle-on-large-edge rule
 
 
-def energy_detect(y, lam: float) -> DetectionOutcome:
-    """T = sum |y(n)|^2; occupied iff T >= lambda."""
+def _samples(y, block: bool = True) -> np.ndarray:
+    """y's samples as a length-n vector or, if `block`, an (R, n) row block.
+
+    n must be at least 1 and every sample finite. The samples come back as
+    float64, or complex128 when complex.
+    """
     v = _finite_vector(y)
-    if v.size < 1:
-        raise ValueError("need at least one sample")
-    t = float(np.real(np.vdot(v, v)))
-    return DetectionOutcome(t, float(lam), OCCUPIED if t >= lam else IDLE, "energy")
+    if v.ndim not in ((1, 2) if block else (1,)) or v.shape[-1] == 0:
+        shapes = "a length-n vector or an (R, n) row block" if block else "a vector"
+        raise ValueError(f"expected {shapes} with n >= 1, got shape {v.shape}")
+    return np.asarray(v, dtype=complex if v.dtype.kind == "c" else float)
+
+
+def _thresholds(lam, v: np.ndarray):
+    """lam as a float scalar, or for an (R, n) block as one value per row.
+
+    A Python float, the usual scalar, is returned as it is: the array round
+    trip would cost a single-vector call about as much as its last lag.
+    """
+    if isinstance(lam, float):
+        return lam
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim == 0:
+        return lam[()]
+    if v.ndim != 2 or lam.shape != v.shape[:1]:
+        raise ValueError(f"threshold shape {lam.shape} does not fit samples of "
+                         f"shape {v.shape}: give a scalar or one value per row")
+    return lam
+
+
+def _all(mask) -> bool:
+    """Whether a mask holds everywhere; a scalar mask skips the array reduction."""
+    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _outcome(t, lam, occupied, technique: str) -> DetectionOutcome:
+    """The outcome for statistic t (a scalar, or one per row) and its decision mask."""
+    if t.ndim == 0:
+        return DetectionOutcome(float(t), float(lam), OCCUPIED if occupied else IDLE,
+                                technique)
+    return DetectionOutcome(t, np.array(np.broadcast_to(lam, t.shape)),
+                            np.where(occupied, OCCUPIED, IDLE), technique)
+
+
+def _dot(v: np.ndarray):
+    """The row-wise product sum(conj(a) * b) for arrays shaped like v.
+
+    np.vecdot on a block's rows runs the same BLAS dot as np.vdot on one
+    vector, so every row's product is bit-identical to the vector's; a
+    vector takes np.vdot, which costs less to call.
+    """
+    return np.vdot if v.ndim == 1 else np.vecdot
+
+
+def energy_detect(y, lam) -> DetectionOutcome:
+    """T = sum |y(n)|^2; occupied iff T >= lambda."""
+    v = _samples(y)
+    lam = _thresholds(lam, v)
+    t = _dot(v)(v, v).real
+    return _outcome(t, lam, t >= lam, "energy")
 
 
 def energy_threshold(pfa_target: float, n: int, noise_variance: float) -> float:
@@ -135,53 +202,67 @@ def closed_form_roc(
 
 
 def _autocorr(v: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased sample autocorrelation R(0..max_lag), R(e) = (1/N) sum y[t] conj(y[t-e])."""
-    n = v.size
-    out = np.empty(max_lag + 1, dtype=complex)
+    """Biased sample autocorrelation R(0..max_lag), R(e) = (1/N) sum y[t] conj(y[t-e]).
+
+    Lags run along the first axis: a vector gives max_lag + 1 values, an
+    (R, N) block a (max_lag + 1, R) array, so r[e] is lag e of every row.
+    Each lag is one dot-product call over the whole block (see `_dot`), so
+    column r equals, bit for bit, the autocorrelation of row r on its own.
+    """
+    n = v.shape[-1]
+    dot = _dot(v)
+    out = np.empty((max_lag + 1,) + v.shape[:-1], dtype=v.dtype)
     for e in range(max_lag + 1):
-        out[e] = np.vdot(v[: n - e], v[e:]) / n
+        out[e] = dot(v[..., : n - e], v[..., e:])
+    out /= float(n)  # a float divisor skips numpy's Python-int promotion
     return out
 
 
-def autocorr_detect(y, margin_lambda: float) -> DetectionOutcome:
+def _power(r: np.ndarray):
+    """R(0) of the autocorrelation(s) r, rejecting zero-power input."""
+    r0 = r[0].real
+    if not _all(r0 != 0.0):
+        raise ValueError("zero-power input")
+    return r0
+
+
+def autocorr_detect(y, margin_lambda) -> DetectionOutcome:
     """Statistic |R(1)|/R(0); occupied iff it reaches the margin."""
-    v = _finite_vector(y)
-    if v.size < 2:
+    v = _samples(y)
+    if v.shape[-1] < 2:
         raise ValueError("need at least two samples")
-    if not 0.0 < margin_lambda <= 1.0:
+    lam = _thresholds(margin_lambda, v)
+    if not _all((0.0 < lam) & (lam <= 1.0)):
         raise ValueError("margin_lambda must be in (0, 1]")
     r = _autocorr(v, 1)
-    r0 = float(np.real(r[0]))
-    if r0 == 0.0:
-        raise ValueError("zero-power input")
-    t = float(np.abs(r[1]) / r0)
-    return DetectionOutcome(t, float(margin_lambda),
-                            OCCUPIED if t >= margin_lambda else IDLE, "autocorr")
+    t = np.abs(r[1]) / _power(r)
+    return _outcome(t, lam, t >= lam, "autocorr")
 
 
-def euclid_detect(y, lam: float, lag_count_M: int = 64) -> DetectionOutcome:
+def euclid_detect(y, lam, lag_count_M: int = 64) -> DetectionOutcome:
     """Distance between the normalized autocorrelation and a unit triangle.
 
     Reference over lags e in [-M/2, M/2] is the triangle 1 - (2/M)|e| with
     apex 1 at lag zero. D = sqrt(sum (R_yy - R_ref)^2); idle iff D >= lambda,
     otherwise occupied (a correlation shaped like the triangle marks a carrier).
     """
-    v = _finite_vector(y)
+    v = _samples(y)
     if lag_count_M < 2 or lag_count_M % 2 != 0:
         raise ValueError("lag_count_M must be even and >= 2")
-    if v.size <= lag_count_M:
+    if v.shape[-1] <= lag_count_M:
         raise ValueError("need more samples than lags")
+    lam = _thresholds(lam, v)
     half = lag_count_M // 2
     r = _autocorr(v, half)
-    r0 = float(np.real(r[0]))
-    if r0 == 0.0:
-        raise ValueError("zero-power input")
-    rn = np.real(r) / r0
+    # one row of lags per input row, in C order so that the sum below adds
+    # each row's terms in the order it adds a vector's
+    rn = np.ascontiguousarray((r.real / _power(r)).T)
     lags = np.arange(-half, half + 1)
     ref = 1.0 - (2.0 / lag_count_M) * np.abs(lags)
-    ryy = np.concatenate([rn[1:][::-1], rn])  # R(-e) mirrors R(e) for real input
-    d = float(np.sqrt(np.sum((ryy - ref) ** 2)))
-    return DetectionOutcome(d, float(lam), IDLE if d >= lam else OCCUPIED, "euclid")
+    # R(-e) mirrors R(e) for real input
+    ryy = np.concatenate([rn[..., :0:-1], rn], axis=-1)
+    d = np.sqrt(np.sum((ryy - ref) ** 2, axis=-1))
+    return _outcome(d, lam, ~(d >= lam), "euclid")
 
 
 def _ricker(scale: float) -> np.ndarray:
@@ -198,7 +279,7 @@ def wavelet_detect(y, lam: float, opts: WaveletOpts = WaveletOpts()) -> Detectio
     idle when m >= lambda; set opts.invert for the occupied-on-strong-edge
     reading.
     """
-    v = _finite_vector(y)
+    v = _samples(y, block=False)
     if v.size < 16:
         raise ValueError("need at least 16 samples")
     psd = np.abs(np.fft.rfft(v)) ** 2 / v.size
@@ -212,14 +293,14 @@ def wavelet_detect(y, lam: float, opts: WaveletOpts = WaveletOpts()) -> Detectio
     return DetectionOutcome(t, float(lam), OCCUPIED if occupied else IDLE, "wavelet")
 
 
-def matched_filter_detect(y, pilot: PilotSignal, lam: float) -> DetectionOutcome:
+def matched_filter_detect(y, pilot: PilotSignal, lam) -> DetectionOutcome:
     """T = Re(sum y(n) conj(x_p(n))); occupied iff T >= lambda."""
-    v = _finite_vector(y)
-    if v.size != pilot.samples.size:
+    v = _samples(y)
+    if v.shape[-1] != pilot.samples.size:
         raise ValueError("signal and pilot lengths differ")
-    t = float(np.real(np.sum(v * np.conj(pilot.samples))))
-    return DetectionOutcome(t, float(lam),
-                            OCCUPIED if t >= lam else IDLE, "matched_filter")
+    lam = _thresholds(lam, v)
+    t = np.sum(v * np.conj(pilot.samples), axis=-1).real
+    return _outcome(t, lam, t >= lam, "matched_filter")
 
 
 def quiet_time_threshold(
@@ -254,7 +335,7 @@ def compressive_detect(
     y_compressed, Omega: SensingMatrix, template_S: np.ndarray, lam: float
 ) -> DetectionOutcome:
     """T = y^T (Omega Omega^T)^-1 Omega S; occupied iff T >= lambda."""
-    yv = _finite_vector(y_compressed)
+    yv = _samples(y_compressed, block=False)
     s = np.asarray(template_S, dtype=float)
     if yv.size != Omega.m:
         raise ValueError("compressed length does not match Omega.m")
@@ -270,11 +351,13 @@ def compressive_detect(
                             OCCUPIED if t >= lam else IDLE, "compressive")
 
 
-def detect(technique: str, samples, lam: float, *,
+def detect(technique: str, samples, lam, *,
            pilot: PilotSignal | None = None, lags: int = 64) -> DetectionOutcome:
     """Run the narrowband detector named `technique` (one of TECHNIQUES).
 
-    The matched filter needs `pilot`; euclid uses `lags` as its lag count M.
+    `samples` is a vector or an (R, n) row block, and `lam` a scalar or, for
+    a block, one threshold per row. The matched filter needs `pilot`;
+    euclid uses `lags` as its lag count M.
     """
     if technique == "energy":
         return energy_detect(samples, lam)

@@ -58,6 +58,9 @@ SOLVERS = ("bp", "omp", "cosamp", "bayesian", "biht")
 SCAN_TECHNIQUES = ("energy", "autocorr", "euclid")
 # the survey's pipelines: detectors on the M compressed or the N raw samples
 PATHS = ("compressive", "conventional")
+# the most trials a detection sweep stacks into one detector call; a cap
+# rather than a config field, so memory stays flat as trials_Nt grows
+DETECT_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,14 @@ class ExperimentConfig:
                     raise ValueError(
                         f"threshold factor {factor} puts the autocorr margin "
                         f"{factor * self.autocorr_margin} outside (0, 1]")
-            # euclid needs more samples than lags; fail before the sweep runs
+            # every detector needs a sample, autocorr two and euclid more
+            # samples than lags; fail before the sweep runs
+            if self.samples_N < 1:
+                raise ValueError("detection needs at least 1 sample, got "
+                                 f"samples_N {self.samples_N}")
+            if "autocorr" in self.technique_list and self.samples_N < 2:
+                raise ValueError("autocorr needs at least 2 samples, got "
+                                 f"samples_N {self.samples_N}")
             if "euclid" in self.technique_list and self.samples_N <= self.euclid_lags_M:
                 raise ValueError(f"euclid needs samples_N {self.samples_N} above "
                                  f"euclid_lags_M {self.euclid_lags_M}")
@@ -306,7 +316,11 @@ def _threshold(cfg: ExperimentConfig, technique: str, factor: float,
 
 def _detection_trial(cfg: ExperimentConfig, technique: str, snr_db: float,
                      factor: float, pilot: PilotSignal, pilot_re_norm: float,
-                     point_key: tuple, trial: int) -> tuple[int, int]:
+                     point_key: tuple, trial: int) -> tuple:
+    """One trial's draws: (threshold, H1 samples, H0 samples or None).
+
+    Under single_loop no H0 samples are drawn.
+    """
     rng = np.random.default_rng(list(point_key) + [trial])
     n = cfg.samples_N
     dw2 = cfg.noise_variance
@@ -314,19 +328,32 @@ def _detection_trial(cfg: ExperimentConfig, technique: str, snr_db: float,
     window = cfg.euclid_lags_M // 2 + 1
     gain = math.sqrt(dw2 * 10.0 ** (snr_db / 10.0))
     lam = _threshold(cfg, technique, factor, rng, pilot_re_norm)
-
-    def decide(samples: np.ndarray) -> bool:
-        return det.detect(technique, samples, lam, pilot=pilot,
-                          lags=cfg.euclid_lags_M).occupied
-
     pu = gain * _pu_waveform(technique, rng, n, pilot, window)
     y1 = pu + rng.standard_normal(n) * sigma
-    detected = int(decide(y1))
+    if cfg.single_loop:
+        return lam, y1, None
+    return lam, y1, rng.standard_normal(n) * sigma
+
+
+def _detection_block(cfg: ExperimentConfig, technique: str, snr_db: float,
+                     factor: float, pilot: PilotSignal, pilot_re_norm: float,
+                     point_key: tuple, trials: range) -> tuple[int, int]:
+    """(detections, false alarms or misses) over a block of a grid point's trials."""
+    lams, h1, h0 = zip(*[_detection_trial(cfg, technique, snr_db, factor, pilot,
+                                          pilot_re_norm, point_key, j)
+                         for j in trials])
+    lam = np.array(lams)
+
+    def hits(rows: tuple) -> int:
+        outcome = det.detect(technique, np.stack(rows), lam, pilot=pilot,
+                             lags=cfg.euclid_lags_M)
+        return int(np.count_nonzero(outcome.occupied))
+
+    detected = hits(h1)
     if cfg.single_loop:
         # literal single-loop accounting: misses are tallied in the nf column
-        return detected, 1 - detected
-    y0 = rng.standard_normal(n) * sigma
-    return detected, int(decide(y0))
+        return detected, len(trials) - detected
+    return detected, hits(h0)
 
 
 def run_detection_mc(config: ExperimentConfig) -> PdPfaCurve:
@@ -337,26 +364,35 @@ def run_detection_mc(config: ExperimentConfig) -> PdPfaCurve:
     alarms). config.single_loop switches to the literal one-loop accounting
     where the nf column counts misses instead.
 
-    Each trial synthesises its own H1 and H0 samples. Under
-    threshold_mode="quiet_time" the energy and matched-filter thresholds are
-    drawn from their exact law under the sweep's white Gaussian noise rather
-    than computed from averaging_runs * samples_N synthesised noise samples;
-    thresholds for recorded quiet-time samples come from
-    `detectors.quiet_time_threshold`.
+    Each trial draws its own threshold, H1 samples and H0 samples from its
+    own RNG, in trial order. The detector then runs once on the H1 samples
+    and once on the H0 samples of up to DETECT_BLOCK_ROWS trials, as (rows,
+    samples_N) row blocks with one threshold per row. A block's statistics
+    equal the per-trial ones bit for bit, so the records do not depend on
+    the block size, and memory does not grow with trials_Nt.
+
+    Under threshold_mode="quiet_time" the energy and matched-filter
+    thresholds are drawn from their exact law under the sweep's white
+    Gaussian noise rather than computed from averaging_runs * samples_N
+    synthesised noise samples; thresholds for recorded quiet-time samples
+    come from `detectors.quiet_time_threshold`.
     """
     pilot = gen_pilot_bpsk(config.samples_N, seed=config.base_seed + 104729)
     pilot_re_norm = float(np.linalg.norm(np.real(pilot.samples)))
+    trials = config.trials_Nt
+    blocks = [range(start, min(start + DETECT_BLOCK_ROWS, trials))
+              for start in range(0, trials, DETECT_BLOCK_ROWS)]
     records = []
     for ti, technique in enumerate(config.technique_list):
         for si, snr_db in enumerate(config.snr_grid_db):
             for fi, factor in enumerate(config.threshold_factors):
                 key = (config.base_seed, ti, si, fi)
-                outcomes = [_detection_trial(config, technique, float(snr_db),
-                                             float(factor), pilot, pilot_re_norm,
-                                             key, j)
-                            for j in range(config.trials_Nt)]
-                nd = sum(o[0] for o in outcomes)
-                nf = sum(o[1] for o in outcomes)
+                counts = [_detection_block(config, technique, float(snr_db),
+                                           float(factor), pilot, pilot_re_norm,
+                                           key, block)
+                          for block in blocks]
+                nd = sum(c[0] for c in counts)
+                nf = sum(c[1] for c in counts)
                 records.append({
                     "technique": technique,
                     "snr_db": float(snr_db),

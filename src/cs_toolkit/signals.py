@@ -207,7 +207,7 @@ def _as_vector(x) -> np.ndarray:
 def _finite_vector(x) -> np.ndarray:
     """_as_vector, rejecting NaN and inf entries."""
     v = _as_vector(x)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("samples must be finite (no NaN or inf)")
     return v
 

@@ -407,3 +407,124 @@ def test_detect_rejects_unknown_name_and_missing_pilot():
         detect("wavelet", y, 1.0)
     with pytest.raises(ValueError):
         detect("matched_filter", y, 1.0)
+
+
+BLOCK_CALLS = {
+    "energy": lambda y, lam, pilot: energy_detect(y, lam),
+    "matched_filter": lambda y, lam, pilot: matched_filter_detect(y, pilot, lam),
+    "autocorr": lambda y, lam, pilot: autocorr_detect(y, lam),
+    "euclid": lambda y, lam, pilot: euclid_detect(y, lam, 64),
+}
+
+
+def block_call(technique: str, via: str):
+    """The detector for `technique`, called directly or through `detect`."""
+    if via == "detect":
+        return lambda y, lam, pilot: detect(technique, y, lam, pilot=pilot, lags=64)
+    return BLOCK_CALLS[technique]
+
+
+def mixed_rows(n: int, dtype) -> np.ndarray:
+    """Six rows: white noise, correlated waveforms, a pilot-bearing row."""
+    rng = np.random.default_rng(n)
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+    rows = draw((6, n))
+    for r in (1, 2):
+        rows[r] = np.convolve(draw(n + 32), np.ones(33), "valid") * (0.5 + r)
+    rows[3] += 5.0 * gen_pilot_bpsk(n, seed=2).samples
+    return rows
+
+
+@pytest.mark.parametrize("n", [65, 768, 1000, 3072])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("via", ["direct", "detect"])
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_block_outcome_equals_its_rows(technique, via, dtype, n):
+    call = block_call(technique, via)
+    pilot = gen_pilot_bpsk(n, seed=2)
+    block = mixed_rows(n, dtype)
+    stats = np.array([call(row, 0.5, pilot).statistic_T for row in block])
+    # a scalar threshold inside the statistics' range, one per row from other
+    # rows, and each row's own statistic (a tie)
+    for lam in (float(np.median(stats)), np.roll(stats, 1), stats):
+        got = call(block, lam, pilot)
+        want = [call(row, float(row_lam), pilot)
+                for row, row_lam in zip(block, np.broadcast_to(lam, stats.shape))]
+        assert isinstance(want[0].statistic_T, float)
+        assert np.array_equal(got.statistic_T, [w.statistic_T for w in want])
+        assert np.array_equal(got.threshold_lambda, [w.threshold_lambda for w in want])
+        assert got.decision.tolist() == [w.decision for w in want]
+        assert got.occupied.tolist() == [w.occupied for w in want]
+        assert got.technique == want[0].technique
+    decided = call(block, float(np.median(stats)), pilot).occupied
+    assert 0 < np.count_nonzero(decided) < block.shape[0]
+
+
+def outcome_or_error(call):
+    try:
+        out = call()
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", np.asarray(out.statistic_T).tolist(), np.asarray(out.decision).tolist()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("bad", ["nan", "inf", "zero"])
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_block_with_one_bad_row_fails_as_its_vector_does(technique, bad, dtype):
+    call = BLOCK_CALLS[technique]
+    pilot = gen_pilot_bpsk(256, seed=2)
+    block = mixed_rows(256, dtype)[:4]
+    if bad == "zero":
+        block[2] = 0.0
+    else:
+        block[2, 9] = {"nan": math.nan, "inf": -math.inf}[bad]
+    lam = 0.5
+    row = outcome_or_error(lambda: call(block[2], lam, pilot))
+    whole = outcome_or_error(lambda: call(block, lam, pilot))
+    if row[0] == "error":
+        assert whole == row
+    else:
+        # the energy detector and matched filter decide on a zero row
+        assert bad == "zero" and technique in ("energy", "matched_filter")
+        assert whole[0] == "ok"
+        assert whole[1][2] == row[1] and whole[2][2] == row[2]
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_detectors_reject_shapes_outside_the_contract(technique):
+    call = BLOCK_CALLS[technique]
+    pilot = gen_pilot_bpsk(100, seed=2)
+    for samples in (np.ones((2, 3, 100)), np.ones((3, 0)), np.ones(0), np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"length-n vector or an \(R, n\) row block"):
+            call(samples, 0.5, pilot)
+    rows = mixed_rows(100, float)[:3]
+    # a threshold is a scalar, or one value per row of a block
+    for lam in (np.full(3, 0.5), np.full((3, 1), 0.5)):
+        with pytest.raises(ValueError, match="threshold shape"):
+            call(rows[0], lam, pilot)
+    for lam in (np.full(2, 0.5), np.full((3, 1), 0.5), np.full((1, 3), 0.5)):
+        with pytest.raises(ValueError, match="threshold shape"):
+            call(rows, lam, pilot)
+    # an empty block is a block of no rows
+    empty = call(np.ones((0, 100)), 0.5, pilot)
+    assert empty.statistic_T.shape == empty.decision.shape == (0,)
+
+
+def test_vector_only_detectors_reject_blocks():
+    rows = np.random.default_rng(4).standard_normal((2, 100))
+    with pytest.raises(ValueError, match="expected a vector"):
+        wavelet_detect(rows, 1.0)
+    with pytest.raises(ValueError, match="expected a vector"):
+        compressive_detect(rows[:, :OMEGA.m], OMEGA, np.ones(OMEGA.n), 0.0)
+
+
+def test_autocorr_block_checks_every_margin():
+    rows = mixed_rows(100, float)[:3]
+    autocorr_detect(rows, np.array([0.2, 1.0, 0.7]))
+    for margins in ([0.2, 0.0, 0.7], [0.2, 1.5, 0.7], [0.2, math.nan, 0.7]):
+        with pytest.raises(ValueError, match=r"margin_lambda must be in \(0, 1\]"):
+            autocorr_detect(rows, np.array(margins))

@@ -1,7 +1,11 @@
 """Experiment harness tests: determinism, accounting, scan survey."""
 
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,9 @@ from cs_toolkit import harness
 from cs_toolkit.detectors import (
     IDLE,
     OCCUPIED,
+    TECHNIQUES,
     closed_form_roc,
+    detect,
     energy_threshold,
     quiet_time_threshold,
 )
@@ -85,6 +91,20 @@ def test_config_validation():
         ExperimentConfig(technique_list=("euclid",), samples_N=64)
     ExperimentConfig(technique_list=("euclid",), samples_N=65)
     ExperimentConfig(technique_list=("energy",), samples_N=50)
+    # so does a sweep with too few samples for any detector, or for autocorr
+    for technique in TECHNIQUES:
+        with pytest.raises(ValueError, match="at least 1 sample, got samples_N 0"):
+            ExperimentConfig(technique_list=(technique,), samples_N=0)
+    with pytest.raises(ValueError, match="at least 1 sample, got samples_N -3"):
+        ExperimentConfig(technique_list=("energy",), samples_N=-3)
+    with pytest.raises(ValueError, match="autocorr needs at least 2 samples, got "
+                                         "samples_N 1"):
+        ExperimentConfig(technique_list=("energy", "autocorr"), samples_N=1)
+    ExperimentConfig(technique_list=("autocorr",), samples_N=2)
+    ExperimentConfig(technique_list=("energy", "matched_filter"), samples_N=1)
+    # the sample check is the detection sweep's; a scan checks its own lengths
+    ExperimentConfig(experiment_kind="recovery_mc", samples_N=0, n_grid=(64,),
+                     k_grid=(4,), m_grid=(32,))
     # the survey's default compressive length is samples_N // 4
     assert ExperimentConfig(experiment_kind="scan_sim", samples_N=3072
                             ).scan_measurements() == 768
@@ -359,6 +379,72 @@ def test_detection_records_pinned():
         technique_list=("energy",), threshold_mode="eq8",
         threshold_factors=(1.0, 1.05)))
     assert _rows(eq8) == PINNED_EQ8_ROWS
+
+
+def vector_detection_rows(cfg):
+    """_rows of a detection sweep run as one vector detector call per trial."""
+    pilot = gen_pilot_bpsk(cfg.samples_N, seed=cfg.base_seed + 104729)
+    re_norm = float(np.linalg.norm(pilot.samples))
+    rows = []
+    for ti, technique in enumerate(cfg.technique_list):
+        for si, snr_db in enumerate(cfg.snr_grid_db):
+            for fi, factor in enumerate(cfg.threshold_factors):
+                nd = nf = 0
+                for j in range(cfg.trials_Nt):
+                    lam, y1, y0 = harness._detection_trial(
+                        cfg, technique, float(snr_db), float(factor), pilot, re_norm,
+                        (cfg.base_seed, ti, si, fi), j)
+
+                    def hit(y):
+                        return int(detect(technique, y, lam, pilot=pilot,
+                                          lags=cfg.euclid_lags_M).occupied)
+                    nd += hit(y1)
+                    nf += 1 - hit(y1) if cfg.single_loop else hit(y0)
+                rows.append((technique, float(snr_db), float(factor), nd, nf))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"single_loop": True},
+    {"technique_list": ("energy",), "threshold_mode": "eq8",
+     "threshold_factors": (1.0, 1.05)},
+])
+def test_detection_records_do_not_depend_on_the_block_cap(monkeypatch, overrides):
+    # 70 trials: blocks of 64 and 6 at the default cap, ten blocks of 7, or
+    # 70 one-row blocks; each must count as one vector call per trial does
+    cfg = small_detection_config(**{"technique_list": TECHNIQUES, "trials_Nt": 70,
+                                    **overrides})
+    default = harness.DETECT_BLOCK_ROWS
+    curves = []
+    for cap in (1, 7, default):
+        monkeypatch.setattr(harness, "DETECT_BLOCK_ROWS", cap)
+        curves.append(run_detection_mc(cfg))
+    assert curves[0].records == curves[1].records == curves[2].records
+    assert _rows(curves[2]) == vector_detection_rows(cfg)
+
+
+def test_detection_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the block detectors run BLAS dot products; the report must not see the
+    # BLAS thread count
+    src = Path(harness.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "from cs_toolkit.harness import ExperimentConfig, run_detection_mc\n"
+            "from cs_toolkit.io import serialize_report\n"
+            "cfg = ExperimentConfig(trials_Nt=70, samples_N=1000, "
+            "snr_grid_db=(-12.0, -4.0), threshold_factors=(0.8, 1.0), "
+            "technique_list=('energy', 'matched_filter', 'autocorr', 'euclid'), "
+            "base_seed=21)\n"
+            "serialize_report(run_detection_mc(cfg), sys.argv[1])\n")
+    written = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"results-{threads}.csv"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    assert written[0].count(b"\n") == 1 + 4 * 2 * 2
 
 
 def small_recovery_config(**overrides):
