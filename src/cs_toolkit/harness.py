@@ -61,6 +61,8 @@ PATHS = ("compressive", "conventional")
 # the most trials a detection sweep stacks into one detector call; a cap
 # rather than a config field, so memory stays flat as trials_Nt grows
 DETECT_BLOCK_ROWS = 64
+# the probability that a tap of the survey's circulant generator is nonzero
+SCAN_GENERATOR_P = 0.1
 
 
 @dataclass(frozen=True)
@@ -103,8 +105,6 @@ class ExperimentConfig:
     slots: int = 8
     busy_prob: float = 0.3
     energy_lambda_scan: float = 1e-10
-    generator_p: float = 0.1
-    compute_budget: int = 0
     # Accepted and ignored: trials run in the calling thread, because a pool
     # of per-trial threads did not pay on the measured workloads. The field
     # stays so that saved configs and callers that pass it keep loading.
@@ -131,11 +131,18 @@ class ExperimentConfig:
             if math.isnan(snr_db) or (snr_db == -math.inf
                                       and self.experiment_kind == "recovery_mc"):
                 raise ValueError(f"invalid snr_grid_db entry {snr_db}")
+        if self.threshold_mode not in ("quiet_time", "eq8"):
+            raise ValueError(f"unknown threshold_mode {self.threshold_mode!r}")
+        # detection and the scan scale their noise and thresholds by it
+        if self.experiment_kind != "recovery_mc" and not 0.0 < self.noise_variance < math.inf:
+            raise ValueError(f"invalid noise_variance {self.noise_variance}")
         if self.experiment_kind == "detection_mc":
             # bad thresholds fail here, not at the grid point that first uses
             # them partway through a sweep
             if self.averaging_runs < 1:
                 raise ValueError("averaging_runs must be >= 1")
+            if self.threshold_mode == "eq8" and not 0.0 < self.pfa_target < 1.0:
+                raise ValueError(f"pfa_target {self.pfa_target} outside (0, 1)")
             for factor in map(float, self.threshold_factors):
                 if not (math.isfinite(factor) and factor > 0.0):
                     raise ValueError(f"invalid threshold factor {factor}")
@@ -170,6 +177,8 @@ class ExperimentConfig:
             for n, k, m in itertools.product(*self.recovery_grids()):
                 if not 1 <= k <= n or not 1 <= m <= n:
                     raise ValueError(f"invalid cell n={n}, k={k}, m={m}")
+            if "bp" in self.solver_list and not 0.0 <= self.bp_z_factor < math.inf:
+                raise ValueError(f"invalid bp_z_factor {self.bp_z_factor}")
 
     def scan_measurements(self) -> int:
         """The survey's compressive length: measurements_M, else samples_N // 4."""
@@ -437,7 +446,8 @@ def recovery_trial(solver: str, scheme: str, n: int, k: int, m: int,
     Builds the matrix from seeds[0] and the signal from seeds[1], adds noise at
     snr_db (inf for noiseless) drawn from seeds[2], solves and scores the
     estimate. Returns the trial's metrics (times in seconds, zero unless
-    measure_time; "hd" counts the measurements whose sign A x_hat gets wrong,
+    measure_time: "tr" is the solver call, "tp" the noisy compress and the
+    solver call; "hd" counts the measurements whose sign A x_hat gets wrong,
     for every solver) and the solver's result. A numerical failure of the
     solver (`IllConditionedError` or `np.linalg.LinAlgError`) is re-raised as
     a RuntimeError carrying its message, which sweeps count as a failed trial;
@@ -450,11 +460,12 @@ def recovery_trial(solver: str, scheme: str, n: int, k: int, m: int,
     clean = compress(A, x).values  # the one apply of A: noise is scaled to it
     nv = _noise_variance(float(np.mean(clean**2)), snr_db)
     y = _with_noise(clean, nv, int(seeds[2]))
-    t_compress = time.perf_counter() - t_make
+    t_solve = time.perf_counter()
     try:
         res = _solve(solver, y, A, k, z_factor, nv if inform_noise else None)
     except (IllConditionedError, np.linalg.LinAlgError) as exc:
         raise _SolverFailed(str(exc)) from exc
+    t_done = time.perf_counter()
     x_hat = res.x_hat
     # signs lose scale, so BIHT is scored against the unit-normalized target
     target = x.samples / np.linalg.norm(x.samples) if solver == "biht" else x
@@ -466,8 +477,8 @@ def recovery_trial(solver: str, scheme: str, n: int, k: int, m: int,
         "cc": metrics.correlation_Cc,
         "rsnr": min(metrics.rsnr, 1e30),
         "hd": float(metrics.hamming_Hd),
-        "tr": res.recovery_time if measure_time else 0.0,
-        "tp": (res.recovery_time + t_compress) if measure_time else 0.0,
+        "tr": t_done - t_solve if measure_time else 0.0,
+        "tp": t_done - t_make if measure_time else 0.0,
     }, res
 
 
@@ -577,8 +588,10 @@ def run_scan_sim(
     occupied, noise otherwise). Two pipelines run: compressive (partial
     circulant with a sparse generator mask, detectors on the M compressed
     samples) and conventional (detectors on the N raw samples); a blind SNR
-    estimate is recorded per channel-slot. The compute budget is counted in
-    samples processed per channel: M compressive vs N conventional.
+    estimate is recorded per channel-slot. The compute budget is one
+    conventional pass over the plan, samples_N samples per channel, and
+    `budget_channels` counts the channels it covers at M samples per channel
+    (compressive) and at N (conventional).
 
     Each channel-slot result is held once, in `truth`, `snr` and
     `decided[path, technique]` over (channel, slot), and in the record's SNR
@@ -589,7 +602,7 @@ def run_scan_sim(
     n = config.samples_N
     m = config.scan_measurements()
     matrix = build_matrix("circulant", m, n, seed=config.base_seed + 65537,
-                          options={"p": config.generator_p})
+                          options={"p": SCAN_GENERATOR_P})
     n_ch = len(plan.channels())
     truth = np.zeros((n_ch, config.slots), dtype=bool)
     snr = np.zeros((n_ch, config.slots))
@@ -617,8 +630,8 @@ def run_scan_sim(
             "per_snr": {level: {"detection": _rate(hits, truth & at, math.nan),
                                 "false": _rate(hits, idle & at, math.nan)}
                         for level, at in at_snr.items()}}
-    budget = config.compute_budget or n * n_ch
-    budget_channels = {"compressive": budget // m, "conventional": budget // n}
+    # the budget is one conventional pass: n samples for each channel
+    budget_channels = {"compressive": n * n_ch // m, "conventional": n_ch}
     ts = float(config.slots * n_ch * n)  # survey period in sample-time units
     tsc = ts / (len(SCAN_TECHNIQUES) * n_ch)
     return OccupancyReport(

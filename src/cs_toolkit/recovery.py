@@ -12,9 +12,8 @@ block, `columns`, `column_norms`) and never build the dense matrix.
 from __future__ import annotations
 
 import math
-import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +42,7 @@ class SolverOpts:
 
     tol: float | None = None
     max_iter: int | None = None
-    # only BIHT draws from it (sign dithers and refinement starts); basis
-    # pursuit's step needs no random start
+    # only BIHT draws from it (sign dithers and refinement starts)
     seed: int = 0
 
 
@@ -55,11 +53,6 @@ class BayesOpts:
     # about 1.0005
     tol: float = 1e-3
     max_iter: int = 500
-    prune_threshold: float = 1e12
-    ridge: float = 1e-10
-    # minimum evidence gain to admit a new column; None means ln(n), the
-    # usual complexity charge for picking the best of n candidate regressors
-    add_penalty: float | None = None
     # known measurement-noise variance; None means estimate it jointly
     noise_variance: float | None = None
 
@@ -68,9 +61,7 @@ class BayesOpts:
 class RecoveryResult:
     x_hat: np.ndarray
     iterations: int
-    measurements_used: int
     converged: bool
-    recovery_time: float
     objective_trace: np.ndarray
 
 
@@ -150,12 +141,12 @@ def basis_pursuit(
     previous iterate, converged only if the rise is within opts.tol of the
     objective: the backtracking step's bound allows a rise only by rounding.
     """
-    if z < 0:
-        raise ValueError("z must be >= 0")
+    # a NaN z would make every backtracking test fail, and L double forever
+    if not 0.0 <= z < math.inf:
+        raise ValueError(f"z must be finite and >= 0, got {z}")
     yv = _measurements(y, A.m)
     tol = 1e-8 if opts.tol is None else opts.tol
     max_iter = 5000 if opts.max_iter is None else opts.max_iter
-    t0 = time.perf_counter()
     # minimizing ||y-Ax||^2 + z|x|_1 is the half-scaled problem
     # 0.5||y-Ax||^2 + (z/2)|x|_1 for gradient purposes
     grad = A.rmatvec(yv)
@@ -214,9 +205,7 @@ def basis_pursuit(
     return RecoveryResult(
         x_hat=x,
         iterations=it,
-        measurements_used=A.m,
         converged=converged,
-        recovery_time=time.perf_counter() - t0,
         objective_trace=np.asarray(trace),
     )
 
@@ -252,7 +241,6 @@ def omp(y, A: SensingMatrix, k_or_tol) -> RecoveryResult:
         tol = float(k_or_tol)
         if tol <= 0:
             raise ValueError("residual tolerance must be positive")
-    t0 = time.perf_counter()
     col_norms = A.column_norms()
     col_norms[col_norms == 0.0] = 1.0
     support: list[int] = []
@@ -304,10 +292,8 @@ def omp(y, A: SensingMatrix, k_or_tol) -> RecoveryResult:
     return RecoveryResult(
         x_hat=x,
         iterations=it,
-        measurements_used=A.m,
         converged=not dependent and (
             by_count or trace[-1] <= max(tol * norm_y, 1e-8 * max(norm_y, 1.0))),
-        recovery_time=time.perf_counter() - t0,
         objective_trace=np.asarray(trace),
     )
 
@@ -359,7 +345,6 @@ def cosamp(
                       RuntimeWarning)
     tol = 1e-8 if opts.tol is None else opts.tol
     max_iter = 100 if opts.max_iter is None else opts.max_iter
-    t0 = time.perf_counter()
     x = np.zeros(A.n)
     resid = yv.copy()
     norm_y = float(np.linalg.norm(yv))
@@ -395,9 +380,7 @@ def cosamp(
     return RecoveryResult(
         x_hat=x,
         iterations=it,
-        measurements_used=A.m,
         converged=converged,
-        recovery_time=time.perf_counter() - t0,
         objective_trace=np.asarray(trace),
     )
 
@@ -405,6 +388,11 @@ def cosamp(
 # an update whose pivot ratio is at or below this is redone by a refresh; it
 # bounds how much the update can amplify rounding error in Sigma, S and Q
 _PIVOT_FLOOR = 1e-8
+# the largest precision an add or a re-estimate gives a column
+_PRUNE_THRESHOLD = 1e12
+# the first ridge, relative to the mean diagonal entry, that `_stable_inverse`
+# adds to a posterior precision whose Cholesky factor fails
+_RIDGE = 1e-10
 
 
 class _RvmPosterior:
@@ -428,10 +416,9 @@ class _RvmPosterior:
     """
 
     def __init__(self, A: SensingMatrix, phi_y: np.ndarray, colsq: np.ndarray,
-                 b: float, ridge: float, first: int, alpha: float) -> None:
+                 b: float, first: int, alpha: float) -> None:
         """A one-column model, with its posterior and factors at b."""
-        self.A, self.phi_y, self.colsq = A, phi_y, colsq
-        self.b, self.ridge = b, ridge
+        self.A, self.phi_y, self.colsq, self.b = A, phi_y, colsq, b
         self.active: list = []
         self.a = np.empty(0)
         self._buf = np.empty((A.n, min(A.n, 64)))
@@ -448,7 +435,7 @@ class _RvmPosterior:
         """Rebuild Sigma, mu, log|H| and every (S_i, Q_i) at the current b."""
         b, cross = self.b, self.cross
         self.sigma, self.logdet_h = _stable_inverse(
-            b * cross[self.active] + np.diag(self.a), self.ridge)
+            b * cross[self.active] + np.diag(self.a))
         phi_y = self.phi_y[self.active]
         self.mu = b * (self.sigma @ phi_y)
         proj = cross @ self.sigma
@@ -566,12 +553,11 @@ def bayesian_recover(
     column by its sparsity and quality factors (s_i, q_i) under the current
     posterior and applies whichever single action raises the marginal
     likelihood most (add, re-estimate a precision, or delete). Phase 2
-    prunes: any active column whose exclusive evidence falls short of
-    opts.add_penalty (default ln n, the complexity charge for picking the
-    best of n candidate regressors) is removed, re-estimating the noise
-    after each removal so an overfit low-SNR model unwinds. Phase 3
-    polishes with the same action loop, with additions now required to
-    clear the penalty.
+    prunes: any active column whose exclusive evidence falls short of ln n
+    (the complexity charge for picking the best of n candidate regressors)
+    is removed, re-estimating the noise after each removal so an overfit
+    low-SNR model unwinds. Phase 3 polishes with the same action loop, with
+    additions now required to clear the same ln n.
 
     Stop rule: an action loop (phase 1 or 3) stops when the best action's
     gain is at most opts.tol (default 1e-3). Gains are in units of
@@ -601,11 +587,10 @@ def bayesian_recover(
     through `SensingMatrix`: the column norms, A^T y, A^T a_j once per
     column j that enters the model, and one apply of A per re-estimate of
     b. The objective trace records, for every model scored during
-    selection, -log p(y) plus add_penalty / 2 per active column, as the
+    selection, -log p(y) plus ln(n) / 2 per active column, as the
     best value seen so far; it is nonincreasing.
     """
     yv = _measurements(y, A.m)
-    t0 = time.perf_counter()
     n, m = A.n, A.m
     norm_y2 = float(yv @ yv)
     trace: list = []
@@ -613,8 +598,7 @@ def bayesian_recover(
     def empty_result(iters: int) -> BayesianResult:
         if norm_y2 > 0.0:
             push_trace(0.0, 0.0, 0.0, 0)
-        base = RecoveryResult(np.zeros(n), iters, m, True,
-                              time.perf_counter() - t0,
+        base = RecoveryResult(np.zeros(n), iters, True,
                               np.asarray(trace if trace else [0.0]))
         nv = float(norm_y2 / m) if norm_y2 > 0 else 1e-12
         return BayesianResult(base, noise_variance_hat=nv,
@@ -632,7 +616,7 @@ def bayesian_recover(
         b_known = float(np.clip(1.0 / max(opts.noise_variance, 1e-300),
                                 1e-12, 1e12))
     b = m / norm_y2 if b_known is None else b_known
-    add_bar = math.log(n) if opts.add_penalty is None else float(opts.add_penalty)
+    add_bar = math.log(n)
 
     def push_trace(logdet_h: float, log_a_sum: float, fit: float, size: int) -> None:
         """Append -log p(y) of a model of `size` columns at the current b,
@@ -653,8 +637,7 @@ def bayesian_recover(
     excess = quality[first] - 1.0 / b
     if excess <= 0.0:
         return empty_result(0)
-    post = _RvmPosterior(A, phi_y, colsq, b, opts.ridge, first,
-                         colsq[first] / excess)
+    post = _RvmPosterior(A, phi_y, colsq, b, first, colsq[first] / excess)
     iters = 0
 
     # noise floor: the modeled SNR is capped at 20 dB during selection;
@@ -737,12 +720,12 @@ def bayesian_recover(
             col = int(np.argmax(gain_add))
             theta_add = q2[col] - big_s[col]
             post.add(col, min(big_s[col] * big_s[col] / max(theta_add, 1e-300),
-                              opts.prune_threshold))
+                              _PRUNE_THRESHOLD))
             return True
         gain = gain_re if action == 1 else gain_del
         j = active.index(int(np.asarray(active)[gain == best].min()))
         if action == 1:
-            post.reestimate(j, min(new_a[j], opts.prune_threshold))
+            post.reestimate(j, min(new_a[j], _PRUNE_THRESHOLD))
         else:
             post.delete(j)
         return True
@@ -798,9 +781,7 @@ def bayesian_recover(
     base = RecoveryResult(
         x_hat=post.scatter(post.mu),
         iterations=iters,
-        measurements_used=m,
         converged=converged,
-        recovery_time=time.perf_counter() - t0,
         objective_trace=np.asarray(trace),
     )
     return BayesianResult(
@@ -812,7 +793,7 @@ def bayesian_recover(
     )
 
 
-def _stable_inverse(hess: np.ndarray, ridge: float) -> tuple[np.ndarray, float]:
+def _stable_inverse(hess: np.ndarray) -> tuple[np.ndarray, float]:
     """Invert an SPD matrix, retrying with growing ridge regularization.
 
     Returns the inverse and the log-determinant of the matrix it inverted.
@@ -825,7 +806,7 @@ def _stable_inverse(hess: np.ndarray, ridge: float) -> tuple[np.ndarray, float]:
             inv_low = np.linalg.solve(low, np.eye(hess.shape[0]))
             return inv_low.T @ inv_low, 2.0 * float(np.sum(np.log(np.diag(low))))
         except np.linalg.LinAlgError:
-            bump = ridge * scale * (10.0 ** attempt) if bump == 0.0 else bump * 100.0
+            bump = _RIDGE * scale * (10.0 ** attempt) if bump == 0.0 else bump * 100.0
     raise IllConditionedError("posterior covariance inversion failed after "
                               "ridge-stabilized retries")
 
@@ -941,7 +922,6 @@ def biht_recover(
     if col_scale <= 0.0:
         raise IllConditionedError("sensing matrix has vanishing columns")
     base = (1.0 / A.m) * math.sqrt(A.m) / col_scale
-    t0 = time.perf_counter()
 
     def unit_topk(v: np.ndarray) -> np.ndarray | None:
         v = _hard_threshold(v, k)
@@ -1006,8 +986,6 @@ def biht_recover(
     return RecoveryResult(
         x_hat=x_hat,
         iterations=total_iters,
-        measurements_used=A.m,
         converged=converged,
-        recovery_time=time.perf_counter() - t0,
         objective_trace=np.concatenate(trace),
     )

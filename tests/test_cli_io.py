@@ -608,11 +608,14 @@ def test_cli_experiment_and_report(tmp_path, capsys):
     assert any(ln == "-- group means --" for ln in lines)
 
 
-def test_cli_experiment_rejects_unknown_key(tmp_path, capsys):
+# neither generator_p nor compute_budget is a config field: a saved config
+# that carries one must drop it
+@pytest.mark.parametrize("key", ["generator_p", "compute_budget", "bogus_knob"])
+def test_cli_experiment_rejects_unknown_key(tmp_path, capsys, key):
     cfg_path = save_config({"experiment_kind": "detection_mc",
-                            "bogus_knob": 3}, tmp_path / "cfg.json")
+                            key: 3}, tmp_path / "cfg.json")
     assert run_cli(["experiment", "--config", str(cfg_path)]) == 1
-    assert "bogus_knob" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
 
 
 def test_cli_scan_sim(tmp_path, capsys):

@@ -22,6 +22,7 @@ from cs_toolkit.detectors import (
 )
 from cs_toolkit.errors import IllConditionedError
 from cs_toolkit.harness import (
+    SOLVERS,
     BandPlan,
     ExperimentConfig,
     TrafficModel,
@@ -118,6 +119,34 @@ def test_config_validation():
         ExperimentConfig(experiment_kind="scan_sim", samples_N=256, measurements_M=300)
     ExperimentConfig(experiment_kind="scan_sim", samples_N=256, measurements_M=256)
     ExperimentConfig(experiment_kind="scan_sim", samples_N=256, measurements_M=65)
+    # detection and the scan scale by the noise variance: a bad one fails
+    # here, not in the first detector or idle scan cell that meets it
+    for kind, extra in (("detection_mc", {}),
+                        ("scan_sim", {"samples_N": 256, "measurements_M": 128})):
+        for nv in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="invalid noise_variance"):
+                ExperimentConfig(experiment_kind=kind, noise_variance=nv, **extra)
+        ExperimentConfig(experiment_kind=kind, noise_variance=1e-6, **extra)
+    # recovery sweeps scale their noise to the SNR grid and never read it
+    ExperimentConfig(experiment_kind="recovery_mc", noise_variance=0.0,
+                     n_grid=(64,), k_grid=(4,), m_grid=(32,))
+    # a misspelt threshold mode must not run as quiet_time
+    with pytest.raises(ValueError, match="unknown threshold_mode 'eq9'"):
+        ExperimentConfig(threshold_mode="eq9")
+    # eq8 reads pfa_target; a bad one fails before any technique runs
+    for pfa in (0.0, 1.0, -0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="pfa_target .* outside"):
+            ExperimentConfig(technique_list=("matched_filter", "energy"),
+                             threshold_mode="eq8", pfa_target=pfa)
+    ExperimentConfig(technique_list=("energy",), threshold_mode="eq8", pfa_target=0.01)
+    # quiet-time thresholds never read it
+    ExperimentConfig(technique_list=("energy",), pfa_target=0.0)
+    # basis pursuit's z must be finite and nonnegative
+    cells = dict(experiment_kind="recovery_mc", n_grid=(64,), k_grid=(4,), m_grid=(32,))
+    for z_factor in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="invalid bp_z_factor"):
+            ExperimentConfig(solver_list=("omp", "bp"), bp_z_factor=z_factor, **cells)
+    ExperimentConfig(solver_list=("bp",), bp_z_factor=0.0, **cells)
 
 
 def test_detection_at_minus_inf_snr_is_noise_only():
@@ -536,11 +565,15 @@ def test_recovery_empty_model_is_scored_not_fatal():
 
 
 def test_recovery_measure_time_flag():
+    # the harness times every solver: tr is the solve, tp the compress and solve
     timed = run_recovery_mc(small_recovery_config(
-        solver_list=("omp",), measure_time=True))
-    untimed = run_recovery_mc(small_recovery_config(solver_list=("omp",)))
-    assert timed.records[0]["mean_tr_ms"] > 0.0
-    assert untimed.records[0]["mean_tr_ms"] == 0.0
+        solver_list=SOLVERS, trials_Nt=2, measure_time=True))
+    untimed = run_recovery_mc(small_recovery_config(solver_list=SOLVERS, trials_Nt=2))
+    assert [r["solver"] for r in timed.records] == list(SOLVERS)
+    for rec in timed.records:
+        assert rec["mean_tp_ms"] >= rec["mean_tr_ms"] > 0.0, rec["solver"]
+    for rec in untimed.records:
+        assert rec["mean_tr_ms"] == rec["mean_tp_ms"] == 0.0, rec["solver"]
 
 
 def nine_channel_plan():
