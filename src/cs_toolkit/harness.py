@@ -58,9 +58,11 @@ SOLVERS = ("bp", "omp", "cosamp", "bayesian", "biht")
 SCAN_TECHNIQUES = ("energy", "autocorr", "euclid")
 # the survey's pipelines: detectors on the M compressed or the N raw samples
 PATHS = ("compressive", "conventional")
-# the most trials a detection sweep stacks into one detector call; a cap
-# rather than a config field, so memory stays flat as trials_Nt grows
-DETECT_BLOCK_ROWS = 64
+# the most samples a sweep stacks into one row block, as a detection sweep's
+# trials or a scan slot's channels: max(1, BLOCK_SAMPLES // samples_N) rows.
+# A cap rather than a config field, so a block array stays near 1 MB
+# whatever samples_N, trials_Nt or the band plan
+BLOCK_SAMPLES = 2**17
 # the probability that a tap of the survey's circulant generator is nonzero
 SCAN_GENERATOR_P = 0.1
 
@@ -163,9 +165,21 @@ class ExperimentConfig:
             if "euclid" in self.technique_list and self.samples_N <= self.euclid_lags_M:
                 raise ValueError(f"euclid needs samples_N {self.samples_N} above "
                                  f"euclid_lags_M {self.euclid_lags_M}")
+            # a NaN threshold decides every trial alike and reads as a rate
+            if "euclid" in self.technique_list and not math.isfinite(self.euclid_lambda):
+                raise ValueError(f"invalid euclid_lambda {self.euclid_lambda}")
         if self.experiment_kind == "scan_sim":
             if self.slots < 1:
                 raise ValueError("slots must be >= 1")
+            # the scan runs every technique; a NaN threshold decides every
+            # cell alike and reads as a rate
+            if not math.isfinite(self.euclid_lambda):
+                raise ValueError(f"invalid euclid_lambda {self.euclid_lambda}")
+            if not 0.0 <= self.energy_lambda_scan < math.inf:
+                raise ValueError(f"invalid energy_lambda_scan {self.energy_lambda_scan}")
+            if not 0.0 < self.autocorr_margin <= 1.0:
+                raise ValueError(f"scan autocorr_margin {self.autocorr_margin} "
+                                 "outside (0, 1]")
             # the survey runs euclid on the m compressed samples of each cell
             m = self.scan_measurements()
             if not self.euclid_lags_M < m <= self.samples_N:
@@ -365,6 +379,12 @@ def _detection_block(cfg: ExperimentConfig, technique: str, snr_db: float,
     return detected, hits(h0)
 
 
+def _row_blocks(count: int, samples: int) -> list[range]:
+    """range(count) in consecutive blocks of at most BLOCK_SAMPLES samples' rows."""
+    rows = max(1, BLOCK_SAMPLES // samples)
+    return [range(start, min(start + rows, count)) for start in range(0, count, rows)]
+
+
 def run_detection_mc(config: ExperimentConfig) -> PdPfaCurve:
     """Monte-Carlo Pd/Pfa curves over the (technique, snr, factor) grid.
 
@@ -375,10 +395,10 @@ def run_detection_mc(config: ExperimentConfig) -> PdPfaCurve:
 
     Each trial draws its own threshold, H1 samples and H0 samples from its
     own RNG, in trial order. The detector then runs once on the H1 samples
-    and once on the H0 samples of up to DETECT_BLOCK_ROWS trials, as (rows,
-    samples_N) row blocks with one threshold per row. A block's statistics
-    equal the per-trial ones bit for bit, so the records do not depend on
-    the block size, and memory does not grow with trials_Nt.
+    and once on the H0 samples of up to max(1, BLOCK_SAMPLES // samples_N)
+    trials, as (rows, samples_N) row blocks with one threshold per row. A
+    block's statistics equal the per-trial ones bit for bit, so the records
+    do not depend on the block size, and memory does not grow with trials_Nt.
 
     Under threshold_mode="quiet_time" the energy and matched-filter
     thresholds are drawn from their exact law under the sweep's white
@@ -388,9 +408,7 @@ def run_detection_mc(config: ExperimentConfig) -> PdPfaCurve:
     """
     pilot = gen_pilot_bpsk(config.samples_N, seed=config.base_seed + 104729)
     pilot_re_norm = float(np.linalg.norm(np.real(pilot.samples)))
-    trials = config.trials_Nt
-    blocks = [range(start, min(start + DETECT_BLOCK_ROWS, trials))
-              for start in range(0, trials, DETECT_BLOCK_ROWS)]
+    blocks = _row_blocks(config.trials_Nt, config.samples_N)
     records = []
     for ti, technique in enumerate(config.technique_list):
         for si, snr_db in enumerate(config.snr_grid_db):
@@ -544,29 +562,43 @@ def run_recovery_mc(config: ExperimentConfig) -> RecoveryReport:
         for cell, (solver, scheme, n, k, m, snr_db) in enumerate(cells)))
 
 
-def _scan_cell(cfg: ExperimentConfig, matrix: SensingMatrix, slot: int,
-               ch_idx: int, p_busy: float) -> tuple[bool, float, float, np.ndarray]:
-    """One channel-slot: (truth, snr_db, est_snr_db, decisions[path, technique])."""
+def _scan_block(cfg: ExperimentConfig, matrix: SensingMatrix, slot: int,
+                channels: range, traffic: TrafficModel) -> tuple:
+    """A block of one slot's channels: (truth, snr_db, est_snr_db, decided).
+
+    Each channel-slot draws its truth, SNR and samples from its own RNG, as
+    a lone channel does, into one row of an (R, samples_N) block. The
+    circulant then applies once to the block, and each technique detects
+    once on each path's block, so decided[path, technique, r] holds row r's
+    decisions; each row equals the vector calls on it bit for bit. The blind
+    SNR estimate runs on each row, as a vector.
+    """
     n = cfg.samples_N
-    rng = np.random.default_rng([cfg.base_seed, 15013, slot, ch_idx])
-    truth = bool(rng.random() < p_busy)
-    snr_db = float(rng.choice(cfg.snr_grid_db))
     window = cfg.euclid_lags_M // 2 + 1
-    x = rng.standard_normal(n) * math.sqrt(cfg.noise_variance)
-    if truth:
-        gain = math.sqrt(cfg.noise_variance * 10.0 ** (snr_db / 10.0))
-        x = x + gain * _ma_waveform(rng, n, window)
+    sigma = math.sqrt(cfg.noise_variance)
+    block = np.empty((len(channels), n))
+    truth = np.empty(len(channels), dtype=bool)
+    snr = np.empty(len(channels))
+    for r, ch in enumerate(channels):
+        rng = np.random.default_rng([cfg.base_seed, 15013, slot, ch])
+        truth[r] = rng.random() < traffic.prob(ch, slot)
+        snr[r] = snr_db = float(rng.choice(cfg.snr_grid_db))
+        block[r] = rng.standard_normal(n) * sigma
+        if truth[r]:
+            gain = math.sqrt(cfg.noise_variance * 10.0 ** (snr_db / 10.0))
+            block[r] += gain * _ma_waveform(rng, n, window)
 
     def decisions(samples: np.ndarray) -> list:
-        # energy threshold is relative to the nominal noise energy of the block
-        lams = {"energy": cfg.energy_lambda_scan * samples.size * cfg.noise_variance,
+        # energy threshold is relative to the nominal noise energy of a row
+        lams = {"energy": cfg.energy_lambda_scan * samples.shape[-1] * cfg.noise_variance,
                 "autocorr": cfg.autocorr_margin, "euclid": cfg.euclid_lambda}
         return [det.detect(t, samples, lams[t], lags=cfg.euclid_lags_M).occupied
                 for t in SCAN_TECHNIQUES]
 
     # one row per entry of PATHS
-    decided = np.array([decisions(matrix.matvec(x)), decisions(x)], dtype=bool)
-    return truth, snr_db, estimate_snr(x, L=10, K=50).snr_db, decided
+    decided = np.array([decisions(matrix.matvec(block)), decisions(block)], dtype=bool)
+    est_snr_db = [estimate_snr(row, L=10, K=50).snr_db for row in block]
+    return truth, snr, est_snr_db, decided
 
 
 def _rate(hits: np.ndarray, among: np.ndarray, empty: float) -> float:
@@ -593,6 +625,14 @@ def run_scan_sim(
     `budget_channels` counts the channels it covers at M samples per channel
     (compressive) and at N (conventional).
 
+    Each channel-slot draws its truth, SNR and samples from its own RNG. A
+    slot's channels then run as row blocks of up to max(1, BLOCK_SAMPLES //
+    samples_N) channels, the cap detection sweeps share: one circulant
+    apply per block, and one detector call per technique on each path's
+    block. Each row equals the per-channel vector calls bit for bit, so the
+    report does not depend on the block size. The blind SNR estimate runs
+    on each channel's samples alone.
+
     Each channel-slot result is held once, in `truth`, `snr` and
     `decided[path, technique]` over (channel, slot), and in the record's SNR
     estimate; the timelines, occupancy and every rate are read from them.
@@ -609,13 +649,15 @@ def run_scan_sim(
     decided = np.zeros((len(PATHS), len(SCAN_TECHNIQUES)) + truth.shape, dtype=bool)
     records = []
     for s in range(config.slots):
-        for c in range(n_ch):
-            truth[c, s], snr[c, s], est_snr_db, decided[..., c, s] = _scan_cell(
-                config, matrix, s, c, traffic.prob(c, s))
+        for chans in _row_blocks(n_ch, n):
+            cut = slice(chans.start, chans.stop)
+            truth[cut, s], snr[cut, s], est_snr_db, decided[..., cut, s] = _scan_block(
+                config, matrix, s, chans, traffic)
             records.extend(
                 {"slot": s, "channel": c, "technique": t,
                  "decision": det.OCCUPIED if decided[0, i, c, s] else det.IDLE,
-                 "truth": int(truth[c, s]), "est_snr_db": est_snr_db}
+                 "truth": int(truth[c, s]), "est_snr_db": est}
+                for c, est in zip(chans, est_snr_db)
                 for i, t in enumerate(SCAN_TECHNIQUES))
 
     idle = ~truth

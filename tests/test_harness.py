@@ -147,6 +147,25 @@ def test_config_validation():
         with pytest.raises(ValueError, match="invalid bp_z_factor"):
             ExperimentConfig(solver_list=("omp", "bp"), bp_z_factor=z_factor, **cells)
     ExperimentConfig(solver_list=("bp",), bp_z_factor=0.0, **cells)
+    # a NaN or infinite threshold decides every cell alike: euclid at NaN
+    # read pd = pfa = 1.0, and a scan's energy at NaN never decided busy
+    scan = dict(experiment_kind="scan_sim", samples_N=256, measurements_M=128)
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="invalid euclid_lambda"):
+            ExperimentConfig(technique_list=("energy", "euclid"), euclid_lambda=lam)
+        with pytest.raises(ValueError, match="invalid euclid_lambda"):
+            ExperimentConfig(euclid_lambda=lam, **scan)
+        # a sweep without euclid never reads it
+        ExperimentConfig(technique_list=("energy",), euclid_lambda=lam)
+    for lam in (math.nan, math.inf, -1e-10):
+        with pytest.raises(ValueError, match="invalid energy_lambda_scan"):
+            ExperimentConfig(energy_lambda_scan=lam, **scan)
+    ExperimentConfig(energy_lambda_scan=0.0, **scan)
+    # the scan's autocorr margin fails here, not in its first cell
+    for margin in (0.0, -0.5, 1.5, 2.0, math.nan):
+        with pytest.raises(ValueError, match="scan autocorr_margin .* outside"):
+            ExperimentConfig(autocorr_margin=margin, **scan)
+    ExperimentConfig(autocorr_margin=1.0, **scan)
 
 
 def test_detection_at_minus_inf_snr_is_noise_only():
@@ -440,14 +459,14 @@ def vector_detection_rows(cfg):
      "threshold_factors": (1.0, 1.05)},
 ])
 def test_detection_records_do_not_depend_on_the_block_cap(monkeypatch, overrides):
-    # 70 trials: blocks of 64 and 6 at the default cap, ten blocks of 7, or
-    # 70 one-row blocks; each must count as one vector call per trial does
+    # 70 trials: one block at the default cap, ten blocks of 7, or 70
+    # one-row blocks; each must count as one vector call per trial does
     cfg = small_detection_config(**{"technique_list": TECHNIQUES, "trials_Nt": 70,
                                     **overrides})
-    default = harness.DETECT_BLOCK_ROWS
+    default = harness.BLOCK_SAMPLES
     curves = []
-    for cap in (1, 7, default):
-        monkeypatch.setattr(harness, "DETECT_BLOCK_ROWS", cap)
+    for cap in (cfg.samples_N, 7 * cfg.samples_N, default):
+        monkeypatch.setattr(harness, "BLOCK_SAMPLES", cap)
         curves.append(run_detection_mc(cfg))
     assert curves[0].records == curves[1].records == curves[2].records
     assert _rows(curves[2]) == vector_detection_rows(cfg)
@@ -674,6 +693,84 @@ def test_scan_report_pinned():
     assert list(report.rate_tables) == list(tables)
     assert _nan_as_none(report.rate_tables) == _nan_as_none(tables)
     assert report.detection_rate == report.false_rate == 1 / 3
+
+
+def vector_scan(cfg, plan):
+    """A scan's records, ground truth and (path, technique) timelines, run one
+    channel-slot at a time with vector matvec, detector and estimator calls."""
+    n = cfg.samples_N
+    matrix = build_matrix("circulant", cfg.scan_measurements(), n,
+                          seed=cfg.base_seed + 65537,
+                          options={"p": harness.SCAN_GENERATOR_P})
+    shape = (len(plan.channels()), cfg.slots)
+    truth = np.zeros(shape, dtype=bool)
+    decided = {(path, t): np.zeros(shape, dtype=bool)
+               for path in harness.PATHS for t in harness.SCAN_TECHNIQUES}
+    records = []
+    for s in range(cfg.slots):
+        for c in range(shape[0]):
+            rng = np.random.default_rng([cfg.base_seed, 15013, s, c])
+            truth[c, s] = rng.random() < cfg.busy_prob
+            snr_db = float(rng.choice(cfg.snr_grid_db))
+            x = rng.standard_normal(n) * math.sqrt(cfg.noise_variance)
+            if truth[c, s]:
+                gain = math.sqrt(cfg.noise_variance * 10.0 ** (snr_db / 10.0))
+                x = x + gain * harness._ma_waveform(rng, n, cfg.euclid_lags_M // 2 + 1)
+            for path, y in zip(harness.PATHS, (matrix.matvec(x), x)):
+                lams = {"energy": cfg.energy_lambda_scan * y.size * cfg.noise_variance,
+                        "autocorr": cfg.autocorr_margin, "euclid": cfg.euclid_lambda}
+                for t in harness.SCAN_TECHNIQUES:
+                    decided[path, t][c, s] = detect(t, y, lams[t],
+                                                    lags=cfg.euclid_lags_M).occupied
+            est = harness.estimate_snr(x, L=10, K=50).snr_db
+            records.extend(
+                {"slot": s, "channel": c, "technique": t,
+                 "decision": OCCUPIED if decided["compressive", t][c, s] else IDLE,
+                 "truth": int(truth[c, s]), "est_snr_db": est}
+                for t in harness.SCAN_TECHNIQUES)
+    return tuple(records), truth, decided
+
+
+@pytest.mark.parametrize("rows", [1, 4, None])
+def test_scan_does_not_depend_on_the_block_cap(monkeypatch, rows):
+    # 9 channels per slot: nine one-row blocks, blocks of 4, 4 and 1, or the
+    # whole slot at the default cap; each must equal one channel at a time
+    cfg = small_scan_config(busy_prob=0.5, snr_grid_db=(-10.0, 0.0, 10.0),
+                            energy_lambda_scan=1.3, autocorr_margin=0.2,
+                            euclid_lambda=3.0)
+    if rows is not None:
+        monkeypatch.setattr(harness, "BLOCK_SAMPLES", rows * cfg.samples_N)
+    report = run_scan_sim(cfg, plan=nine_channel_plan())
+    records, truth, decided = vector_scan(cfg, nine_channel_plan())
+    # these thresholds leave every timeline with both decisions in it
+    assert all(0 < hits.sum() < hits.size for hits in decided.values())
+    assert report.records == records
+    assert np.array_equal(report.ground_truth, truth)
+    for path, timeline in report.per_channel_timeline.items():
+        for t, hits in timeline.items():
+            assert np.array_equal(hits, decided[path, t]), (path, t)
+
+
+def test_scan_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the slot blocks run the block detectors' BLAS dot products and the
+    # blind SNR estimate's products; the report must not see the thread count
+    src = Path(harness.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "from cs_toolkit.harness import ExperimentConfig, run_scan_sim\n"
+            "from cs_toolkit.io import serialize_report\n"
+            "cfg = ExperimentConfig(experiment_kind='scan_sim', samples_N=1024, "
+            "measurements_M=256, slots=2, snr_grid_db=(-20.0, -10.0, 0.0, 8.0), "
+            "energy_lambda_scan=1.05, autocorr_margin=0.5, base_seed=23)\n"
+            "serialize_report(run_scan_sim(cfg), sys.argv[1])\n")
+    written = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"scan-{threads}.csv"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    assert written[0].count(b"\n") == 1 + 2 * 87 * 3
 
 
 def test_scan_deterministic_across_thread_counts():
