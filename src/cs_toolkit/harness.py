@@ -570,8 +570,8 @@ def _scan_block(cfg: ExperimentConfig, matrix: SensingMatrix, slot: int,
     a lone channel does, into one row of an (R, samples_N) block. The
     circulant then applies once to the block, and each technique detects
     once on each path's block, so decided[path, technique, r] holds row r's
-    decisions; each row equals the vector calls on it bit for bit. The blind
-    SNR estimate runs on each row, as a vector.
+    decisions. The blind SNR estimate runs once on the block, with one
+    estimate per row. Each row equals the vector calls on it bit for bit.
     """
     n = cfg.samples_N
     window = cfg.euclid_lags_M // 2 + 1
@@ -597,7 +597,7 @@ def _scan_block(cfg: ExperimentConfig, matrix: SensingMatrix, slot: int,
 
     # one row per entry of PATHS
     decided = np.array([decisions(matrix.matvec(block)), decisions(block)], dtype=bool)
-    est_snr_db = [estimate_snr(row, L=10, K=50).snr_db for row in block]
+    est_snr_db = [est.snr_db for est in estimate_snr(block, L=10, K=50)]
     return truth, snr, est_snr_db, decided
 
 
@@ -628,10 +628,11 @@ def run_scan_sim(
     Each channel-slot draws its truth, SNR and samples from its own RNG. A
     slot's channels then run as row blocks of up to max(1, BLOCK_SAMPLES //
     samples_N) channels, the cap detection sweeps share: one circulant
-    apply per block, and one detector call per technique on each path's
-    block. Each row equals the per-channel vector calls bit for bit, so the
-    report does not depend on the block size. The blind SNR estimate runs
-    on each channel's samples alone.
+    apply per block, one detector call per technique on each path's block,
+    and one blind SNR estimate per block (one stacked covariance and
+    eigendecomposition, then one noise fit per channel). Each row equals the
+    per-channel vector calls bit for bit, so the report does not depend on
+    the block size.
 
     Each channel-slot result is held once, in `truth`, `snr` and
     `decided[path, technique]` over (channel, slot), and in the record's SNR

@@ -1,5 +1,6 @@
 """Blind SNR estimation tests: MDL split, noise fit, swarm tuning."""
 
+import dataclasses
 import math
 import warnings
 
@@ -68,6 +69,27 @@ def test_mdl_validation():
         mdl_order(np.ones(3), 4, 100)
     with pytest.raises(ValueError):
         mdl_order(np.ones(3), 3, 2)
+    for L, N in ((3.0, 100), (3, 100.5), (3, 100.0)):
+        with pytest.raises(ValueError, match="integer"):
+            mdl_order(np.ones(3), L, N)
+    for bad in (np.ones((2, 2, 3)), np.ones((2, 4)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="L eigenvalues"):
+            mdl_order(bad, 3, 100)
+    with pytest.raises(ValueError, match="descending"):
+        mdl_order(np.array([[3.0, 2.0, 1.0], [1.0, 2.0, 3.0]]), 3, 100)
+
+
+def test_mdl_block_equals_row_calls_and_oracle():
+    rng = np.random.default_rng(8)
+    L, N = 9, 700
+    block = np.array([random_descending_eigs(rng, L) for _ in range(40)])
+    block[0] = 1.0  # flat: no signal
+    block[1, 4:] = 0.0  # a zero tail
+    orders = mdl_order(block, L, N)
+    assert orders.shape == (40,)
+    assert orders.tolist() == [mdl_order(row, L, N) for row in block]
+    assert orders.tolist() == [mdl_oracle(row, L, N) for row in block]
+    assert len(set(orders.tolist())) > 1
 
 
 def test_mp_fit_recovers_known_noise_variance():
@@ -234,6 +256,17 @@ def test_mp_fit_validation():
     for m_hat in (10, 12, -1):
         with pytest.raises(ValueError, match="M_hat"):
             mp_fit(np.ones(3), 10, 100, m_hat, 10)
+    for L, N, m_hat, K in ((3.5, 100, 0, 10), (10.0, 100, 0, 10), (10, 100.0, 0, 10),
+                           (10, 100, 7.0, 10), (10, 100, 7, 10.0)):
+        with pytest.raises(ValueError, match="integer"):
+            mp_fit(np.ones(3), L, N, m_hat, K)
+
+
+def test_mp_unit_cdf_is_cached_read_only():
+    cdf = _mp_unit_cdf(0.25)
+    assert _mp_unit_cdf(0.25) is cdf
+    with pytest.raises(ValueError, match="read-only"):
+        cdf[0] = 1.0
 
 
 def sinusoid_plus_noise(snr_db, n, seed):
@@ -297,6 +330,61 @@ def test_estimate_snr_pinned_bits(make, L, K, expected):
             est.mdl_order_M, est.clamped) == expected
 
 
+def test_estimate_snr_pinned_bits_as_one_block():
+    # the two 3072-sample inputs at L=10, K=50 as rows of one block
+    cases = [case for case in PINNED if case[1:3] == (10, 50)]
+    block = np.stack([make() for make, *_ in cases])
+    for est, (_, _, _, expected) in zip(estimate_snr(block, L=10, K=50), cases):
+        assert (est.snr_db.hex(), est.noise_variance_hat.hex(),
+                est.total_power_hat.hex(), est.goodness_D.hex(),
+                est.mdl_order_M, est.clamped) == expected
+
+
+def estimate_bits(est):
+    """Every field of an estimate, floats as float.hex."""
+    return tuple(v.hex() if isinstance(v, float) else (type(v), v)
+                 for v in dataclasses.astuple(est))
+
+
+def tone_block(n, seed, complex_rows=False):
+    """One row each: a tone at 10, 0 and -5 dB, two tones, and noise alone.
+
+    Complex rows add independent imaginary noise."""
+    rows = [sinusoid_plus_noise(snr_db, n, seed + i)
+            for i, snr_db in enumerate((10.0, 0.0, -5.0))]
+    rows.append(rows[0] + 3.0 * np.cos(0.9 * np.arange(n)))
+    rows.append(np.random.default_rng(seed + 9).standard_normal(n))
+    block = np.array(rows)
+    if complex_rows:
+        block = block + 1j * np.random.default_rng(seed + 10).standard_normal(block.shape)
+    return block
+
+
+@pytest.mark.parametrize("complex_rows", [False, True])
+@pytest.mark.parametrize("n, L, K", [(3072, 10, 50), (500, 7, 20), (2 * 12, 12, 3)])
+def test_block_rows_equal_vector_calls(complex_rows, n, L, K):
+    block = tone_block(n, seed=31, complex_rows=complex_rows)
+    ests = estimate_snr(block, L=L, K=K)
+    assert isinstance(ests, list) and len(ests) == len(block)
+    for est, row in zip(ests, block):
+        assert estimate_bits(est) == estimate_bits(estimate_snr(row, L=L, K=K))
+    if (n, complex_rows) == (3072, False):
+        # the block covers a clamped noise-only row and differing model orders
+        assert any(est.clamped for est in ests)
+        assert len({est.mdl_order_M for est in ests}) >= 3
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.float32])
+def test_estimate_snr_computes_on_float64(dtype):
+    rng = np.random.default_rng(12)
+    block = (rng.random((3, 800)) > 0.5 if dtype is bool
+             else rng.integers(-3, 4, size=(3, 800)).astype(dtype))
+    for est, row in zip(estimate_snr(block), block.astype(float)):
+        assert estimate_bits(est) == estimate_bits(estimate_snr(row))
+    assert estimate_bits(estimate_snr(block[0])) == estimate_bits(
+        estimate_snr(block[0].astype(float)))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("samples, match", [
     (np.zeros(100), "power"),
@@ -307,8 +395,13 @@ def test_estimate_snr_pinned_bits(make, L, K, expected):
     (np.r_[1.0, np.zeros(99)], "no noise"),  # a lone impulse: zero noise fit
 ])
 def test_estimate_snr_rejects_degenerate_samples(samples, match):
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=match) as vector_error:
         estimate_snr(samples)
+    # a block raises the same error on the same row
+    good = sinusoid_plus_noise(0.0, samples.size, seed=13)
+    with pytest.raises(ValueError) as block_error:
+        estimate_snr(np.stack([good, samples, good]))
+    assert str(block_error.value) == str(vector_error.value)
 
 
 def test_estimate_snr_validation():
@@ -318,6 +411,12 @@ def test_estimate_snr_validation():
         estimate_snr(np.ones(100), K=1)
     with pytest.raises(ValueError):
         estimate_snr(np.ones(10), L=10)
+    for kwargs in ({"L": 10.0}, {"K": 50.0}):
+        with pytest.raises(ValueError, match="integer"):
+            estimate_snr(np.ones(100), **kwargs)
+    for shape in ((2, 3, 100), (4, 19)):  # 3-d, and a block with n < 2L
+        with pytest.raises(ValueError, match="row block"):
+            estimate_snr(np.ones(shape), L=10)
 
 
 def test_pso_deterministic_and_bounded():
@@ -361,3 +460,5 @@ def test_pso_validation():
         pso_tune(x, (4, 10), (20, 60), swarm=1)
     with pytest.raises(ValueError):
         pso_tune(x, (4, 10), (20, 60), iters=0)
+    with pytest.raises(ValueError, match="1-d"):
+        pso_tune(np.stack([x, x]), (4, 10), (20, 60))
