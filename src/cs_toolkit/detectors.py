@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import IllConditionedError
 from .matrices import SensingMatrix
-from .signals import PilotSignal, _finite_vector
+from .signals import PilotSignal, _finite_vector, _samples
 
 __all__ = [
     "DetectionOutcome",
@@ -56,16 +56,23 @@ TECHNIQUES = ("energy", "matched_filter", "autocorr", "euclid")
 
 @dataclass(frozen=True)
 class DetectionOutcome:
-    """A detector's decision on a vector, or one per row (as arrays) on a block."""
+    """A detector's decision on a vector, or one per row (as arrays) on a block.
+
+    The decision is stored as `occupied`: a bool for a vector, a bool array
+    for a block. `decision` is derived from it: OCCUPIED or IDLE for a
+    vector, an array of them for a block.
+    """
 
     statistic_T: float | np.ndarray
     threshold_lambda: float | np.ndarray
-    decision: str | np.ndarray
+    occupied: bool | np.ndarray
     technique: str
 
     @property
-    def occupied(self) -> bool | np.ndarray:
-        return self.decision == OCCUPIED
+    def decision(self) -> str | np.ndarray:
+        if isinstance(self.occupied, np.ndarray):
+            return np.where(self.occupied, OCCUPIED, IDLE)
+        return OCCUPIED if self.occupied else IDLE
 
 
 @dataclass(frozen=True)
@@ -85,65 +92,27 @@ class WaveletOpts:
     invert: bool = False  # flip the literal idle-on-large-edge rule
 
 
-def _samples(y, block: bool = True) -> np.ndarray:
-    """y's samples as a length-n vector or, if `block`, an (R, n) row block.
-
-    n must be at least 1 and every sample finite. The samples come back as
-    float64, or complex128 when complex.
-    """
-    v = _finite_vector(y)
-    if v.ndim not in ((1, 2) if block else (1,)) or v.shape[-1] == 0:
-        shapes = "a length-n vector or an (R, n) row block" if block else "a vector"
-        raise ValueError(f"expected {shapes} with n >= 1, got shape {v.shape}")
-    return np.asarray(v, dtype=complex if v.dtype.kind == "c" else float)
-
-
 def _thresholds(lam, v: np.ndarray):
-    """lam as a float scalar, or for an (R, n) block as one value per row.
-
-    A Python float, the usual scalar, is returned as it is: the array round
-    trip would cost a single-vector call about as much as its last lag.
-    """
-    if isinstance(lam, float):
-        return lam
+    """lam as a 0-d float array, or for an (R, n) block as one value per row."""
     lam = np.asarray(lam, dtype=float)
-    if lam.ndim == 0:
-        return lam[()]
-    if v.ndim != 2 or lam.shape != v.shape[:1]:
+    if lam.ndim and (v.ndim != 2 or lam.shape != v.shape[:1]):
         raise ValueError(f"threshold shape {lam.shape} does not fit samples of "
                          f"shape {v.shape}: give a scalar or one value per row")
     return lam
 
 
-def _all(mask) -> bool:
-    """Whether a mask holds everywhere; a scalar mask skips the array reduction."""
-    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
-
-
 def _outcome(t, lam, occupied, technique: str) -> DetectionOutcome:
     """The outcome for statistic t (a scalar, or one per row) and its decision mask."""
     if t.ndim == 0:
-        return DetectionOutcome(float(t), float(lam), OCCUPIED if occupied else IDLE,
-                                technique)
-    return DetectionOutcome(t, np.array(np.broadcast_to(lam, t.shape)),
-                            np.where(occupied, OCCUPIED, IDLE), technique)
-
-
-def _dot(v: np.ndarray):
-    """The row-wise product sum(conj(a) * b) for arrays shaped like v.
-
-    np.vecdot on a block's rows runs the same BLAS dot as np.vdot on one
-    vector, so every row's product is bit-identical to the vector's; a
-    vector takes np.vdot, which costs less to call.
-    """
-    return np.vdot if v.ndim == 1 else np.vecdot
+        return DetectionOutcome(float(t), float(lam), bool(occupied), technique)
+    return DetectionOutcome(t, np.array(np.broadcast_to(lam, t.shape)), occupied, technique)
 
 
 def energy_detect(y, lam) -> DetectionOutcome:
     """T = sum |y(n)|^2; occupied iff T >= lambda."""
     v = _samples(y)
     lam = _thresholds(lam, v)
-    t = _dot(v)(v, v).real
+    t = np.vecdot(v, v).real
     return _outcome(t, lam, t >= lam, "energy")
 
 
@@ -206,14 +175,12 @@ def _autocorr(v: np.ndarray, max_lag: int) -> np.ndarray:
 
     Lags run along the first axis: a vector gives max_lag + 1 values, an
     (R, N) block a (max_lag + 1, R) array, so r[e] is lag e of every row.
-    Each lag is one dot-product call over the whole block (see `_dot`), so
-    column r equals, bit for bit, the autocorrelation of row r on its own.
+    Each lag is one np.vecdot call over the whole block, which takes each
+    row's dot product as it takes a vector's, so column r equals, bit for
+    bit, the autocorrelation of row r on its own.
     """
     n = v.shape[-1]
-    dot = _dot(v)
-    out = np.empty((max_lag + 1,) + v.shape[:-1], dtype=v.dtype)
-    for e in range(max_lag + 1):
-        out[e] = dot(v[..., : n - e], v[..., e:])
+    out = np.array([np.vecdot(v[..., : n - e], v[..., e:]) for e in range(max_lag + 1)])
     out /= float(n)  # a float divisor skips numpy's Python-int promotion
     return out
 
@@ -221,7 +188,7 @@ def _autocorr(v: np.ndarray, max_lag: int) -> np.ndarray:
 def _power(r: np.ndarray):
     """R(0) of the autocorrelation(s) r, rejecting zero-power input."""
     r0 = r[0].real
-    if not _all(r0 != 0.0):
+    if not np.all(r0 != 0.0):
         raise ValueError("zero-power input")
     return r0
 
@@ -232,7 +199,7 @@ def autocorr_detect(y, margin_lambda) -> DetectionOutcome:
     if v.shape[-1] < 2:
         raise ValueError("need at least two samples")
     lam = _thresholds(margin_lambda, v)
-    if not _all((0.0 < lam) & (lam <= 1.0)):
+    if not np.all((0.0 < lam) & (lam <= 1.0)):
         raise ValueError("margin_lambda must be in (0, 1]")
     r = _autocorr(v, 1)
     t = np.abs(r[1]) / _power(r)
@@ -282,15 +249,15 @@ def wavelet_detect(y, lam: float, opts: WaveletOpts = WaveletOpts()) -> Detectio
     v = _samples(y, block=False)
     if v.size < 16:
         raise ValueError("need at least 16 samples")
+    lam = _thresholds(lam, v)
     psd = np.abs(np.fft.rfft(v)) ** 2 / v.size
     kernel = _ricker(opts.scale)
     # the centred "same" slice of the full convolution, psd.size long even
     # when the psd is shorter than the kernel
     coeffs = np.convolve(psd, kernel)[kernel.size // 2:][: psd.size]
-    t = float(np.max(np.abs(coeffs)))
+    t = np.max(np.abs(coeffs))
     big = t >= lam
-    occupied = big if opts.invert else not big
-    return DetectionOutcome(t, float(lam), OCCUPIED if occupied else IDLE, "wavelet")
+    return _outcome(t, lam, big if opts.invert else ~big, "wavelet")
 
 
 def matched_filter_detect(y, pilot: PilotSignal, lam) -> DetectionOutcome:
@@ -341,14 +308,14 @@ def compressive_detect(
         raise ValueError("compressed length does not match Omega.m")
     if s.size != Omega.n:
         raise ValueError("template length does not match Omega.n")
+    lam = _thresholds(lam, yv)
     dense = Omega.to_dense()
     gram = dense @ dense.T
     try:
-        t = float(yv @ np.linalg.solve(gram, dense @ s))
+        t = yv @ np.linalg.solve(gram, dense @ s)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError("Omega Omega^T is singular") from exc
-    return DetectionOutcome(t, float(lam),
-                            OCCUPIED if t >= lam else IDLE, "compressive")
+    return _outcome(t, lam, t >= lam, "compressive")
 
 
 def detect(technique: str, samples, lam, *,

@@ -212,6 +212,19 @@ def _finite_vector(x) -> np.ndarray:
     return v
 
 
+def _samples(y, block: bool = True) -> np.ndarray:
+    """y's samples as a length-n vector or, if `block`, an (R, n) row block.
+
+    n must be at least 1 and every sample finite. The samples come back as
+    float64, or complex128 when complex.
+    """
+    v = _finite_vector(y)
+    if v.ndim not in ((1, 2) if block else (1,)) or v.shape[-1] == 0:
+        shapes = "a length-n vector or an (R, n) row block" if block else "a vector"
+        raise ValueError(f"expected {shapes} with n >= 1, got shape {v.shape}")
+    return np.asarray(v, dtype=complex if v.dtype.kind == "c" else float)
+
+
 def _noise_variance(power: float, snr_db: float) -> float:
     """Noise variance putting `power` at snr_db dB; 0.0 at snr_db = +inf."""
     if math.isnan(snr_db) or snr_db == -math.inf:

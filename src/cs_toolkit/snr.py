@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import _finite_vector
+from .signals import _finite_vector, _samples
 
 __all__ = [
     "SnrEstimate",
@@ -206,12 +206,11 @@ def estimate_snr(samples, L: int = 10, K: int = 50) -> SnrEstimate | list[SnrEst
         raise ValueError("L must be >= 2")
     if K < 2:
         raise ValueError("K must be >= 2")
-    s = _finite_vector(samples)
-    if s.ndim not in (1, 2) or s.shape[-1] < 2 * L:
+    s = _samples(samples)
+    if s.shape[-1] < 2 * L:
         raise ValueError("need a length-n vector or an (R, n) row block with n >= 2L, "
                          f"got shape {s.shape}")
-    rows = np.asarray(s, dtype=complex if s.dtype.kind == "c" else float)
-    rows = rows.reshape(-1, rows.shape[-1])
+    rows = s.reshape(-1, s.shape[-1])
     x = _delay_embed(rows, L)
     n_eff = x.shape[-1]
     # one row at a time: a whole block's |x|^2 would be an (R, L, n_eff) temporary
