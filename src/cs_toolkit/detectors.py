@@ -11,11 +11,12 @@ vector or an (R, n) row block, as `SensingMatrix.matvec` does. A vector
 gets one `DetectionOutcome` of floats and a decision string. A block gets
 one statistic, threshold and decision per row, as length-R arrays, and its
 threshold may be a scalar or one value per row. Both shapes run the same
-statistic code, and row r of a block's outcome equals, bit for bit, the
+code, and row r of a block's outcome equals, bit for bit, the
 vector call on row r. Samples are computed on as float64, or complex128
 when complex. Input with more than two axes, an empty last axis or a
 non-finite sample is rejected with ValueError, as is a block in which one
-row fails a check the vector call makes.
+row fails a check the vector call makes. Every detector rejects a NaN
+threshold, also in one row of a block; +-inf thresholds stay legal.
 """
 
 from __future__ import annotations
@@ -93,11 +94,16 @@ class WaveletOpts:
 
 
 def _thresholds(lam, v: np.ndarray):
-    """lam as a 0-d float array, or for an (R, n) block as one value per row."""
+    """lam as a 0-d float array, or for an (R, n) block as one value per row.
+
+    A NaN threshold, or a NaN in any row's, is rejected; +-inf stays legal.
+    """
     lam = np.asarray(lam, dtype=float)
     if lam.ndim and (v.ndim != 2 or lam.shape != v.shape[:1]):
         raise ValueError(f"threshold shape {lam.shape} does not fit samples of "
                          f"shape {v.shape}: give a scalar or one value per row")
+    if np.isnan(lam).any():
+        raise ValueError("threshold must not be NaN")
     return lam
 
 
@@ -198,9 +204,11 @@ def autocorr_detect(y, margin_lambda) -> DetectionOutcome:
     v = _samples(y)
     if v.shape[-1] < 2:
         raise ValueError("need at least two samples")
-    lam = _thresholds(margin_lambda, v)
+    # a NaN margin fails the range check, before _thresholds sees it
+    lam = np.asarray(margin_lambda, dtype=float)
     if not np.all((0.0 < lam) & (lam <= 1.0)):
         raise ValueError("margin_lambda must be in (0, 1]")
+    lam = _thresholds(lam, v)
     r = _autocorr(v, 1)
     t = np.abs(r[1]) / _power(r)
     return _outcome(t, lam, t >= lam, "autocorr")

@@ -271,10 +271,13 @@ def compress(
     noise_variance: float = 0.0,
     seed: int = 0,
 ) -> MeasurementVector:
-    """Measure y = A x + w with w i.i.d. N(0, noise_variance)."""
+    """Measure y = A x + w with w i.i.d. N(0, noise_variance); x must be real."""
     if noise_variance < 0:
         raise ValueError("noise_variance must be >= 0")
-    vec = x.samples if isinstance(x, SparseSignal) else np.asarray(x, dtype=float)
+    vec = x.samples if isinstance(x, SparseSignal) else np.asarray(x)
+    if vec.dtype.kind == "c":
+        raise ValueError("the signal must be real, got complex values")
+    vec = vec.astype(float, copy=False)
     if vec.shape != (matrix.n,):
         raise ValueError(f"signal length {vec.shape} does not match n={matrix.n}")
     return _with_noise(matrix.matvec(vec), noise_variance, seed)

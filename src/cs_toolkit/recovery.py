@@ -91,8 +91,14 @@ class SignVector:
 
 
 def _measurements(y, m: int | None = None) -> np.ndarray:
-    """y as a float vector of finite values, checked to be m long if m is given."""
-    yv = np.asarray(_finite_vector(y), dtype=float)
+    """y as a float vector of finite values, checked to be m long if m is given.
+
+    Complex values are rejected, not cast: a cast would drop the imaginary part.
+    """
+    yv = _finite_vector(y)
+    if yv.dtype.kind == "c":
+        raise ValueError("measurements must be real, got complex values")
+    yv = yv.astype(float, copy=False)
     if m is not None and yv.shape != (m,):
         raise ValueError("measurement length does not match A.m")
     return yv

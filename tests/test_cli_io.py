@@ -373,6 +373,16 @@ def test_cli_generate_and_compress(tmp_path, capsys):
     assert (tmp_path / "meas_manifest.json").exists()
 
 
+def test_cli_compress_rejects_complex_signal(tmp_path, capsys):
+    sig = tmp_path / "sig.csv"
+    sig.write_text("\n".join(repr(complex(v, 0.5)) for v in range(8)) + "\n")
+    meas = tmp_path / "meas.csv"
+    assert run_cli(["compress", "--input", str(sig), "--m", "4",
+                    "--output", str(meas)]) == 1
+    assert capsys.readouterr().err.startswith("error: the signal must be real")
+    assert not meas.exists()
+
+
 def test_cli_recover_noiseless_exact(tmp_path, capsys):
     out = tmp_path / "rec.csv"
     assert run_cli(["recover", "--solver", "omp", "--n", "128", "--k", "6",
@@ -501,6 +511,17 @@ def test_cli_detect_negative_threshold(tmp_path, capsys):
     assert printed[0] == "technique,statistic,threshold,decision"
     assert printed[1].endswith("occupied_H1")  # any energy beats -1e9
     assert out.read_text().splitlines() == printed[:2]
+
+
+def test_cli_detect_rejects_nan_threshold(tmp_path, capsys):
+    sig = tmp_path / "noise.csv"
+    rng = np.random.default_rng(3)
+    sig.write_text("\n".join("%.9g" % v for v in rng.standard_normal(256)) + "\n")
+    out = tmp_path / "dec.csv"
+    assert run_cli(["detect", "--technique", "euclid", "--threshold", "nan",
+                    "--input", str(sig), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: threshold must not be NaN")
+    assert not out.exists()
 
 
 def test_cli_detect_matched_filter_idle(tmp_path, capsys):

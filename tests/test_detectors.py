@@ -463,6 +463,62 @@ def test_block_outcome_equals_its_rows(technique, via, dtype, n):
     assert 0 < np.count_nonzero(decided) < block.shape[0]
 
 
+# float.hex of the energy, matched-filter, autocorrelation and euclid (M = 64)
+# statistics of row 3 of mixed_rows(n, dtype), a noise row carrying the pilot.
+# Block and vector calls share their code, so the block tests above cannot see
+# a change in how a vector's statistic is summed; these frozen bits can.
+PINNED_VECTOR_BITS = {
+    (65, "float"): ("0x1.b9fcb83624525p+10", "0x1.4c276daebffa5p+8",
+                    "0x1.eaf3251037343p-4", "0x1.2af22664f61e7p+2"),
+    (65, "complex"): ("0x1.d310615ac8915p+10", "0x1.4c276daebffa4p+8",
+                      "0x1.af23f6c8ec4a5p-4", "0x1.2a7a69a454582p+2"),
+    (1000, "float"): ("0x1.a0b964ad6e23fp+14", "0x1.3c9a55a992af2p+12",
+                      "0x1.00c12a331e532p-5", "0x1.2053326434d1ep+2"),
+    (1000, "complex"): ("0x1.af20efcad7fcbp+14", "0x1.3c9a55a992af2p+12",
+                        "0x1.16a5808d7c7e1p-5", "0x1.2064694b5f132p+2"),
+    (3072, "float"): ("0x1.36c457fab86d8p+16", "0x1.df3204fe3864ap+13",
+                      "0x1.24499e3e170fap-5", "0x1.1ed7b303ee139p+2"),
+    (3072, "complex"): ("0x1.42cf9c224bc64p+16", "0x1.df3204fe38649p+13",
+                        "0x1.1e061426566a0p-5", "0x1.1edeccdb07256p+2"),
+}
+
+
+@pytest.mark.parametrize("n, kind", list(PINNED_VECTOR_BITS))
+def test_vector_statistics_pinned_bits(n, kind):
+    v = mixed_rows(n, {"float": float, "complex": complex}[kind])[3]
+    pilot = gen_pilot_bpsk(n, seed=2)
+    got = tuple(float.hex(detect(t, v, 0.5, pilot=pilot, lags=64).statistic_T)
+                for t in TECHNIQUES)
+    assert got == PINNED_VECTOR_BITS[n, kind]
+
+
+NAN_THRESHOLD_CASES = [(t, shape) for t in TECHNIQUES
+                       for shape in ("vector", "block", "one_row")]
+NAN_THRESHOLD_CASES += [("wavelet", "vector"), ("compressive", "vector")]
+
+
+@pytest.mark.parametrize("detector, shape", NAN_THRESHOLD_CASES)
+def test_nan_threshold_is_rejected(detector, shape):
+    call = {
+        **BLOCK_CALLS,
+        "wavelet": lambda y, lam, pilot: wavelet_detect(y, lam),
+        "compressive": lambda y, lam, pilot: compressive_detect(
+            y[:OMEGA.m], OMEGA, np.ones(OMEGA.n), lam),
+    }[detector]
+    pilot = gen_pilot_bpsk(100, seed=2)
+    rows = mixed_rows(100, float)[:3]
+    y = rows[0] if shape == "vector" else rows
+    lam = np.array([0.5, math.nan, 0.5]) if shape == "one_row" else math.nan
+    # a NaN margin lies outside autocorrelation's range (0, 1]
+    match = r"margin_lambda must be in \(0, 1\]" if detector == "autocorr" else "NaN"
+    with pytest.raises(ValueError, match=match):
+        call(y, lam, pilot)
+    if detector != "autocorr":
+        # +-inf thresholds stay legal: they are the ROC's end points
+        for end in (math.inf, -math.inf):
+            assert np.all(call(y, end, pilot).threshold_lambda == end)
+
+
 def outcome_or_error(call):
     try:
         out = call()

@@ -339,6 +339,15 @@ def test_compress_noise_statistics_and_determinism():
         compress(A, np.ones(7))
 
 
+def test_compress_rejects_complex_signals():
+    A = build_matrix("gaussian", 20, 50, seed=1)
+    x = gen_sparse_signal(50, 5, seed=2).samples
+    # a complex dtype is rejected even with zero imaginary parts
+    for bad in (x + 0.5j * x, x.astype(complex)):
+        with pytest.raises(ValueError, match="must be real"):
+            compress(A, bad)
+
+
 def test_mutual_coherence_brute_force():
     A = build_matrix("gaussian", 10, 18, seed=5)
     dense = A.to_dense()

@@ -901,23 +901,41 @@ def test_bayesian_informed_trajectories_pinned(scheme, s, support, iterations,
     assert metrics["re"] == pytest.approx(re, rel=1e-7)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("solver", ["bp", "omp", "cosamp", "bayesian", "biht",
-                                    "one_bit_quantize"])
-def test_solvers_reject_nonfinite_measurements(solver, bad):
-    A, _, y = planted_instance("gaussian", 30, 60, 3, seed=4)
-    call = {
+MEASUREMENT_CALLS = ("bp", "omp", "cosamp", "bayesian", "biht", "one_bit_quantize")
+
+
+def measurement_call(name, A):
+    """The solver (k = 3) or quantizer `name`, as a function of the measurements."""
+    return {
         "bp": lambda v: basis_pursuit(v, A, z=0.1),
         "omp": lambda v: omp(v, A, 3),
         "cosamp": lambda v: cosamp(v, A, 3),
         "bayesian": lambda v: bayesian_recover(v, A),
         "biht": lambda v: biht_recover(v, A, 3),
         "one_bit_quantize": one_bit_quantize,
-    }[solver]
+    }[name]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("solver", MEASUREMENT_CALLS)
+def test_solvers_reject_nonfinite_measurements(solver, bad):
+    A, _, y = planted_instance("gaussian", 30, 60, 3, seed=4)
+    call = measurement_call(solver, A)
     one_bad = y.values.copy()
     one_bad[5] = bad
     for v in (np.full(A.m, bad), one_bad):
         with pytest.raises(ValueError, match="finite"):
+            call(v)
+
+
+@pytest.mark.parametrize("solver", MEASUREMENT_CALLS)
+def test_solvers_reject_complex_measurements(solver):
+    A, _, y = planted_instance("gaussian", 30, 60, 3, seed=4)
+    call = measurement_call(solver, A)
+    signs = one_bit_quantize(y).signs
+    # a complex dtype is rejected even with zero imaginary parts
+    for v in (y.values + 0.5j, y.values.astype(complex), signs.astype(complex)):
+        with pytest.raises(ValueError, match="measurements must be real"):
             call(v)
 
 
