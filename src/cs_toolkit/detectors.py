@@ -309,8 +309,16 @@ def quiet_time_threshold(
 def compressive_detect(
     y_compressed, Omega: SensingMatrix, template_S: np.ndarray, lam: float
 ) -> DetectionOutcome:
-    """T = y^T (Omega Omega^T)^-1 Omega S; occupied iff T >= lambda."""
+    """T = y^T (Omega Omega^T)^-1 Omega S; occupied iff T >= lambda.
+
+    The compressed samples and the template must be real: Omega is real, and
+    a complex statistic has no order against lambda.
+    """
     yv = _samples(y_compressed, block=False)
+    if yv.dtype.kind == "c":
+        raise ValueError("compressed samples must be real")
+    if np.iscomplexobj(template_S):
+        raise ValueError("template_S must be real")
     s = np.asarray(template_S, dtype=float)
     if yv.size != Omega.m:
         raise ValueError("compressed length does not match Omega.m")

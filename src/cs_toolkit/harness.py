@@ -630,7 +630,8 @@ def run_scan_sim(
     samples_N) channels, the cap detection sweeps share: one circulant
     apply per block, one detector call per technique on each path's block,
     and one blind SNR estimate per block (one stacked covariance and
-    eigendecomposition, then one noise fit per channel). Each row equals the
+    eigendecomposition, then one noise fit per model order among the
+    block's channels). Each row equals the
     per-channel vector calls bit for bit, so the report does not depend on
     the block size.
 

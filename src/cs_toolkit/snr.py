@@ -8,9 +8,9 @@ tunes the (L, K) hyperparameters.
 
 `estimate_snr` takes a length-n vector or an (R, n) row block, as
 `SensingMatrix.matvec` and the detectors do. A block's rows share one
-stacked covariance product, one stacked `eigvalsh` and one MDL split, and
-each row's estimate equals, bit for bit, the vector call on that row. The
-noise fit stays one `mp_fit` call per row.
+stacked covariance product, one stacked `eigvalsh` and one MDL split, then
+one `mp_fit` call per model order among its rows; each row's estimate
+equals, bit for bit, the vector call on that row.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ __all__ = [
 
 SNR_FLOOR_DB = -40.0
 MP_GRID_POINTS = 256
+# rows per pass of a block noise fit, which bounds the pass's (rows, K, 256)
+# temporaries: 1.6 MB each at the scan's K = 50
+_FIT_CHUNK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -130,9 +133,77 @@ def _mp_unit_cdf(q: float) -> np.ndarray:
     return cdf
 
 
+def _linspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
+    """np.linspace(start[r], stop[r], num) for each r, bit for bit.
+
+    np.linspace on arrays of endpoints is not: as soon as one row's step
+    underflows to zero (a subnormal span), it divides before multiplying on
+    every row, which rounds the other rows differently.
+    """
+    delta = stop - start
+    step = delta / (num - 1)
+    i = np.arange(num, dtype=float)
+    y = i * step[:, None]
+    zero = step == 0.0
+    if zero.any():
+        y[zero] = (i / (num - 1)) * delta[zero, None]
+    y += start[:, None]
+    y[:, -1] = stop
+    return y
+
+
+def _empirical_cdfs(sorted_eigs: np.ndarray, grid: np.ndarray, q: float) -> np.ndarray:
+    """(R, K, 256) empirical CDFs of each row's ascending eigenvalues at the
+    `_mp_support` points of that row's K candidate variances in grid.
+
+    A support's first 255 points, i * step + lo, are nondecreasing in i, so
+    the CDF there is a step function of i: with p_j of these points below
+    eigenvalue e_j, the CDF at point i is the count of j with p_j <= i, over
+    M. Each p_j is estimated as ceil((e_j - lo)/step), then corrected by at
+    most one against the points next to the estimate, computed as
+    `_mp_support` computes them; no support is built. The last point, hi, is
+    counted directly, as rounding can put it below the point before it.
+    """
+    R, K = grid.shape
+    M = sorted_eigs.shape[-1]
+    last = MP_GRID_POINTS - 1
+    # (R, M, K) arrays: eigenvalue j of row r against candidate k
+    lo = (grid * (1.0 - math.sqrt(q)) ** 2)[:, None, :]
+    hi = (grid * (1.0 + math.sqrt(q)) ** 2)[:, None, :]
+    step = (hi - lo) / last
+    e = sorted_eigs[:, :, None]
+    # a subnormal variance can underflow the step to zero, or leave it so
+    # small that the quotient overflows; fmax takes the 0/0 NaN to 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.ceil((e - lo) / step)
+    t = np.fmin(np.fmax(t, 0.0), last)
+    # whether points t-2 .. t+1 lie below e_j, where points before the first
+    # lie below every eigenvalue and points from the last one on above it
+    i = t + np.arange(-2.0, 2.0)[:, None, None, None]
+    below = (i < 0) | ((i < last) & (i * step + lo < e))
+    p = (t - 1 + below[1] + below[2]).astype(np.intp).transpose(0, 2, 1)
+    # The binary search is kept for supports where the estimate is off by
+    # more than one point: a step below the rounding of lo (a tiny q)
+    # collapses the points onto a few values.
+    exact = (below[0] & ~below[3]).all(axis=(1, 2))
+    p[~exact] = 0
+    runs = np.empty((R, K, M + 2), dtype=np.intp)
+    runs[..., :M] = p
+    runs[..., M] = last
+    runs[..., 1:M + 1] -= p
+    runs[..., M + 1] = 1
+    levels = np.empty((R, K, M + 2))
+    levels[..., :M + 1] = np.arange(M + 1) / M
+    levels[..., M + 1] = np.count_nonzero(e <= hi, axis=1) / M
+    emp = np.repeat(levels.ravel(), runs.ravel()).reshape(R, K, MP_GRID_POINTS)
+    for r in np.flatnonzero(~exact):
+        emp[r] = np.searchsorted(sorted_eigs[r], _mp_support(grid[r], q), side="right") / M
+    return emp
+
+
 def mp_fit(
     noise_eigs: np.ndarray, L: int, N: int, M_hat: int, K: int
-) -> tuple[float, float]:
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Fit the noise variance by CDF matching against the Marchenko-Pastur law.
 
     Candidate variances pi_k are K linearly spaced points spanning the
@@ -149,12 +220,21 @@ def mp_fit(
     l2-distance argmin, the first of any ties, and its distance. A zero
     candidate variance has no law and gets distance inf; when every
     candidate is zero (all-zero eigenvalues) the result is (0.0, inf).
-    Raises ValueError on non-finite or negative eigenvalues, on a
-    non-integer L, N, M_hat or K, and unless 0 <= M_hat < L.
+
+    Takes a vector of descending noise eigenvalues and returns two floats,
+    or an (R, M) block of such rows, which share M_hat, and returns two
+    arrays of R; each row's fit equals the vector call on it bit for bit.
+    The empirical CDFs are counted from where the eigenvalues cross each
+    support, without building the supports.
+    Raises ValueError on non-finite or negative eigenvalues, on eigenvalues
+    so large that a candidate's support overflows, on a non-integer L, N,
+    M_hat or K, and unless 0 <= M_hat < L.
     """
     L, N = _integer("L", L), _integer("N", N)
     M_hat, K = _integer("M_hat", M_hat), _integer("K", K)
     eigs = np.asarray(noise_eigs, dtype=float)
+    if eigs.ndim not in (1, 2):
+        raise ValueError("noise_eigs must be a vector or one row each")
     if eigs.size < 1:
         raise ValueError("noise_eigs must be nonempty")
     if not np.all(np.isfinite(eigs)) or np.any(eigs < 0):
@@ -166,21 +246,38 @@ def mp_fit(
         raise ValueError("need c = L/N in (0, 1)")
     if not 0 <= M_hat < L:
         raise ValueError(f"need 0 <= M_hat < L, got M_hat={M_hat}, L={L}")
+    rows = eigs.reshape(-1, eigs.shape[-1])
     sq = math.sqrt(c)
-    sigma_lo = float(eigs[-1]) / (1.0 - sq) ** 2
-    sigma_hi = float(eigs[0]) / (1.0 + sq) ** 2
-    if sigma_lo > sigma_hi:
-        sigma_lo, sigma_hi = sigma_hi, sigma_lo
+    with np.errstate(over="ignore"):
+        sigma_lo = rows[:, -1] / (1.0 - sq) ** 2
+        sigma_hi = rows[:, 0] / (1.0 + sq) ** 2
+        # the upper edge of the largest candidate's support
+        top = np.maximum(sigma_lo, sigma_hi) * (1.0 + sq) ** 2
+    if not np.all(np.isfinite(top)):
+        raise ValueError("noise_eigs too large for c: the candidate supports overflow")
+    inverted = sigma_lo > sigma_hi
+    sigma_lo, sigma_hi = (np.where(inverted, sigma_hi, sigma_lo),
+                          np.where(inverted, sigma_lo, sigma_hi))
     q = (1.0 - M_hat / L) * c
-    grid = np.linspace(sigma_lo, sigma_hi, K)
-    v = _mp_support(grid, q)
-    d = np.searchsorted(np.sort(eigs), v, side="right") / eigs.size - _mp_unit_cdf(q)
-    # the stacked product rounds as np.linalg.norm does on each row; a sum
-    # over axis 1 rounds differently
-    dist = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
-    dist[grid == 0.0] = math.inf
-    best = int(np.argmin(dist))
-    return float(grid[best]), float(dist[best])
+    unit_cdf = _mp_unit_cdf(q)
+    sorted_eigs = np.sort(rows, axis=-1)
+    fitted = np.empty(len(rows))
+    goodness = np.empty(len(rows))
+    for r in range(0, len(rows), _FIT_CHUNK_ROWS):
+        chunk = slice(r, r + _FIT_CHUNK_ROWS)
+        grid = _linspace_rows(sigma_lo[chunk], sigma_hi[chunk], K)
+        d = _empirical_cdfs(sorted_eigs[chunk], grid, q)
+        d -= unit_cdf
+        # the stacked product rounds as np.linalg.norm does on each row; a sum
+        # over the last axis rounds differently
+        dist = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+        dist[grid == 0.0] = math.inf
+        best = np.argmin(dist, axis=-1)
+        fitted[chunk] = np.take_along_axis(grid, best[:, None], axis=-1)[:, 0]
+        goodness[chunk] = np.take_along_axis(dist, best[:, None], axis=-1)[:, 0]
+    if eigs.ndim == 1:
+        return float(fitted[0]), float(goodness[0])
+    return fitted, goodness
 
 
 def estimate_snr(samples, L: int = 10, K: int = 50) -> SnrEstimate | list[SnrEstimate]:
@@ -196,7 +293,8 @@ def estimate_snr(samples, L: int = 10, K: int = 50) -> SnrEstimate | list[SnrEst
     block and returns a list of R, one per row; each equals the vector call
     on its row in every field, bit for bit. A block makes one stacked
     covariance product, one stacked `eigvalsh` and one `mdl_order` call,
-    then one `mp_fit` per row. Samples are computed on as float64, or
+    then one `mp_fit` call per distinct model order, on the block of rows
+    that share it. Samples are computed on as float64, or
     complex128 when complex. Raises ValueError on a non-integer L or K, on
     n < 2L, on non-finite or zero-power samples and on a zero noise fit (a
     lone impulse); in a block, on the first row that fails a check.
@@ -214,7 +312,10 @@ def estimate_snr(samples, L: int = 10, K: int = 50) -> SnrEstimate | list[SnrEst
     x = _delay_embed(rows, L)
     n_eff = x.shape[-1]
     # one row at a time: a whole block's |x|^2 would be an (R, L, n_eff) temporary
-    powers = [float(np.mean(np.abs(xr) ** 2)) for xr in x]
+    if x.dtype.kind == "c":
+        powers = [float(np.mean(np.abs(xr) ** 2)) for xr in x]
+    else:
+        powers = [float(np.mean(np.square(xr))) for xr in x]
     for total_power in powers:
         if not 0.0 < total_power < math.inf:  # squares that overflow, or all zero
             raise ValueError(
@@ -224,10 +325,15 @@ def estimate_snr(samples, L: int = 10, K: int = 50) -> SnrEstimate | list[SnrEst
     xh = _delay_embed(rows.conj(), L) if rows.dtype.kind == "c" else x
     cov = (x @ xh.transpose(0, 2, 1)) / n_eff
     eigs = np.clip(np.linalg.eigvalsh(cov)[:, ::-1], 0.0, None)
-    m_hats = mdl_order(eigs, L, n_eff).tolist()
+    m_hats = mdl_order(eigs, L, n_eff)
+    sigma_hats = np.empty(len(rows))
+    goodness = np.empty(len(rows))
+    for m_hat in np.unique(m_hats).tolist():
+        group = m_hats == m_hat
+        sigma_hats[group], goodness[group] = mp_fit(eigs[group, m_hat:], L, n_eff, m_hat, K)
     estimates = []
-    for total_power, lam, m_hat in zip(powers, eigs, m_hats):
-        sigma_hat, goodness = mp_fit(lam[m_hat:], L, n_eff, m_hat, K)
+    for total_power, m_hat, sigma_hat, fit in zip(
+            powers, m_hats.tolist(), sigma_hats.tolist(), goodness.tolist()):
         if sigma_hat == 0.0:
             raise ValueError("the noise variance fits to zero: the samples have no noise")
         gamma = (total_power - sigma_hat) / sigma_hat
@@ -242,7 +348,7 @@ def estimate_snr(samples, L: int = 10, K: int = 50) -> SnrEstimate | list[SnrEst
             mdl_order_M=m_hat,
             smoothing_L=L,
             grid_K=K,
-            goodness_D=float(goodness),
+            goodness_D=fit,
             clamped=clamped,
         ))
     return estimates if s.ndim == 2 else estimates[0]

@@ -349,6 +349,18 @@ def test_compressive_detect_singular_gram():
         compressive_detect(np.ones(2), A, np.ones(5), 0.0)
 
 
+def test_compressive_detect_rejects_complex_input():
+    # a complex statistic has no order against lambda, and a cast to float
+    # would drop the imaginary part
+    A = build_matrix("gaussian", 40, 100, seed=2)
+    y = np.random.default_rng(3).standard_normal(40)
+    compressive_detect(y, A, np.ones(100), 0.0)
+    with pytest.raises(ValueError, match="compressed samples must be real"):
+        compressive_detect(y + 1j, A, np.ones(100), 0.0)
+    with pytest.raises(ValueError, match="template_S must be real"):
+        compressive_detect(y, A, np.ones(100) + 1j, 0.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), lam_scale=st.floats(0.25, 4.0))
 def test_property_threshold_direction(seed, lam_scale):

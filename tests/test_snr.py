@@ -1,5 +1,6 @@
 """Blind SNR estimation tests: MDL split, noise fit, swarm tuning."""
 
+import collections
 import dataclasses
 import math
 import warnings
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
+from cs_toolkit import snr
 from cs_toolkit.snr import (
     SnrEstimate,
     _mp_support,
@@ -172,12 +174,23 @@ def per_candidate_distances(noise_eigs, L, N, M_hat, K):
 
 
 @st.composite
-def descending_spectra(draw):
-    """Sorted-descending eigenvalues, L in [2, 20], with a zero tail of any length."""
-    L = draw(st.integers(2, 20))
+def descending_spectra(draw, L=None):
+    """Sorted-descending eigenvalues, L in [2, 20] unless given, with a zero
+    tail of any length."""
+    L = draw(st.integers(2, 20)) if L is None else L
     lam = np.sort(draw(st.lists(st.floats(1e-6, 1e3), min_size=L, max_size=L)))[::-1]
     lam[L - draw(st.integers(0, L)):] = 0.0
     return lam
+
+
+@st.composite
+def noise_tail_blocks(draw):
+    """(block, L, M_hat): the noise tails past one model order M_hat of up to
+    24 spectra of one length L, as rows; more rows than one fitting pass takes."""
+    L = draw(st.integers(2, 20))
+    M_hat = draw(st.integers(0, L - 1))
+    rows = draw(st.lists(descending_spectra(L), min_size=1, max_size=24))
+    return np.array(rows)[:, M_hat:], L, M_hat
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,6 +205,75 @@ def test_noise_fit_and_split_equal_loop_oracles(lam, n_extra, K):
     for m_hat in range(L):
         assert mp_fit(lam[m_hat:], L, N, m_hat, K) == mp_fit_oracle(
             lam[m_hat:], L, N, m_hat, K)
+
+
+def fit_bits(fitted, goodness):
+    return float(fitted).hex(), float(goodness).hex()
+
+
+# a subnormal row, whose candidate grid's step underflows to zero, beside a
+# normal one; and a block of supports narrower than lo's rounding, which the
+# crossing count cannot resolve
+SUBNORMAL_TAILS = np.array([[4.0, 2.0, 1.0], [3.0 * 5e-324, 2.0 * 5e-324, 5e-324]])
+COLLAPSED_TAILS = np.array([[1.0, 1.0], [3.0, 2.0]])
+
+
+def snap_to_supports(block, L, N, M_hat, K):
+    """The block with each row's inner eigenvalues moved onto points of its
+    own candidates' supports, where a crossing estimate can be one off."""
+    q = (1.0 - M_hat / L) * (L / N)
+    snapped = block.copy()
+    for row in snapped:
+        v = _mp_support(noise_bracket_grid(row, L, N, K), q)
+        j = np.arange(1, row.size - 1)
+        row[1:-1] = np.sort(np.clip(v[j * 7 % K, j * 37 % 256], row[-1], row[0]))[::-1]
+    return snapped
+
+
+@settings(max_examples=60, deadline=None)
+@given(tails=noise_tail_blocks(), n_extra=st.integers(1, 5000), K=st.integers(2, 80),
+       on_support=st.booleans())
+@example(tails=(SUBNORMAL_TAILS, 3, 0), n_extra=297, K=5, on_support=False)
+@example(tails=(np.array([[4.0, 2.0, 1.0, 0.0, 0.0], np.zeros(5)]), 5, 0),
+         n_extra=200, K=30, on_support=False)  # a zero candidate, and an all-zero row
+@example(tails=(np.zeros((3, 2)), 4, 2), n_extra=50, K=5,
+         on_support=False)  # all-zero rows only
+@example(tails=(COLLAPSED_TAILS, 2, 0), n_extra=10**30, K=50, on_support=False)
+@example(tails=(np.array([[7.0, 6.0, 5.0, 3.0], [8.0, 7.0, 5.0, 4.0]]), 4, 0),
+         n_extra=1000, K=10, on_support=True)
+def test_block_noise_fit_equals_vector_calls_and_oracle(tails, n_extra, K, on_support):
+    block, L, M_hat = tails
+    N = L + n_extra
+    if on_support:
+        block = snap_to_supports(block, L, N, M_hat, K)
+    fitted, goodness = mp_fit(block, L, N, M_hat, K)
+    assert fitted.shape == goodness.shape == (len(block),)
+    for row, f, g in zip(block, fitted, goodness):
+        assert fit_bits(f, g) == fit_bits(*mp_fit(row, L, N, M_hat, K)) == fit_bits(
+            *mp_fit_oracle(row, L, N, M_hat, K))
+
+
+@pytest.mark.parametrize("tails, L, N, K, searched", [
+    (SUBNORMAL_TAILS, 3, 300, 5, 0),
+    (COLLAPSED_TAILS, 2, 10**30, 50, 2),
+])
+def test_noise_fit_counts_by_binary_search_only_where_crossings_fail(
+        monkeypatch, tails, L, N, K, searched):
+    # the binary search is the only caller of _mp_support once the unit CDF
+    # is cached
+    snr._mp_unit_cdf(L / N)
+    calls = []
+    support = snr._mp_support
+    monkeypatch.setattr(snr, "_mp_support", lambda grid, q: calls.append(q) or support(grid, q))
+    fitted, goodness = mp_fit(tails, L, N, 0, K)
+    assert len(calls) == searched
+    for row, f, g in zip(tails, fitted, goodness):
+        assert fit_bits(f, g) == fit_bits(*mp_fit_oracle(row, L, N, 0, K))
+    if searched == 0:
+        # the subnormal row's candidate grid takes np.linspace's zero-step branch
+        sq = math.sqrt(L / N)
+        lo, hi = sorted((tails[1, -1] / (1.0 - sq) ** 2, tails[1, 0] / (1.0 + sq) ** 2))
+        assert (hi - lo) / (K - 1) == 0.0 < hi - lo
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,6 +309,17 @@ def test_mp_support_rows_equal_linspace(grid, q):
 
 
 @settings(max_examples=100, deadline=None)
+@given(spans=st.lists(st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6)),
+                      min_size=1, max_size=20),
+       num=st.integers(2, 80))
+@example(spans=[(1.0, 2.0), (5e-324, 1e-323)], num=5)  # one step underflows
+def test_linspace_rows_equal_linspace(spans, num):
+    start, stop = np.array(spans).T
+    for (a, b), row in zip(spans, snr._linspace_rows(start, stop, num)):
+        assert np.array_equal(row, np.linspace(a, b, num))
+
+
+@settings(max_examples=100, deadline=None)
 @given(q=st.floats(1e-6, 0.999))
 def test_mp_cdf_equals_cumulative_trapezoid(q):
     v = np.linspace((1.0 - math.sqrt(q)) ** 2, (1.0 + math.sqrt(q)) ** 2, 256)
@@ -256,6 +349,13 @@ def test_mp_fit_validation():
     for m_hat in (10, 12, -1):
         with pytest.raises(ValueError, match="M_hat"):
             mp_fit(np.ones(3), 10, 100, m_hat, 10)
+    with pytest.raises(ValueError, match="vector or one row each"):
+        mp_fit(np.ones((2, 2, 3)), 10, 100, 0, 10)
+    # finite eigenvalues so large that a candidate support overflows, which
+    # would be counted on NaN support points
+    for lam in ([1e308, 1e307], [1e306, 2e305]):
+        with pytest.raises(ValueError, match="supports overflow"):
+            mp_fit(np.array(lam), 9, 10, 0, 5)
     for L, N, m_hat, K in ((3.5, 100, 0, 10), (10.0, 100, 0, 10), (10, 100.0, 0, 10),
                            (10, 100, 7.0, 10), (10, 100, 7, 10.0)):
         with pytest.raises(ValueError, match="integer"):
@@ -372,6 +472,22 @@ def test_block_rows_equal_vector_calls(complex_rows, n, L, K):
         # the block covers a clamped noise-only row and differing model orders
         assert any(est.clamped for est in ests)
         assert len({est.mdl_order_M for est in ests}) >= 3
+
+
+def test_block_estimate_fits_each_model_order_once(monkeypatch):
+    # through the module global, where a tracer wraps it
+    calls = []
+    fit = snr.mp_fit
+
+    def counting_fit(noise_eigs, L, N, M_hat, K):
+        calls.append((M_hat, len(noise_eigs)))
+        return fit(noise_eigs, L, N, M_hat, K)
+
+    monkeypatch.setattr(snr, "mp_fit", counting_fit)
+    block = np.concatenate([tone_block(3072, seed=31)] * 2)
+    orders = [est.mdl_order_M for est in estimate_snr(block, L=10, K=50)]
+    assert len(set(orders)) >= 3
+    assert sorted(calls) == sorted(collections.Counter(orders).items())
 
 
 @pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.float32])
