@@ -252,11 +252,13 @@ def wavelet_detect(y, lam: float, opts: WaveletOpts = WaveletOpts()) -> Detectio
 
     m = max |CWT(PSD)| at a single scale. The literal decision rule declares
     idle when m >= lambda; set opts.invert for the occupied-on-strong-edge
-    reading.
+    reading. The scale must be finite and positive.
     """
     v = _samples(y, block=False)
     if v.size < 16:
         raise ValueError("need at least 16 samples")
+    if not 0.0 < opts.scale < math.inf:
+        raise ValueError(f"wavelet scale must be finite and positive, got {opts.scale}")
     lam = _thresholds(lam, v)
     psd = np.abs(np.fft.rfft(v)) ** 2 / v.size
     kernel = _ricker(opts.scale)
@@ -288,13 +290,14 @@ def quiet_time_threshold(
 
     Splits `noise` into averaging_runs blocks of pilot length, correlates each
     against the pilot, and returns factor_k times the mean absolute
-    correlation. noise must hold averaging_runs * len(pilot) finite samples.
+    correlation. noise must hold averaging_runs * len(pilot) finite samples,
+    and factor_k must be finite and positive.
     This is the path for recorded quiet-time samples; Monte-Carlo sweeps
     (`harness.run_detection_mc`) draw the same threshold from its exact law
     under white Gaussian noise instead of synthesising the noise.
     """
-    if factor_k <= 0:
-        raise ValueError("factor_k must be positive")
+    if not 0.0 < factor_k < math.inf:
+        raise ValueError(f"factor_k must be finite and positive, got {factor_k}")
     if averaging_runs < 1:
         raise ValueError("averaging_runs must be >= 1")
     w = _finite_vector(noise)

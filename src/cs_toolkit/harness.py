@@ -582,7 +582,9 @@ def _scan_block(cfg: ExperimentConfig, matrix: SensingMatrix, slot: int,
     for r, ch in enumerate(channels):
         rng = np.random.default_rng([cfg.base_seed, 15013, slot, ch])
         truth[r] = rng.random() < traffic.prob(ch, slot)
-        snr[r] = snr_db = float(rng.choice(cfg.snr_grid_db))
+        # indexing the tuple draws what rng.choice draws, without building an
+        # array from it on every call
+        snr[r] = snr_db = float(cfg.snr_grid_db[rng.integers(len(cfg.snr_grid_db))])
         block[r] = rng.standard_normal(n) * sigma
         if truth[r]:
             gain = math.sqrt(cfg.noise_variance * 10.0 ** (snr_db / 10.0))

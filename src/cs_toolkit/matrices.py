@@ -126,7 +126,10 @@ class SensingMatrix:
         # the last axis is transformed on its own, so a block's rows match
         # the single-vector apply bit for bit.
         fx = np.fft.rfft(x, self._period, axis=-1)
-        full = np.fft.irfft(fx * np.conj(self._generator_spectrum), self._period, axis=-1)
+        # in place, with fx kept first: complex products do not commute bit
+        # for bit
+        np.multiply(fx, np.conj(self._generator_spectrum), out=fx)
+        full = np.fft.irfft(fx, self._period, axis=-1)
         return self.scale * full.take(self._positions, axis=-1)
 
     def _fft_rapply(self, v: np.ndarray) -> np.ndarray:
@@ -182,7 +185,14 @@ class SensingMatrix:
 
 
 def _vector_or_rows(x, length: int) -> np.ndarray:
-    """x as floats, checked to be a length-`length` vector or an (R, length) block."""
+    """x as floats, checked to be a length-`length` vector or an (R, length) block.
+
+    Complex x is rejected: the operators are real, and a float cast would drop
+    its imaginary part.
+    """
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise ValueError("operator input must be real, got complex values")
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != length:
         raise ValueError(f"expected a length-{length} vector or an (R, {length}) "
@@ -271,9 +281,10 @@ def compress(
     noise_variance: float = 0.0,
     seed: int = 0,
 ) -> MeasurementVector:
-    """Measure y = A x + w with w i.i.d. N(0, noise_variance); x must be real."""
-    if noise_variance < 0:
-        raise ValueError("noise_variance must be >= 0")
+    """Measure y = A x + w with w i.i.d. N(0, noise_variance); x must be real
+    and noise_variance finite and nonnegative."""
+    if not 0.0 <= noise_variance < math.inf:
+        raise ValueError(f"noise_variance must be finite and >= 0, got {noise_variance}")
     vec = x.samples if isinstance(x, SparseSignal) else np.asarray(x)
     if vec.dtype.kind == "c":
         raise ValueError("the signal must be real, got complex values")

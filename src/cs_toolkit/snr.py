@@ -10,7 +10,9 @@ tunes the (L, K) hyperparameters.
 `SensingMatrix.matvec` and the detectors do. A block's rows share one
 stacked covariance product, one stacked `eigvalsh` and one MDL split, then
 one `mp_fit` call per model order among its rows; each row's estimate
-equals, bit for bit, the vector call on that row.
+equals, bit for bit, the vector call on that row. The noise fit scores all
+its candidate variances from where the eigenvalues cross their supports,
+and builds an empirical CDF only for the few that can win.
 """
 
 from __future__ import annotations
@@ -33,9 +35,6 @@ __all__ = [
 
 SNR_FLOOR_DB = -40.0
 MP_GRID_POINTS = 256
-# rows per pass of a block noise fit, which bounds the pass's (rows, K, 256)
-# temporaries: 1.6 MB each at the scan's K = 50
-_FIT_CHUNK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -152,19 +151,27 @@ def _linspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
     return y
 
 
-def _empirical_cdfs(sorted_eigs: np.ndarray, grid: np.ndarray, q: float) -> np.ndarray:
-    """(R, K, 256) empirical CDFs of each row's ascending eigenvalues at the
-    `_mp_support` points of that row's K candidate variances in grid.
+def _crossings(
+    sorted_eigs: np.ndarray, grid: np.ndarray, q: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each row's ascending eigenvalues cross the `_mp_support` points
+    of that row's K candidate variances in grid, without building a support.
 
-    A support's first 255 points, i * step + lo, are nondecreasing in i, so
-    the CDF there is a step function of i: with p_j of these points below
-    eigenvalue e_j, the CDF at point i is the count of j with p_j <= i, over
-    M. Each p_j is estimated as ceil((e_j - lo)/step), then corrected by at
-    most one against the points next to the estimate, computed as
-    `_mp_support` computes them; no support is built. The last point, hi, is
-    counted directly, as rounding can put it below the point before it.
+    Returns (p, top, exact). p[r, j, k] counts the first 255 points of
+    candidate k's support that lie below eigenvalue j of row r, so the
+    empirical CDF at point i < 255 is the count of j with p[r, j, k] <= i,
+    over M. top[r, k] is the CDF at the last point, hi, counted directly, as
+    rounding can put hi below the point before it. exact[r] is False where
+    the counts fail for row r, whose CDFs must come from a binary search.
+
+    The first 255 points, i * step + lo, are nondecreasing in i. Each count
+    is estimated as t = ceil((e - lo)/step), which is right where point t - 1
+    lies below e and point t does not, both computed as `_mp_support`
+    computes them. Elsewhere the count is moved by one toward the crossing
+    and checked against the points on either side of it; a row fails where
+    it is off by more than one, which happens where the step is below the
+    rounding of lo (a tiny q collapses the points onto a few values).
     """
-    R, K = grid.shape
     M = sorted_eigs.shape[-1]
     last = MP_GRID_POINTS - 1
     # (R, M, K) arrays: eigenvalue j of row r against candidate k
@@ -175,30 +182,107 @@ def _empirical_cdfs(sorted_eigs: np.ndarray, grid: np.ndarray, q: float) -> np.n
     # a subnormal variance can underflow the step to zero, or leave it so
     # small that the quotient overflows; fmax takes the 0/0 NaN to 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = np.ceil((e - lo) / step)
-    t = np.fmin(np.fmax(t, 0.0), last)
-    # whether points t-2 .. t+1 lie below e_j, where points before the first
-    # lie below every eigenvalue and points from the last one on above it
-    i = t + np.arange(-2.0, 2.0)[:, None, None, None]
-    below = (i < 0) | ((i < last) & (i * step + lo < e))
-    p = (t - 1 + below[1] + below[2]).astype(np.intp).transpose(0, 2, 1)
-    # The binary search is kept for supports where the estimate is off by
-    # more than one point: a step below the rounding of lo (a tiny q)
-    # collapses the points onto a few values.
-    exact = (below[0] & ~below[3]).all(axis=(1, 2))
-    p[~exact] = 0
-    runs = np.empty((R, K, M + 2), dtype=np.intp)
-    runs[..., :M] = p
-    runs[..., M] = last
-    runs[..., 1:M + 1] -= p
-    runs[..., M + 1] = 1
-    levels = np.empty((R, K, M + 2))
-    levels[..., :M + 1] = np.arange(M + 1) / M
-    levels[..., M + 1] = np.count_nonzero(e <= hi, axis=1) / M
-    emp = np.repeat(levels.ravel(), runs.ravel()).reshape(R, K, MP_GRID_POINTS)
-    for r in np.flatnonzero(~exact):
-        emp[r] = np.searchsorted(sorted_eigs[r], _mp_support(grid[r], q), side="right") / M
-    return emp
+        t = e - lo
+        t /= step
+    np.ceil(t, out=t)
+    np.fmin(np.fmax(t, 0.0, out=t), last, out=t)
+
+    def below(i, lo, step, e):
+        # points before the first lie below every eigenvalue, and points
+        # from the last one on above it
+        return (i < 0) | ((i < last) & (i * step + lo < e))
+
+    before, at = below(t - 1, lo, step, e), below(t, lo, step, e)
+    p = (t - 1 + before + at).astype(np.intp)
+    exact = np.ones(len(grid), dtype=bool)
+    off = ~before | at
+    if off.any():
+        r, j, k = off = np.nonzero(off)
+        at_off = (lo[r, 0, k], step[r, 0, k], e[r, j, 0])
+        found = below(p[off] - 1, *at_off) & ~below(p[off], *at_off)
+        exact[r[~found]] = False
+        # zero counts still expand to a CDF, which the binary search replaces
+        p[~exact] = 0
+    top = np.count_nonzero(e <= hi, axis=1) / M
+    return p, top, exact
+
+
+@functools.lru_cache(maxsize=256)
+def _mp_unit_cdf_sums(q: float) -> tuple[np.ndarray, float, float, float]:
+    """What `_run_scores` needs of the unit CDF u = `_mp_unit_cdf(q)`.
+
+    Returns the prefix sums C1[b] = u[0] + ... + u[b-1], b = 0 .. 256 (a
+    read-only array), the constant 255 + sum(u**2) - 2 C1[255], the last
+    value u[255], and U = max(1, max u), which bounds every |u_i|: rounding
+    lifts u a little above 1 on the collapsed supports of a q near 1e-30.
+    Cached per q, as `_mp_unit_cdf` is.
+    """
+    u = _mp_unit_cdf(q)
+    c1 = np.zeros(MP_GRID_POINTS + 1)
+    np.cumsum(u, out=c1[1:])
+    c1.flags.writeable = False
+    base = MP_GRID_POINTS - 1 + float(u @ u) - 2.0 * c1[-2]
+    return c1, base, float(u[-1]), max(1.0, float(u.max()))
+
+
+def _run_scores(p: np.ndarray, top: np.ndarray, q: float) -> np.ndarray:
+    """Each candidate's squared CDF distance, sum_i (emp_i - u_i)^2, in O(M)
+    from its crossing counts, with no CDF built: an (R, K) array.
+
+    The empirical CDF is a run of levels: 0 on points [0, p_0), j/M on
+    [p_{j-1}, p_j) and 1 on [p_{M-1}, 255), then top at point 255. Over the
+    runs, emp^2 sums to 255 - sum_j (2j + 1) p_j / M^2 and emp * u to
+    C1[255] - sum_j C1[p_j] / M (summation by parts), so the distance is
+        255 + sum(u^2) - 2 C1[255] + top (top - 2 u_255)
+            + (2M sum_j C1[p_j] - sum_j (2j + 1) p_j) / M^2.
+    It equals the stacked `d @ d` of `mp_fit` up to `_score_margin`.
+    """
+    c1, base, u_last, _ = _mp_unit_cdf_sums(q)
+    M = p.shape[1]
+    # the weighted count is an exact integer
+    weighted = (2 * np.arange(M) + 1) @ p
+    return base + top * (top - 2.0 * u_last) + (2.0 * M * c1[p].sum(axis=1) - weighted) / M**2
+
+
+def _score_margin(M: int, q: float) -> float:
+    """A bound on |S - D| between a candidate's `_run_scores` value S and the
+    squared distance D = d @ d that `mp_fit` computes on its 256-point CDF.
+
+    With P = 256 points, unit roundoff u = 2^-53 and gamma_n = n u / (1 - n u)
+    (Higham 2002, section 4.2: a sum or dot product of n terms, in any order,
+    is off by at most gamma_n times the sum of the terms' magnitudes), every
+    u_i in [0, U], every level in [0, 1] and e = P gamma_P U^2 >= P^2 u U^2:
+    - D: each d_i = emp_i - u_i rounds once, to |d_i| <= U, and the dot
+      product is off by at most gamma_P sum d_i^2 <= e; with the rounding of
+      the d_i, D is within e + 3 P u U^2 of the exact sum of (emp_i - u_i)^2.
+    - S: each prefix sum C1[b] is off by at most gamma_P P U = e / U, and
+      sum(u^2) by e, so the constant is off by at most 3e plus its two
+      additions. The M prefix sums C1[p_j], scaled by 2M / M^2, add at most
+      2e; the sum over j is exact in its integer part and off by
+      gamma_M M P U in the other, which adds at most 2 M P u U^2 after the
+      scaling. The other roundings (the products, the difference, the
+      division and the additions, each on a value of at most 8 P U^2) add
+      at most 33 P u U^2.
+    So |S - D| <= 6e + P u U^2 (2M + 36) <= (M + 8) e.
+    """
+    P = MP_GRID_POINTS
+    unit = 2.0**-53
+    return (M + 8) * P * (P * unit / (1.0 - P * unit)) * _mp_unit_cdf_sums(q)[3] ** 2
+
+
+def _empirical_cdfs(p: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """(n, 256) empirical CDFs from n candidates' crossing counts p, (n, M),
+    and last-point levels top, (n,): the runs of `_run_scores`, expanded."""
+    n, M = p.shape
+    runs = np.empty((n, M + 2), dtype=np.intp)
+    runs[:, :M] = p
+    runs[:, M] = MP_GRID_POINTS - 1
+    runs[:, 1:M + 1] -= p
+    runs[:, M + 1] = 1
+    levels = np.empty((n, M + 2))
+    levels[:, :M + 1] = np.arange(M + 1) / M
+    levels[:, M + 1] = top
+    return np.repeat(levels.ravel(), runs.ravel()).reshape(n, MP_GRID_POINTS)
 
 
 def mp_fit(
@@ -224,8 +308,10 @@ def mp_fit(
     Takes a vector of descending noise eigenvalues and returns two floats,
     or an (R, M) block of such rows, which share M_hat, and returns two
     arrays of R; each row's fit equals the vector call on it bit for bit.
-    The empirical CDFs are counted from where the eigenvalues cross each
-    support, without building the supports.
+    Every candidate is first scored in O(M) from the runs of its empirical
+    CDF (`_run_scores`); only those whose score comes within the rounding
+    margin of the row's best (`_score_margin`) get their 256-point CDF built
+    and their distance computed, and the rest cannot win or tie.
     Raises ValueError on non-finite or negative eigenvalues, on eigenvalues
     so large that a candidate's support overflows, on a non-integer L, N,
     M_hat or K, and unless 0 <= M_hat < L.
@@ -259,22 +345,32 @@ def mp_fit(
     sigma_lo, sigma_hi = (np.where(inverted, sigma_hi, sigma_lo),
                           np.where(inverted, sigma_lo, sigma_hi))
     q = (1.0 - M_hat / L) * c
-    unit_cdf = _mp_unit_cdf(q)
     sorted_eigs = np.sort(rows, axis=-1)
-    fitted = np.empty(len(rows))
-    goodness = np.empty(len(rows))
-    for r in range(0, len(rows), _FIT_CHUNK_ROWS):
-        chunk = slice(r, r + _FIT_CHUNK_ROWS)
-        grid = _linspace_rows(sigma_lo[chunk], sigma_hi[chunk], K)
-        d = _empirical_cdfs(sorted_eigs[chunk], grid, q)
-        d -= unit_cdf
-        # the stacked product rounds as np.linalg.norm does on each row; a sum
-        # over the last axis rounds differently
-        dist = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
-        dist[grid == 0.0] = math.inf
-        best = np.argmin(dist, axis=-1)
-        fitted[chunk] = np.take_along_axis(grid, best[:, None], axis=-1)[:, 0]
-        goodness[chunk] = np.take_along_axis(dist, best[:, None], axis=-1)[:, 0]
+    grid = _linspace_rows(sigma_lo, sigma_hi, K)
+    p, at_hi, exact = _crossings(sorted_eigs, grid, q)
+    score = _run_scores(p, at_hi, q)
+    score[grid == 0.0] = math.inf
+    # A kept candidate scores within 3 margins of the row's best. A pruned
+    # one's distance squared is then more than a margin above the best
+    # candidate's, a gap far wider than the rounding of the square roots,
+    # so it can neither win nor tie. Rows whose counts fail keep every
+    # candidate, for the binary search.
+    keep = score <= score.min(axis=-1, keepdims=True) + 3.0 * _score_margin(rows.shape[1], q)
+    keep[~exact] = True
+    keep &= grid != 0.0
+    owner, kept = np.nonzero(keep)
+    d = _empirical_cdfs(p[owner, :, kept], at_hi[owner, kept])
+    for r in np.flatnonzero(~exact):
+        d[owner == r] = np.searchsorted(
+            sorted_eigs[r], _mp_support(grid[r, keep[r]], q), side="right") / rows.shape[1]
+    d -= _mp_unit_cdf(q)
+    dist = np.full(grid.shape, math.inf)
+    # the stacked product rounds as np.linalg.norm does on each row; a sum
+    # over the last axis rounds differently
+    dist[keep] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    best = np.argmin(dist, axis=-1)[:, None]
+    fitted = np.take_along_axis(grid, best, axis=-1)[:, 0]
+    goodness = np.take_along_axis(dist, best, axis=-1)[:, 0]
     if eigs.ndim == 1:
         return float(fitted[0]), float(goodness[0])
     return fitted, goodness

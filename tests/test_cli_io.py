@@ -383,6 +383,16 @@ def test_cli_compress_rejects_complex_signal(tmp_path, capsys):
     assert not meas.exists()
 
 
+def test_cli_compress_rejects_nan_noise_variance(tmp_path, capsys):
+    sig = tmp_path / "sig.csv"
+    sig.write_text("\n".join(repr(float(v)) for v in range(8)) + "\n")
+    meas = tmp_path / "meas.csv"
+    assert run_cli(["compress", "--input", str(sig), "--m", "4",
+                    "--noise-variance", "nan", "--output", str(meas)]) == 1
+    assert capsys.readouterr().err.startswith("error: noise_variance must be finite")
+    assert not meas.exists()
+
+
 def test_cli_recover_noiseless_exact(tmp_path, capsys):
     out = tmp_path / "rec.csv"
     assert run_cli(["recover", "--solver", "omp", "--n", "128", "--k", "6",

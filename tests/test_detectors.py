@@ -296,6 +296,20 @@ def test_quiet_time_threshold_validation():
         quiet_time_threshold(np.ones(32), pilot, 1.0, 0)
 
 
+@pytest.mark.parametrize("factor_k", [math.nan, math.inf])
+def test_quiet_time_threshold_rejects_nonfinite_factor(factor_k):
+    pilot = gen_pilot_bpsk(8, seed=0)
+    with pytest.raises(ValueError, match="factor_k must be finite"):
+        quiet_time_threshold(np.ones(32), pilot, factor_k, 4)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_wavelet_rejects_a_scale_that_is_not_finite_and_positive(scale):
+    v = np.random.default_rng(3).standard_normal(64)
+    with pytest.raises(ValueError, match="wavelet scale must be finite and positive"):
+        wavelet_detect(v, 1.0, WaveletOpts(scale=scale))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_quiet_time_threshold_rejects_nonfinite_noise(bad):
     # one bad sample among 3200 used to make the threshold NaN, and a NaN

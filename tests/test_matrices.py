@@ -348,6 +348,26 @@ def test_compress_rejects_complex_signals():
             compress(A, bad)
 
 
+@pytest.mark.parametrize("noise_variance", [math.nan, math.inf])
+def test_compress_rejects_nonfinite_noise_variance(noise_variance):
+    A = build_matrix("gaussian", 20, 50, seed=1)
+    with pytest.raises(ValueError, match="noise_variance must be finite"):
+        compress(A, np.ones(50), noise_variance=noise_variance)
+
+
+@pytest.mark.parametrize("scheme", ["gaussian", "circulant", "toeplitz"])
+@pytest.mark.parametrize("block", [False, True])
+def test_applies_reject_complex_input(scheme, block):
+    A = build_matrix(scheme, 20, 50, seed=1)
+    shape = (3,) if block else ()
+    # a complex dtype is rejected even with zero imaginary parts
+    for bad in (np.ones(shape + (50,)) + 1j, np.ones(shape + (50,), dtype=complex)):
+        with pytest.raises(ValueError, match="must be real"):
+            A.matvec(bad)
+    with pytest.raises(ValueError, match="must be real"):
+        A.rmatvec(np.ones(shape + (20,)) + 0.5j)
+
+
 def test_mutual_coherence_brute_force():
     A = build_matrix("gaussian", 10, 18, seed=5)
     dense = A.to_dense()

@@ -216,6 +216,19 @@ def fit_bits(fitted, goodness):
 # crossing count cannot resolve
 SUBNORMAL_TAILS = np.array([[4.0, 2.0, 1.0], [3.0 * 5e-324, 2.0 * 5e-324, 5e-324]])
 COLLAPSED_TAILS = np.array([[1.0, 1.0], [3.0, 2.0]])
+# noise tails from a benchmark-shaped scan (L = 10, N = 3063): one whose
+# candidates 46 and 47 tie exactly for the best distance (M_hat = 0), and one
+# whose bracket is so narrow that all 50 candidates count the same CDF
+# (M_hat = 1); and a bracket of width zero, where the 50 candidates are equal
+TIED_PAIR_TAIL = np.array([[
+    1.15667872354068, 1.1378271247056968, 1.1316937121028243, 1.0869037113308957,
+    1.0821447765348187, 1.059353270440695, 1.0091721457066625, 1.0003967060647032,
+    0.9376676872476956, 0.9228735387649234]])
+TIED_ALL_TAIL = np.array([[
+    1.1875349549501564, 1.1045259177096467, 1.0881670731169077, 1.0829255206755666,
+    1.0453210232620544, 1.0084241021225693, 0.9691050032744075, 0.9579687837247318,
+    0.9445924128272398]])
+EQUAL_GRID_TAIL = np.array([[9.0, 5.0, 3.0, 1.0]])  # L = 4, N = 16: grid all 4.0
 
 
 def snap_to_supports(block, L, N, M_hat, K):
@@ -241,6 +254,11 @@ def snap_to_supports(block, L, N, M_hat, K):
 @example(tails=(COLLAPSED_TAILS, 2, 0), n_extra=10**30, K=50, on_support=False)
 @example(tails=(np.array([[7.0, 6.0, 5.0, 3.0], [8.0, 7.0, 5.0, 4.0]]), 4, 0),
          n_extra=1000, K=10, on_support=True)
+@example(tails=(TIED_PAIR_TAIL, 10, 0), n_extra=3053, K=50, on_support=False)
+@example(tails=(TIED_ALL_TAIL, 10, 1), n_extra=3053, K=50, on_support=False)
+@example(tails=(EQUAL_GRID_TAIL, 4, 0), n_extra=12, K=50, on_support=False)
+@example(tails=(np.array([[0.5, 0.25, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0]]), 10, 2),
+         n_extra=3000, K=2, on_support=False)  # the zero candidate scores lowest
 def test_block_noise_fit_equals_vector_calls_and_oracle(tails, n_extra, K, on_support):
     block, L, M_hat = tails
     N = L + n_extra
@@ -274,6 +292,63 @@ def test_noise_fit_counts_by_binary_search_only_where_crossings_fail(
         sq = math.sqrt(L / N)
         lo, hi = sorted((tails[1, -1] / (1.0 - sq) ** 2, tails[1, 0] / (1.0 + sq) ** 2))
         assert (hi - lo) / (K - 1) == 0.0 < hi - lo
+
+
+@settings(max_examples=60, deadline=None)
+@given(tails=noise_tail_blocks(), n_extra=st.integers(1, 5000), K=st.integers(2, 80),
+       on_support=st.booleans(), scale=st.integers(-323, 300).map(lambda k: 10.0**k))
+@example(tails=(SUBNORMAL_TAILS, 3, 0), n_extra=297, K=5, on_support=False, scale=1.0)
+@example(tails=(TIED_PAIR_TAIL, 10, 0), n_extra=3053, K=50, on_support=False, scale=1.0)
+@example(tails=(TIED_ALL_TAIL, 10, 1), n_extra=3053, K=50, on_support=True, scale=1e-300)
+@example(tails=(EQUAL_GRID_TAIL, 4, 0), n_extra=12, K=50, on_support=False, scale=1e300)
+def test_run_scores_stay_within_the_margin_of_the_distances(
+        tails, n_extra, K, on_support, scale):
+    # S against d @ d on a CDF built by binary search, for every candidate of
+    # every row whose crossing counts hold
+    block, L, M_hat = tails
+    N = L + n_extra
+    block = block * scale
+    if on_support:
+        block = snap_to_supports(block, L, N, M_hat, K)
+    M = block.shape[1]
+    q = (1.0 - M_hat / L) * (L / N)
+    sorted_block = np.sort(block, axis=-1)
+    grid = np.array([noise_bracket_grid(row, L, N, K) for row in block])
+    p, top, exact = snr._crossings(sorted_block, grid, q)
+    scores = snr._run_scores(p, top, q)
+    margin = snr._score_margin(M, q)
+    assert margin < 1e-9 or q < 1e-20  # U = 1 unless q collapses the support
+    for r in np.flatnonzero(exact):
+        emp = np.searchsorted(sorted_block[r], _mp_support(grid[r], q), side="right") / M
+        d = emp - _mp_unit_cdf(q)
+        distances = np.array([float(np.dot(dk, dk)) for dk in d])
+        assert np.all(np.abs(scores[r] - distances) <= margin)
+
+
+def test_fit_builds_cdfs_only_for_candidates_within_the_margin(monkeypatch):
+    built = []
+    cdfs = snr._empirical_cdfs
+    monkeypatch.setattr(snr, "_empirical_cdfs",
+                        lambda p, top: built.append(len(p)) or cdfs(p, top))
+    # noise-only rows mostly keep one of their 50 candidates
+    estimate_snr(np.random.default_rng(5).standard_normal((16, 3072)))
+    assert len(built) >= 1 and sum(built) < 2 * 16
+    # candidates that tie are all kept, and the first of them wins
+    for tail, L, N, M_hat, kept in ((TIED_PAIR_TAIL, 10, 3063, 0, 2),
+                                    (TIED_ALL_TAIL, 10, 3063, 1, 50),
+                                    (EQUAL_GRID_TAIL, 4, 16, 0, 50)):
+        built.clear()
+        fitted, _ = mp_fit(tail[0], L, N, M_hat, 50)
+        assert built == [kept]
+        assert fitted == noise_bracket_grid(tail[0], L, N, 50)[46 if kept == 2 else 0]
+    # rows whose crossing counts fail keep every candidate for the binary search
+    mp_fit(COLLAPSED_TAILS, 2, 10**30, 0, 50)
+    searched = []
+    support = snr._mp_support
+    monkeypatch.setattr(snr, "_mp_support",
+                        lambda grid, q: searched.append(len(grid)) or support(grid, q))
+    mp_fit(COLLAPSED_TAILS, 2, 10**30, 0, 50)
+    assert searched == [50, 50]
 
 
 @settings(max_examples=60, deadline=None)
@@ -367,6 +442,10 @@ def test_mp_unit_cdf_is_cached_read_only():
     assert _mp_unit_cdf(0.25) is cdf
     with pytest.raises(ValueError, match="read-only"):
         cdf[0] = 1.0
+    sums = snr._mp_unit_cdf_sums(0.25)
+    assert snr._mp_unit_cdf_sums(0.25) is sums
+    with pytest.raises(ValueError, match="read-only"):
+        sums[0][0] = 1.0
 
 
 def sinusoid_plus_noise(snr_db, n, seed):
