@@ -150,12 +150,12 @@ def add_awgn(
 
     noise_variance = signal_power / 10^(snr_db/10) with signal_power the mean
     squared magnitude of the input. snr_db = +inf returns a noiseless copy;
-    NaN and -inf raise ValueError.
+    NaN and -inf raise ValueError, as do NaN or infinite samples.
     Complex inputs get circular complex noise (variance split between parts).
     channel = "rayleigh" applies a flat random scalar gain h ~ CN(0, 1) drawn
     once per call; default is h = 1.
     """
-    x = np.asarray(signal)
+    x = _finite_vector(signal)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("signal must be a nonempty 1-d vector")
     rng = np.random.default_rng(seed)

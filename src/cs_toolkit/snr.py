@@ -35,6 +35,9 @@ __all__ = [
 
 SNR_FLOOR_DB = -40.0
 MP_GRID_POINTS = 256
+# the largest sample count N that mdl_order and mp_fit take: it keeps the
+# noise fit's q = (L - M_hat)/N at 2**-53 or more (see _crossings)
+MAX_N = 2**53
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,8 @@ def mdl_order(eigenvalues: np.ndarray, L: int, N: int) -> int | np.ndarray:
     Takes a vector of L descending eigenvalues and returns an int, or an
     (R, L) block of eigenvalue rows and returns one order per row as an
     int array; each row's order equals the vector call on it.
+    Raises ValueError on non-finite, negative or unsorted eigenvalues, on a
+    non-integer L or N, and unless L <= N <= MAX_N (2**53).
     """
     L, N = _integer("L", L), _integer("N", N)
     lam = np.asarray(eigenvalues, dtype=float)
@@ -85,14 +90,16 @@ def mdl_order(eigenvalues: np.ndarray, L: int, N: int) -> int | np.ndarray:
         raise ValueError("eigenvalues must be finite and nonnegative")
     if np.any(np.diff(lam) > 1e-12 * np.maximum(1.0, lam[..., :1])):
         raise ValueError("eigenvalues must be sorted descending")
-    if N < L:
-        raise ValueError("need N >= L")
+    if not L <= N <= MAX_N:
+        raise ValueError(f"need L <= N <= 2**53, got L={L}, N={N}")
     lam = lam + 1e-15
     m = np.arange(L)
     count = L - m  # tail sizes
     theta = np.exp(np.cumsum(np.log(lam)[..., ::-1], axis=-1)[..., ::-1] / count)
     phi = np.cumsum(lam[..., ::-1], axis=-1)[..., ::-1] / count
-    val = -count * N * np.log(theta / phi) + 0.5 * m * (2 * L - m) * math.log(N)
+    # count * N in floats: it rounds as the int64 product converts, and
+    # cannot wrap around where a large L times N passes 2**63
+    val = -count * float(N) * np.log(theta / phi) + 0.5 * m * (2 * L - m) * math.log(N)
     order = np.argmin(val, axis=-1)
     return int(order) if lam.ndim == 1 else order
 
@@ -113,23 +120,36 @@ def _mp_support(grid: np.ndarray, q: float) -> np.ndarray:
     return v
 
 
-@functools.lru_cache(maxsize=256)
 def _mp_unit_cdf(q: float) -> np.ndarray:
     """Unit-variance Marchenko-Pastur CDF for ratio q in (0, 1) on its 256-point support.
 
     The cumulative trapezoid rule over the density, from 0 at the left edge.
     The law is a scale family, so this one row is also the CDF of variance
-    pi at the support scaled by pi, apart from rounding. Cached per q: a
-    shape (L, N) has only L values of q, one per model order. The cached
-    array is read-only.
+    pi at the support scaled by pi, apart from rounding. For q >= 2**-53 it
+    stays in [0, 1].
     """
     v = _mp_support(np.ones(1), q)[0]
     lo, hi = v[0], v[-1]
     dens = np.sqrt(np.clip((v - lo) * (hi - v), 0.0, None)) / (2.0 * math.pi * q * v)
     cdf = np.zeros_like(dens)
     cdf[1:] = np.cumsum(np.diff(v) * (dens[1:] + dens[:-1]) / 2.0)
-    cdf.flags.writeable = False
     return cdf
+
+
+@functools.lru_cache(maxsize=256)
+def _mp_unit_table(q: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """What `mp_fit` needs of the unit CDF u = `_mp_unit_cdf(q)`, cached per q:
+    a shape (L, N) has only L values of q, one per model order.
+
+    Returns u, its prefix sums C1[b] = u[0] + ... + u[b-1], b = 0 .. 256
+    (both read-only), and the constant 255 + sum(u**2) - 2 C1[255] of
+    `_run_scores`.
+    """
+    u = _mp_unit_cdf(q)
+    c1 = np.zeros(MP_GRID_POINTS + 1)
+    np.cumsum(u, out=c1[1:])
+    u.flags.writeable = c1.flags.writeable = False
+    return u, c1, MP_GRID_POINTS - 1 + float(u @ u) - 2.0 * c1[-2]
 
 
 def _linspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
@@ -153,24 +173,22 @@ def _linspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
 
 def _crossings(
     sorted_eigs: np.ndarray, grid: np.ndarray, q: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Where each row's ascending eigenvalues cross the `_mp_support` points
     of that row's K candidate variances in grid, without building a support.
 
-    Returns (p, top, exact). p[r, j, k] counts the first 255 points of
-    candidate k's support that lie below eigenvalue j of row r, so the
-    empirical CDF at point i < 255 is the count of j with p[r, j, k] <= i,
-    over M. top[r, k] is the CDF at the last point, hi, counted directly, as
-    rounding can put hi below the point before it. exact[r] is False where
-    the counts fail for row r, whose CDFs must come from a binary search.
+    Returns (p, top). p[r, j, k] counts the first 255 points of candidate k's
+    support that lie below eigenvalue j of row r, so the empirical CDF at
+    point i < 255 is the count of j with p[r, j, k] <= i, over M. top[r, k]
+    is the CDF at the last point, hi, counted directly, as rounding can put
+    hi below the point before it.
 
     The first 255 points, i * step + lo, are nondecreasing in i. Each count
     is estimated as t = ceil((e - lo)/step), which is right where point t - 1
     lies below e and point t does not, both computed as `_mp_support`
-    computes them. Elsewhere the count is moved by one toward the crossing
-    and checked against the points on either side of it; a row fails where
-    it is off by more than one, which happens where the step is below the
-    rounding of lo (a tiny q collapses the points onto a few values).
+    computes them; elsewhere it is off by one and moved toward the crossing.
+    With q >= 1/MAX_N the step is so far above the rounding of lo that the
+    estimate is never off by more.
     """
     M = sorted_eigs.shape[-1]
     last = MP_GRID_POINTS - 1
@@ -187,42 +205,14 @@ def _crossings(
     np.ceil(t, out=t)
     np.fmin(np.fmax(t, 0.0, out=t), last, out=t)
 
-    def below(i, lo, step, e):
+    def below(i):
         # points before the first lie below every eigenvalue, and points
         # from the last one on above it
         return (i < 0) | ((i < last) & (i * step + lo < e))
 
-    before, at = below(t - 1, lo, step, e), below(t, lo, step, e)
-    p = (t - 1 + before + at).astype(np.intp)
-    exact = np.ones(len(grid), dtype=bool)
-    off = ~before | at
-    if off.any():
-        r, j, k = off = np.nonzero(off)
-        at_off = (lo[r, 0, k], step[r, 0, k], e[r, j, 0])
-        found = below(p[off] - 1, *at_off) & ~below(p[off], *at_off)
-        exact[r[~found]] = False
-        # zero counts still expand to a CDF, which the binary search replaces
-        p[~exact] = 0
+    p = (t - 1 + below(t - 1) + below(t)).astype(np.intp)
     top = np.count_nonzero(e <= hi, axis=1) / M
-    return p, top, exact
-
-
-@functools.lru_cache(maxsize=256)
-def _mp_unit_cdf_sums(q: float) -> tuple[np.ndarray, float, float, float]:
-    """What `_run_scores` needs of the unit CDF u = `_mp_unit_cdf(q)`.
-
-    Returns the prefix sums C1[b] = u[0] + ... + u[b-1], b = 0 .. 256 (a
-    read-only array), the constant 255 + sum(u**2) - 2 C1[255], the last
-    value u[255], and U = max(1, max u), which bounds every |u_i|: rounding
-    lifts u a little above 1 on the collapsed supports of a q near 1e-30.
-    Cached per q, as `_mp_unit_cdf` is.
-    """
-    u = _mp_unit_cdf(q)
-    c1 = np.zeros(MP_GRID_POINTS + 1)
-    np.cumsum(u, out=c1[1:])
-    c1.flags.writeable = False
-    base = MP_GRID_POINTS - 1 + float(u @ u) - 2.0 * c1[-2]
-    return c1, base, float(u[-1]), max(1.0, float(u.max()))
+    return p, top
 
 
 def _run_scores(p: np.ndarray, top: np.ndarray, q: float) -> np.ndarray:
@@ -237,37 +227,36 @@ def _run_scores(p: np.ndarray, top: np.ndarray, q: float) -> np.ndarray:
             + (2M sum_j C1[p_j] - sum_j (2j + 1) p_j) / M^2.
     It equals the stacked `d @ d` of `mp_fit` up to `_score_margin`.
     """
-    c1, base, u_last, _ = _mp_unit_cdf_sums(q)
+    u, c1, base = _mp_unit_table(q)
     M = p.shape[1]
     # the weighted count is an exact integer
     weighted = (2 * np.arange(M) + 1) @ p
-    return base + top * (top - 2.0 * u_last) + (2.0 * M * c1[p].sum(axis=1) - weighted) / M**2
+    return base + top * (top - 2.0 * u[-1]) + (2.0 * M * c1[p].sum(axis=1) - weighted) / M**2
 
 
-def _score_margin(M: int, q: float) -> float:
+def _score_margin(M: int) -> float:
     """A bound on |S - D| between a candidate's `_run_scores` value S and the
     squared distance D = d @ d that `mp_fit` computes on its 256-point CDF.
 
     With P = 256 points, unit roundoff u = 2^-53 and gamma_n = n u / (1 - n u)
     (Higham 2002, section 4.2: a sum or dot product of n terms, in any order,
     is off by at most gamma_n times the sum of the terms' magnitudes), every
-    u_i in [0, U], every level in [0, 1] and e = P gamma_P U^2 >= P^2 u U^2:
-    - D: each d_i = emp_i - u_i rounds once, to |d_i| <= U, and the dot
+    u_i and every level in [0, 1], and e = P gamma_P >= P^2 u:
+    - D: each d_i = emp_i - u_i rounds once, to |d_i| <= 1, and the dot
       product is off by at most gamma_P sum d_i^2 <= e; with the rounding of
-      the d_i, D is within e + 3 P u U^2 of the exact sum of (emp_i - u_i)^2.
-    - S: each prefix sum C1[b] is off by at most gamma_P P U = e / U, and
-      sum(u^2) by e, so the constant is off by at most 3e plus its two
-      additions. The M prefix sums C1[p_j], scaled by 2M / M^2, add at most
-      2e; the sum over j is exact in its integer part and off by
-      gamma_M M P U in the other, which adds at most 2 M P u U^2 after the
-      scaling. The other roundings (the products, the difference, the
-      division and the additions, each on a value of at most 8 P U^2) add
-      at most 33 P u U^2.
-    So |S - D| <= 6e + P u U^2 (2M + 36) <= (M + 8) e.
+      the d_i, D is within e + 3 P u of the exact sum of (emp_i - u_i)^2.
+    - S: each prefix sum C1[b] is off by at most gamma_P P = e, and sum(u^2)
+      by e, so the constant is off by at most 3e plus its two additions.
+      The M prefix sums C1[p_j], scaled by 2M / M^2, add at most 2e; the sum
+      over j is exact in its integer part and off by gamma_M M P in the
+      other, which adds at most 2 M P u after the scaling. The other
+      roundings (the products, the difference, the division and the
+      additions, each on a value of at most 8 P) add at most 33 P u.
+    So |S - D| <= 6e + P u (2M + 36) <= (M + 8) e.
     """
     P = MP_GRID_POINTS
     unit = 2.0**-53
-    return (M + 8) * P * (P * unit / (1.0 - P * unit)) * _mp_unit_cdf_sums(q)[3] ** 2
+    return (M + 8) * P * (P * unit / (1.0 - P * unit))
 
 
 def _empirical_cdfs(p: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -314,9 +303,12 @@ def mp_fit(
     and their distance computed, and the rest cannot win or tie.
     Raises ValueError on non-finite or negative eigenvalues, on eigenvalues
     so large that a candidate's support overflows, on a non-integer L, N,
-    M_hat or K, and unless 0 <= M_hat < L.
+    M_hat or K, unless 0 <= M_hat < L, and on N > MAX_N (2**53), which
+    keeps q >= 2**-53.
     """
     L, N = _integer("L", L), _integer("N", N)
+    if N > MAX_N:
+        raise ValueError(f"need N <= 2**53, got N={N}")
     M_hat, K = _integer("M_hat", M_hat), _integer("K", K)
     eigs = np.asarray(noise_eigs, dtype=float)
     if eigs.ndim not in (1, 2):
@@ -347,23 +339,18 @@ def mp_fit(
     q = (1.0 - M_hat / L) * c
     sorted_eigs = np.sort(rows, axis=-1)
     grid = _linspace_rows(sigma_lo, sigma_hi, K)
-    p, at_hi, exact = _crossings(sorted_eigs, grid, q)
+    p, at_hi = _crossings(sorted_eigs, grid, q)
     score = _run_scores(p, at_hi, q)
     score[grid == 0.0] = math.inf
     # A kept candidate scores within 3 margins of the row's best. A pruned
     # one's distance squared is then more than a margin above the best
     # candidate's, a gap far wider than the rounding of the square roots,
-    # so it can neither win nor tie. Rows whose counts fail keep every
-    # candidate, for the binary search.
-    keep = score <= score.min(axis=-1, keepdims=True) + 3.0 * _score_margin(rows.shape[1], q)
-    keep[~exact] = True
+    # so it can neither win nor tie.
+    keep = score <= score.min(axis=-1, keepdims=True) + 3.0 * _score_margin(rows.shape[1])
     keep &= grid != 0.0
     owner, kept = np.nonzero(keep)
     d = _empirical_cdfs(p[owner, :, kept], at_hi[owner, kept])
-    for r in np.flatnonzero(~exact):
-        d[owner == r] = np.searchsorted(
-            sorted_eigs[r], _mp_support(grid[r, keep[r]], q), side="right") / rows.shape[1]
-    d -= _mp_unit_cdf(q)
+    d -= _mp_unit_table(q)[0]
     dist = np.full(grid.shape, math.inf)
     # the stacked product rounds as np.linalg.norm does on each row; a sum
     # over the last axis rounds differently
@@ -466,7 +453,8 @@ def pso_tune(
     global-best PSO with inertia 0.72, cognitive/social weights 1.49, clamped
     velocities, positions rounded to integers. Deterministic given seed; the
     global best only updates on strict improvement, scanning particles in
-    index order. Takes a sample vector, not a block.
+    index order. Takes a sample vector, not a block. Raises ValueError on
+    infeasible bounds, swarm < 2, iters < 1 and a non-finite true_snr_db.
     """
     if _finite_vector(samples).ndim != 1:
         raise ValueError("pso_tune needs a 1-d sample vector")
@@ -478,6 +466,8 @@ def pso_tune(
         raise ValueError("swarm must be >= 2")
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    if true_snr_db is not None and not math.isfinite(true_snr_db):
+        raise ValueError(f"true_snr_db must be finite, got {true_snr_db}")
 
     cache: dict[tuple[int, int], float] = {}
 

@@ -147,6 +147,15 @@ def test_awgn_rejects_unscalable_snr(snr_db):
         add_awgn(np.ones(8), snr_db=snr_db)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, math.nan)])
+def test_awgn_rejects_nonfinite_samples(bad):
+    # such samples came back with a NaN or infinite noise variance
+    x = np.ones(8, dtype=complex if isinstance(bad, complex) else float)
+    x[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        add_awgn(x, snr_db=10.0)
+
+
 def test_awgn_validation():
     with pytest.raises(ValueError):
         add_awgn(np.zeros(8), snr_db=10.0)

@@ -81,6 +81,19 @@ def test_mdl_validation():
         mdl_order(np.array([[3.0, 2.0, 1.0], [1.0, 2.0, 3.0]]), 3, 100)
 
 
+def test_mdl_rejects_n_above_2_53():
+    # N times a tail size once wrapped around in int64: 2**62 split [10, 1, 1, 1]
+    # as order 0 and 2**61 as 1, and 2**70 raised OverflowError
+    lam = np.array([10.0, 1.0, 1.0, 1.0])
+    for N in (2**53 + 1, 2**61, 2**62, 2**70):
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            mdl_order(lam, 4, N)
+    assert mdl_order(lam, 4, 2**53) == mdl_oracle(lam, 4, 2**53) == 1
+    # at N = 2**53, a tail size times N passes 2**63 from L = 1025 on
+    spectrum = random_descending_eigs(np.random.default_rng(3), 2048)
+    assert mdl_order(spectrum, 2048, 2**53) == mdl_oracle(spectrum, 2048, 2**53)
+
+
 def test_mdl_block_equals_row_calls_and_oracle():
     rng = np.random.default_rng(8)
     L, N = 9, 700
@@ -212,8 +225,8 @@ def fit_bits(fitted, goodness):
 
 
 # a subnormal row, whose candidate grid's step underflows to zero, beside a
-# normal one; and a block of supports narrower than lo's rounding, which the
-# crossing count cannot resolve
+# normal one; and a block whose supports, at N = 10**30, would be narrower
+# than the rounding of their edges
 SUBNORMAL_TAILS = np.array([[4.0, 2.0, 1.0], [3.0 * 5e-324, 2.0 * 5e-324, 5e-324]])
 COLLAPSED_TAILS = np.array([[1.0, 1.0], [3.0, 2.0]])
 # noise tails from a benchmark-shaped scan (L = 10, N = 3063): one whose
@@ -251,7 +264,6 @@ def snap_to_supports(block, L, N, M_hat, K):
          n_extra=200, K=30, on_support=False)  # a zero candidate, and an all-zero row
 @example(tails=(np.zeros((3, 2)), 4, 2), n_extra=50, K=5,
          on_support=False)  # all-zero rows only
-@example(tails=(COLLAPSED_TAILS, 2, 0), n_extra=10**30, K=50, on_support=False)
 @example(tails=(np.array([[7.0, 6.0, 5.0, 3.0], [8.0, 7.0, 5.0, 4.0]]), 4, 0),
          n_extra=1000, K=10, on_support=True)
 @example(tails=(TIED_PAIR_TAIL, 10, 0), n_extra=3053, K=50, on_support=False)
@@ -271,27 +283,34 @@ def test_block_noise_fit_equals_vector_calls_and_oracle(tails, n_extra, K, on_su
             *mp_fit_oracle(row, L, N, M_hat, K))
 
 
-@pytest.mark.parametrize("tails, L, N, K, searched", [
-    (SUBNORMAL_TAILS, 3, 300, 5, 0),
-    (COLLAPSED_TAILS, 2, 10**30, 50, 2),
-])
-def test_noise_fit_counts_by_binary_search_only_where_crossings_fail(
-        monkeypatch, tails, L, N, K, searched):
-    # the binary search is the only caller of _mp_support once the unit CDF
-    # is cached
-    snr._mp_unit_cdf(L / N)
+def test_noise_fit_counts_a_subnormal_row_without_a_support(monkeypatch):
+    L, N, K = 3, 300, 5
+    # once the unit CDF is cached, the fit builds no support
+    snr._mp_unit_table(L / N)
     calls = []
     support = snr._mp_support
     monkeypatch.setattr(snr, "_mp_support", lambda grid, q: calls.append(q) or support(grid, q))
-    fitted, goodness = mp_fit(tails, L, N, 0, K)
-    assert len(calls) == searched
-    for row, f, g in zip(tails, fitted, goodness):
+    fitted, goodness = mp_fit(SUBNORMAL_TAILS, L, N, 0, K)
+    assert calls == []
+    for row, f, g in zip(SUBNORMAL_TAILS, fitted, goodness):
         assert fit_bits(f, g) == fit_bits(*mp_fit_oracle(row, L, N, 0, K))
-    if searched == 0:
-        # the subnormal row's candidate grid takes np.linspace's zero-step branch
-        sq = math.sqrt(L / N)
-        lo, hi = sorted((tails[1, -1] / (1.0 - sq) ** 2, tails[1, 0] / (1.0 + sq) ** 2))
-        assert (hi - lo) / (K - 1) == 0.0 < hi - lo
+    # the subnormal row's candidate grid takes np.linspace's zero-step branch
+    sq = math.sqrt(L / N)
+    lo, hi = sorted((SUBNORMAL_TAILS[1, -1] / (1.0 - sq) ** 2,
+                     SUBNORMAL_TAILS[1, 0] / (1.0 + sq) ** 2))
+    assert (hi - lo) / (K - 1) == 0.0 < hi - lo
+
+
+@pytest.mark.parametrize("N", [2**53 + 1, 10**30])
+def test_noise_fit_rejects_n_above_2_53(N):
+    # past 2**53 a support can be narrower than the rounding of its edges
+    for tails in (COLLAPSED_TAILS, COLLAPSED_TAILS[1]):
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            mp_fit(tails, 2, N, 0, 50)
+    fitted, goodness = mp_fit(COLLAPSED_TAILS, 2, 2**53, 0, 50)
+    for row, f, g in zip(COLLAPSED_TAILS, fitted, goodness):
+        assert fit_bits(f, g) == fit_bits(*mp_fit(row, 2, 2**53, 0, 50)) == fit_bits(
+            *mp_fit_oracle(row, 2, 2**53, 0, 50))
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,7 +323,7 @@ def test_noise_fit_counts_by_binary_search_only_where_crossings_fail(
 def test_run_scores_stay_within_the_margin_of_the_distances(
         tails, n_extra, K, on_support, scale):
     # S against d @ d on a CDF built by binary search, for every candidate of
-    # every row whose crossing counts hold
+    # every row
     block, L, M_hat = tails
     N = L + n_extra
     block = block * scale
@@ -314,15 +333,53 @@ def test_run_scores_stay_within_the_margin_of_the_distances(
     q = (1.0 - M_hat / L) * (L / N)
     sorted_block = np.sort(block, axis=-1)
     grid = np.array([noise_bracket_grid(row, L, N, K) for row in block])
-    p, top, exact = snr._crossings(sorted_block, grid, q)
+    p, top = snr._crossings(sorted_block, grid, q)
     scores = snr._run_scores(p, top, q)
-    margin = snr._score_margin(M, q)
-    assert margin < 1e-9 or q < 1e-20  # U = 1 unless q collapses the support
-    for r in np.flatnonzero(exact):
+    margin = snr._score_margin(M)
+    assert margin < 1e-9
+    for r in range(len(block)):
         emp = np.searchsorted(sorted_block[r], _mp_support(grid[r], q), side="right") / M
         d = emp - _mp_unit_cdf(q)
         distances = np.array([float(np.dot(dk, dk)) for dk in d])
         assert np.all(np.abs(scores[r] - distances) <= margin)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tails=noise_tail_blocks(), log2_n=st.integers(2, 53), K=st.integers(2, 80),
+       nudge=st.sampled_from([-1, 0, 1]), scale=st.integers(-323, 300).map(lambda k: 10.0**k))
+@example(tails=(COLLAPSED_TAILS, 2, 0), log2_n=53, K=50, nudge=0, scale=1.0)
+@example(tails=(SUBNORMAL_TAILS, 3, 0), log2_n=53, K=5, nudge=1, scale=1.0)
+@example(tails=(TIED_ALL_TAIL, 10, 1), log2_n=53, K=80, nudge=-1, scale=1e-300)
+def test_crossings_count_the_support_points_up_to_n_2_53(tails, log2_n, K, nudge, scale):
+    # eigenvalues on support points or one rounding off them, where a crossing
+    # estimate can be one off, up to N = 2**53 and the smallest q it allows
+    block, L, M_hat = tails
+    N = max(L + 1, 2**log2_n)
+    block = snap_to_supports(block * scale, L, N, M_hat, K)
+    if nudge:
+        block[:, 1:-1] = np.nextafter(block[:, 1:-1], nudge * math.inf)
+    M = block.shape[1]
+    q = (1.0 - M_hat / L) * (L / N)
+    sorted_block = np.sort(block, axis=-1)
+    grid = np.array([noise_bracket_grid(row, L, N, K) for row in block])
+    p, top = snr._crossings(sorted_block, grid, q)
+    for r in range(len(block)):
+        v = _mp_support(grid[r], q)
+        emp = np.searchsorted(sorted_block[r], v, side="right") / M
+        assert np.array_equal(snr._empirical_cdfs(p[r].T, top[r]), emp)
+
+
+def test_crossings_move_a_low_estimate_up_to_the_crossing():
+    # one rounding above point 177 of this support, (e - lo)/step still
+    # rounds to 177, so the estimate t = 177 is one short of the count
+    q = 17 / 446
+    grid = np.array([[23.681]])
+    v = _mp_support(grid[0], q)[0]
+    e = np.nextafter(v[177], math.inf)
+    step = (v[-1] - v[0]) / 255
+    assert math.ceil((e - v[0]) / step) == 177
+    p, top = snr._crossings(np.array([[e]]), grid, q)
+    assert p.item() == np.count_nonzero(v[:-1] < e) == 178
 
 
 def test_fit_builds_cdfs_only_for_candidates_within_the_margin(monkeypatch):
@@ -341,14 +398,11 @@ def test_fit_builds_cdfs_only_for_candidates_within_the_margin(monkeypatch):
         fitted, _ = mp_fit(tail[0], L, N, M_hat, 50)
         assert built == [kept]
         assert fitted == noise_bracket_grid(tail[0], L, N, 50)[46 if kept == 2 else 0]
-    # rows whose crossing counts fail keep every candidate for the binary search
-    mp_fit(COLLAPSED_TAILS, 2, 10**30, 0, 50)
-    searched = []
-    support = snr._mp_support
-    monkeypatch.setattr(snr, "_mp_support",
-                        lambda grid, q: searched.append(len(grid)) or support(grid, q))
-    mp_fit(COLLAPSED_TAILS, 2, 10**30, 0, 50)
-    assert searched == [50, 50]
+    # a sample count past 2**53 is rejected before any CDF is built
+    built.clear()
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        mp_fit(COLLAPSED_TAILS, 2, 10**30, 0, 50)
+    assert built == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -438,14 +492,22 @@ def test_mp_fit_validation():
 
 
 def test_mp_unit_cdf_is_cached_read_only():
-    cdf = _mp_unit_cdf(0.25)
-    assert _mp_unit_cdf(0.25) is cdf
-    with pytest.raises(ValueError, match="read-only"):
-        cdf[0] = 1.0
-    sums = snr._mp_unit_cdf_sums(0.25)
-    assert snr._mp_unit_cdf_sums(0.25) is sums
-    with pytest.raises(ValueError, match="read-only"):
-        sums[0][0] = 1.0
+    table = snr._mp_unit_table(0.25)
+    assert snr._mp_unit_table(0.25) is table
+    cdf, sums, _ = table
+    assert np.array_equal(cdf, _mp_unit_cdf(0.25))
+    for cached in (cdf, sums):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 1.0
+
+
+def test_mp_unit_cdf_stays_below_one_for_every_q_the_fit_takes():
+    # q = (L - M_hat)/N >= 2**-53; the score margin takes every |u_i| <= 1
+    qs = np.concatenate([np.geomspace(2.0**-53, 1.0, 4000, endpoint=False),
+                         1.0 - np.geomspace(2.0**-53, 0.5, 2000)])
+    for q in qs.tolist():
+        cdf = _mp_unit_cdf(q)
+        assert 0.0 <= cdf.min() and cdf.max() <= 1.0
 
 
 def sinusoid_plus_noise(snr_db, n, seed):
@@ -657,3 +719,11 @@ def test_pso_validation():
         pso_tune(x, (4, 10), (20, 60), iters=0)
     with pytest.raises(ValueError, match="1-d"):
         pso_tune(np.stack([x, x]), (4, 10), (20, 60))
+
+
+@pytest.mark.parametrize("true_snr_db", [math.nan, math.inf, -math.inf])
+def test_pso_rejects_nonfinite_true_snr(true_snr_db):
+    # a NaN target made every fitness NaN, so no particle ever improved
+    x = sinusoid_plus_noise(0.0, 500, seed=7)
+    with pytest.raises(ValueError, match="true_snr_db must be finite"):
+        pso_tune(x, (3, 8), (10, 40), true_snr_db=true_snr_db, iters=2)
