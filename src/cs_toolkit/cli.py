@@ -32,6 +32,7 @@ from .io import (
     _csv_text,
     _fmt,
     _json_text,
+    _json_value,
     _write_in_place,
     config_hash,
     load_config,
@@ -91,7 +92,7 @@ def _read_samples(path: str) -> np.ndarray:
 
 
 def _write_samples(path: Path, values: np.ndarray, column: str) -> None:
-    rows = [[i, "%.9g" % v.real if not np.iscomplexobj(values) else repr(complex(v))]
+    rows = [[i, _fmt(v) if not np.iscomplexobj(values) else repr(complex(v))]
             for i, v in enumerate(values)]
     _write_in_place(path, _csv_text([["index", column], *rows]), newline="")
 
@@ -148,7 +149,7 @@ def _cmd_recover(ns: argparse.Namespace) -> int:
                               measure_time=ns.measure_time)
     record = _recovery_record(ns.solver, ns.scheme, ns.n, ns.k, ns.m, snr_db, [row])
     out = Path(ns.output)
-    rows = [["index", "x_hat"], *([i, "%.9g" % v] for i, v in enumerate(res.x_hat)),
+    rows = [["index", "x_hat"], *([i, _fmt(v)] for i, v in enumerate(res.x_hat)),
             RECOVERY_COLUMNS, [_fmt(record[c]) for c in RECOVERY_COLUMNS]]
     _write_in_place(out, _csv_text(rows), newline="")
     _emit_manifest(started, _public_args(ns), ns.seed, [out])
@@ -162,8 +163,8 @@ def _cmd_detect(ns: argparse.Namespace) -> int:
     pilot = gen_pilot_bpsk(y.size, seed=ns.pilot_seed)
     outcome = detect(ns.technique, y, ns.threshold, pilot=pilot, lags=ns.lags)
     header = "technique,statistic,threshold,decision"
-    row = "%s,%.9g,%.9g,%s" % (outcome.technique, outcome.statistic_T,
-                               outcome.threshold_lambda, outcome.decision)
+    row = ",".join(map(_fmt, (outcome.technique, outcome.statistic_T,
+                              outcome.threshold_lambda, outcome.decision)))
     print(header)
     print(row)
     if ns.output:
@@ -178,9 +179,9 @@ def _cmd_estimate_snr(ns: argparse.Namespace) -> int:
     y = _read_samples(ns.input)
     est = estimate_snr(y, L=ns.smoothing_l, K=ns.grid_k)
     payload = {
-        "snr_db": float("%.9g" % est.snr_db),
-        "noise_variance_hat": float("%.9g" % est.noise_variance_hat),
-        "total_power_hat": float("%.9g" % est.total_power_hat),
+        "snr_db": _json_value(est.snr_db),
+        "noise_variance_hat": _json_value(est.noise_variance_hat),
+        "total_power_hat": _json_value(est.total_power_hat),
         "mdl_order_M": est.mdl_order_M,
         "clamped": est.clamped,
     }

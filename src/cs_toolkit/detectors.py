@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import IllConditionedError
 from .matrices import SensingMatrix
-from .signals import PilotSignal, _finite_vector, _samples
+from .signals import PilotSignal, _samples
 
 __all__ = [
     "DetectionOutcome",
@@ -300,10 +300,8 @@ def quiet_time_threshold(
         raise ValueError(f"factor_k must be finite and positive, got {factor_k}")
     if averaging_runs < 1:
         raise ValueError("averaging_runs must be >= 1")
-    w = _finite_vector(noise)
     npil = pilot.samples.size
-    if w.size != averaging_runs * npil:
-        raise ValueError("noise length must equal averaging_runs * pilot length")
+    w = _samples(noise, block=False, length=averaging_runs * npil)
     blocks = w.reshape(averaging_runs, npil)
     corrs = np.abs(np.real(blocks @ np.conj(pilot.samples)))
     return float(factor_k * np.mean(corrs))
@@ -314,19 +312,12 @@ def compressive_detect(
 ) -> DetectionOutcome:
     """T = y^T (Omega Omega^T)^-1 Omega S; occupied iff T >= lambda.
 
-    The compressed samples and the template must be real: Omega is real, and
-    a complex statistic has no order against lambda.
+    The compressed samples are a real vector of Omega.m finite values and
+    the template a real one of Omega.n: Omega is real, and a complex
+    statistic has no order against lambda. Anything else raises ValueError.
     """
-    yv = _samples(y_compressed, block=False)
-    if yv.dtype.kind == "c":
-        raise ValueError("compressed samples must be real")
-    if np.iscomplexobj(template_S):
-        raise ValueError("template_S must be real")
-    s = np.asarray(template_S, dtype=float)
-    if yv.size != Omega.m:
-        raise ValueError("compressed length does not match Omega.m")
-    if s.size != Omega.n:
-        raise ValueError("template length does not match Omega.n")
+    yv = _samples(y_compressed, block=False, length=Omega.m, real="compressed samples")
+    s = _samples(template_S, block=False, length=Omega.n, real="template_S")
     lam = _thresholds(lam, yv)
     dense = Omega.to_dense()
     gram = dense @ dense.T

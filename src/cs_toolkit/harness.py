@@ -30,6 +30,7 @@ from .recovery import (
 )
 from .signals import (
     PilotSignal,
+    _integer,
     _noise_variance,
     evaluate_metrics,
     gen_pilot_bpsk,
@@ -73,6 +74,9 @@ class ExperimentConfig:
 
     Grids not used by a kind are ignored. For recovery sweeps, empty n/k/m
     grids fall back to (samples_N,), (sparsity_k,), (measurements_M,).
+    Every count, the seed and every n/k/m grid entry must be an integer, and
+    each field must fit the kind's sweep: a bad value raises ValueError when
+    the config is built, not partway through a sweep.
     """
 
     experiment_kind: str = "detection_mc"
@@ -113,6 +117,12 @@ class ExperimentConfig:
     threads: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("trials_Nt", "samples_N", "measurements_M", "sparsity_k",
+                     "averaging_runs", "euclid_lags_M", "slots", "base_seed"):
+            _integer(name, getattr(self, name))
+        for name in ("n_grid", "k_grid", "m_grid"):
+            for value in getattr(self, name):
+                _integer(f"{name} entry", value)
         if self.trials_Nt < 1:
             raise ValueError("trials_Nt must be >= 1")
         if self.experiment_kind not in ("detection_mc", "recovery_mc", "scan_sim"):

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .signals import SparseSignal
+from .signals import _samples
 
 __all__ = [
     "SensingMatrix",
@@ -236,9 +236,13 @@ def build_matrix(
         p            probability a structured-generator entry is nonzero
                      (Rademacher +-1 masked; default 1.0)
         random_rows  pick m random rows instead of the first m (structured)
-        generator    explicit generator vector (overrides the random draw)
-        scale        explicit normalization (default 1/sqrt(m) for structured
-                     and bernoulli-style scaling baked into dense entries)
+        generator    explicit generator vector (overrides the random draw):
+                     real and finite, of length n + offset (offset = the
+                     largest selected row for toeplitz, 0 for circulant)
+        scale        explicit finite normalization (default 1/sqrt(m) for
+                     structured and bernoulli-style scaling baked into dense
+                     entries)
+    Raises ValueError on any option outside these ranges.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -262,15 +266,16 @@ def build_matrix(
     else:
         rows = np.arange(m)
     scale = float(opts.get("scale", 1.0 / math.sqrt(m)))
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
 
     # a toeplitz generator covers the diagonals j - i of the selected rows
     offset = int(rows.max()) if scheme == "toeplitz" else 0
     gen_len = n + offset
     gen = opts.get("generator")
-    gen = (np.array(gen, dtype=float) if gen is not None
-           else _masked_rademacher(rng, gen_len, p))
-    if gen.shape != (gen_len,):
-        raise ValueError(f"{scheme} generator must have length {gen_len}")
+    # a copy: the matrix caches the generator's spectrum
+    gen = (np.array(_samples(gen, block=False, length=gen_len, real="generator"))
+           if gen is not None else _masked_rademacher(rng, gen_len, p))
     return SensingMatrix(scheme, m, n, gen, seed, scale,
                          rows=rows, diag_offset=offset)
 
@@ -281,16 +286,15 @@ def compress(
     noise_variance: float = 0.0,
     seed: int = 0,
 ) -> MeasurementVector:
-    """Measure y = A x + w with w i.i.d. N(0, noise_variance); x must be real
-    and noise_variance finite and nonnegative."""
+    """Measure y = A x + w with w i.i.d. N(0, noise_variance).
+
+    x is a `SparseSignal` or a real vector of n finite values, and
+    noise_variance must be finite and nonnegative; anything else raises
+    ValueError.
+    """
     if not 0.0 <= noise_variance < math.inf:
         raise ValueError(f"noise_variance must be finite and >= 0, got {noise_variance}")
-    vec = x.samples if isinstance(x, SparseSignal) else np.asarray(x)
-    if vec.dtype.kind == "c":
-        raise ValueError("the signal must be real, got complex values")
-    vec = vec.astype(float, copy=False)
-    if vec.shape != (matrix.n,):
-        raise ValueError(f"signal length {vec.shape} does not match n={matrix.n}")
+    vec = _samples(x, block=False, length=matrix.n, real="the signal")
     return _with_noise(matrix.matvec(vec), noise_variance, seed)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import IllConditionedError
 from .matrices import SensingMatrix
-from .signals import _finite_vector
+from .signals import _samples
 
 __all__ = [
     "SolverOpts",
@@ -90,20 +90,6 @@ class SignVector:
         return self.signs.size
 
 
-def _measurements(y, m: int | None = None) -> np.ndarray:
-    """y as a float vector of finite values, checked to be m long if m is given.
-
-    Complex values are rejected, not cast: a cast would drop the imaginary part.
-    """
-    yv = _finite_vector(y)
-    if yv.dtype.kind == "c":
-        raise ValueError("measurements must be real, got complex values")
-    yv = yv.astype(float, copy=False)
-    if m is not None and yv.shape != (m,):
-        raise ValueError("measurement length does not match A.m")
-    return yv
-
-
 # basis pursuit's backtracking: L shrinks by _BP_SHRINK before each step and
 # grows by _BP_GROW on each failed bound test
 _BP_SHRINK = 0.9
@@ -150,7 +136,7 @@ def basis_pursuit(
     # a NaN z would make every backtracking test fail, and L double forever
     if not 0.0 <= z < math.inf:
         raise ValueError(f"z must be finite and >= 0, got {z}")
-    yv = _measurements(y, A.m)
+    yv = _samples(y, block=False, length=A.m, real="measurements")
     tol = 1e-8 if opts.tol is None else opts.tol
     max_iter = 5000 if opts.max_iter is None else opts.max_iter
     # minimizing ||y-Ax||^2 + z|x|_1 is the half-scaled problem
@@ -235,7 +221,7 @@ def omp(y, A: SensingMatrix, k_or_tol) -> RecoveryResult:
     stops with `converged` False, since neither k columns nor the tolerance
     was reached.
     """
-    yv = _measurements(y, A.m)
+    yv = _samples(y, block=False, length=A.m, real="measurements")
     by_count = isinstance(k_or_tol, (int, np.integer)) and not isinstance(k_or_tol, bool)
     if by_count:
         k_max = int(k_or_tol)
@@ -343,7 +329,7 @@ def cosamp(
     (default 100) ran out before the residual norm stalled or met
     opts.tol * max(||y||, 1) (default 1e-8).
     """
-    yv = _measurements(y, A.m)
+    yv = _samples(y, block=False, length=A.m, real="measurements")
     if not 1 <= k <= A.n:
         raise ValueError("need 1 <= k <= n")
     if k > A.m // 2:
@@ -596,7 +582,7 @@ def bayesian_recover(
     selection, -log p(y) plus ln(n) / 2 per active column, as the
     best value seen so far; it is nonincreasing.
     """
-    yv = _measurements(y, A.m)
+    yv = _samples(y, block=False, length=A.m, real="measurements")
     n, m = A.n, A.m
     norm_y2 = float(yv @ yv)
     trace: list = []
@@ -818,12 +804,17 @@ def _stable_inverse(hess: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def one_bit_quantize(y) -> SignVector:
-    """Keep only measurement signs; the zero sample quantizes to +1."""
-    yv = _measurements(y)
-    if yv.size < 1:
-        raise ValueError("need at least one measurement")
-    signs = np.where(yv >= 0.0, 1.0, -1.0)
-    return SignVector(signs=signs)
+    """Keep only measurement signs; the zero sample quantizes to +1.
+
+    y must be a nonempty real vector of finite values; anything else raises
+    ValueError.
+    """
+    return SignVector(signs=_signs(_samples(y, block=False, real="measurements")))
+
+
+def _signs(v: np.ndarray) -> np.ndarray:
+    """The one-bit quantizer of a vector or of every row of a block: a zero reads +1."""
+    return np.where(v >= 0.0, 1.0, -1.0)
 
 
 def _hard_threshold(x: np.ndarray, k: int) -> np.ndarray:
@@ -857,8 +848,7 @@ def _biht_block(A: SensingMatrix, s: np.ndarray, k: int, starts: np.ndarray,
     history = np.full((rows, iters + 1), -1)  # -1: the row had stopped
     live, x = np.arange(rows), starts
     for step in range(iters + 1):
-        # the sign quantizer of `one_bit_quantize`: a zero product reads +1
-        q = np.where(A.matvec(x) >= 0.0, 1.0, -1.0)
+        q = _signs(A.matvec(x))
         bad = np.count_nonzero(q != s, axis=1)
         history[live, step] = bad
         better = bad < best_bad[live]
@@ -918,7 +908,7 @@ def biht_recover(
     Raises IllConditionedError when every column of A vanishes or A^T s
     does.
     """
-    s = _measurements(signs, A.m)
+    s = _samples(signs, block=False, length=A.m, real="measurements")
     if not np.all(np.isin(s, (-1.0, 1.0))):
         raise ValueError("signs must be +-1")
     if not 1 <= k <= A.n:
@@ -988,7 +978,7 @@ def biht_recover(
     # arithmetic (the FFT apply returns those as +-1e-17), so the returned
     # estimate itself must quantize to s
     converged = final_bad == 0 and bool(
-        np.array_equal(one_bit_quantize(A.matvec(x_hat)).signs, s))
+        np.array_equal(_signs(A.matvec(x_hat)), s))
     return RecoveryResult(
         x_hat=x_hat,
         iterations=total_iters,

@@ -155,9 +155,7 @@ def add_awgn(
     channel = "rayleigh" applies a flat random scalar gain h ~ CN(0, 1) drawn
     once per call; default is h = 1.
     """
-    x = _finite_vector(signal)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError("signal must be a nonempty 1-d vector")
+    x = _samples(signal, block=False)
     rng = np.random.default_rng(seed)
     if channel == "rayleigh":
         h = complex(rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
@@ -204,25 +202,34 @@ def _as_vector(x) -> np.ndarray:
     return np.asarray(x)
 
 
-def _finite_vector(x) -> np.ndarray:
-    """_as_vector, rejecting NaN and inf entries."""
-    v = _as_vector(x)
-    if not np.isfinite(v).all():
-        raise ValueError("samples must be finite (no NaN or inf)")
-    return v
-
-
-def _samples(y, block: bool = True) -> np.ndarray:
+def _samples(y, block: bool = True, length: int | None = None,
+             real: str | None = None) -> np.ndarray:
     """y's samples as a length-n vector or, if `block`, an (R, n) row block.
 
-    n must be at least 1 and every sample finite. The samples come back as
-    float64, or complex128 when complex.
+    The one check for every sample array a public function takes: n must be
+    at least 1, and equal `length` when that is given, and every sample
+    finite. The samples come back as float64, or complex128 when complex.
+    `real` names an input that must be real: complex samples, even with zero
+    imaginary parts, are then rejected, as a float cast would drop them.
     """
-    v = _finite_vector(y)
+    v = _as_vector(y)
+    if not np.isfinite(v).all():
+        raise ValueError("samples must be finite (no NaN or inf)")
     if v.ndim not in ((1, 2) if block else (1,)) or v.shape[-1] == 0:
-        shapes = "a length-n vector or an (R, n) row block" if block else "a vector"
+        shapes = "a length-n vector or an (R, n) row block" if block else "a vector (1-d)"
         raise ValueError(f"expected {shapes} with n >= 1, got shape {v.shape}")
+    if length is not None and v.shape[-1] != length:
+        raise ValueError(f"expected a length-{length} vector, got shape {v.shape}")
+    if v.dtype.kind == "c" and real:
+        raise ValueError(f"{real} must be real, got complex values")
     return np.asarray(v, dtype=complex if v.dtype.kind == "c" else float)
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; ValueError unless it is a Python or numpy integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _noise_variance(power: float, snr_db: float) -> float:
@@ -253,11 +260,12 @@ def evaluate_metrics(
     Hd   = count of differing entries of y vs y_hat (when both are given)
     recovered_sparsity = count of |x_hat_i| > zero_tol
                          (zero_tol defaults to 1e-6 * max|x_hat|)
+
+    x and x_hat are real vectors of finite values, of one length; anything
+    else raises ValueError.
     """
-    xv = _as_vector(x).astype(float)
-    xh = np.asarray(_as_vector(x_hat), dtype=float)
-    if xv.shape != xh.shape:
-        raise ValueError("x and x_hat must have the same length")
+    xv = _samples(x, block=False, real="x")
+    xh = _samples(x_hat, block=False, length=xv.size, real="x_hat")
     norm_x = float(np.linalg.norm(xv))
     if norm_x == 0.0:
         raise ZeroDivisionError("recovery error undefined for ||x|| = 0")

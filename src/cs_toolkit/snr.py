@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import _finite_vector, _samples
+from .signals import _integer, _samples
 
 __all__ = [
     "SnrEstimate",
@@ -50,13 +50,6 @@ class SnrEstimate:
     grid_K: int
     goodness_D: float
     clamped: bool = False
-
-
-def _integer(name: str, value) -> int:
-    """value as an int; ValueError unless it is a Python or numpy integer."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _delay_embed(rows: np.ndarray, L: int) -> np.ndarray:
@@ -453,11 +446,11 @@ def pso_tune(
     global-best PSO with inertia 0.72, cognitive/social weights 1.49, clamped
     velocities, positions rounded to integers. Deterministic given seed; the
     global best only updates on strict improvement, scanning particles in
-    index order. Takes a sample vector, not a block. Raises ValueError on
-    infeasible bounds, swarm < 2, iters < 1 and a non-finite true_snr_db.
+    index order. Takes a vector of finite samples, not a block. Raises
+    ValueError on other samples, infeasible bounds, swarm < 2, iters < 1 and
+    a non-finite true_snr_db.
     """
-    if _finite_vector(samples).ndim != 1:
-        raise ValueError("pso_tune needs a 1-d sample vector")
+    samples = _samples(samples, block=False)
     lo = np.array([L_bounds[0], K_bounds[0]], dtype=float)
     hi = np.array([L_bounds[1], K_bounds[1]], dtype=float)
     if np.any(hi < lo):

@@ -191,6 +191,14 @@ def test_matrix_descriptor_round_trip(scheme, m, n, seed, options):
     assert np.array_equal(A.to_dense(), rebuilt.to_dense())
 
 
+@pytest.mark.parametrize("options", [{"generator": [math.nan] * 64}, {"scale": math.nan}])
+def test_matrix_descriptor_rejects_nonfinite_options(options):
+    desc = matrix_descriptor(build_matrix("circulant", 20, 64, seed=5))
+    desc["options"] = {**desc["options"], **options}
+    with pytest.raises(ValueError, match="finite"):
+        matrix_from_descriptor(json.loads(json.dumps(desc)))
+
+
 def test_dense_descriptor_stays_compact():
     A = build_matrix("gaussian", 20, 40, seed=3)
     desc = matrix_descriptor(A)
@@ -380,6 +388,18 @@ def test_cli_compress_rejects_complex_signal(tmp_path, capsys):
     assert run_cli(["compress", "--input", str(sig), "--m", "4",
                     "--output", str(meas)]) == 1
     assert capsys.readouterr().err.startswith("error: the signal must be real")
+    assert not meas.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_compress_rejects_nonfinite_signal(tmp_path, capsys, bad):
+    # such a sample file gave NaN or infinite measurements and exit 0
+    sig = tmp_path / "sig.csv"
+    sig.write_text("\n".join([*(repr(float(v)) for v in range(7)), bad]) + "\n")
+    meas = tmp_path / "meas.csv"
+    assert run_cli(["compress", "--input", str(sig), "--m", "4",
+                    "--output", str(meas)]) == 1
+    assert capsys.readouterr().err.startswith("error: samples must be finite")
     assert not meas.exists()
 
 
@@ -639,6 +659,19 @@ def test_cli_experiment_and_report(tmp_path, capsys):
     assert any(ln == "-- group means --" for ln in lines)
 
 
+@pytest.mark.parametrize("config", [
+    {"experiment_kind": "detection_mc", "trials_Nt": 2.5},
+    {"experiment_kind": "scan_sim", "slots": 1.5},
+])
+def test_cli_experiment_rejects_non_integer_counts(tmp_path, capsys, config):
+    # such a config died with a TypeError traceback partway through the sweep
+    cfg = save_config(config, tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    assert run_cli(["experiment", "--config", str(cfg), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 # neither generator_p nor compute_budget is a config field: a saved config
 # that carries one must drop it
 @pytest.mark.parametrize("key", ["generator_p", "compute_budget", "bogus_knob"])
@@ -677,3 +710,45 @@ def test_cli_runtime_errors_exit_one(tmp_path, capsys):
     # euclid needs more samples than lags
     assert run_cli(["detect", "--technique", "euclid", "--threshold", "1",
                     "--input", str(sig)]) == 1
+
+
+def test_cli_outputs_keep_their_bytes(tmp_path, capsys):
+    # every number a command writes is formatted as %.9g, and `detect` and
+    # `estimate-snr` print what they write
+    tone = tmp_path / "tone.csv"
+    t = np.arange(200)
+    noise = np.random.default_rng(5).standard_normal(200)
+    tone.write_text("\n".join("%.9g" % v for v in
+                              3.0 * np.cos(0.2 * np.pi * t + 0.4) + noise) + "\n")
+    runs = {
+        "sig.csv": ["generate", "--n", "12", "--k", "3", "--seed", "1"],
+        "meas.csv": ["compress", "--input", str(tmp_path / "sig.csv"), "--m", "6",
+                     "--seed", "2", "--noise-variance", "0.01"],
+        "rec.csv": ["recover", "--solver", "omp", "--n", "16", "--k", "2", "--m", "8",
+                    "--seed", "3", "--snr-db", "20"],
+        "dec.csv": ["detect", "--technique", "energy", "--threshold", "150",
+                    "--input", str(tone)],
+        "est.json": ["estimate-snr", "--input", str(tone)],
+    }
+    expected = {
+        "sig.csv": "index,value\n0,0\n1,0\n2,0\n3,0\n4,-1\n5,1\n6,0\n7,0\n8,0\n9,1\n"
+                   "10,0\n11,0\n",
+        "meas.csv": "index,measurement\n0,-0.289629015\n1,-0.64929721\n2,0.428425476\n"
+                    "3,0.975174373\n4,0.500198879\n5,-0.692073202\n",
+        "rec.csv": "index,x_hat\n" + "".join(f"{i},0\n" for i in range(10))
+                   + "10,0.945706294\n11,0\n12,0\n13,0\n14,0\n15,0.967521405\n"
+                   + ",".join(RECOVERY_COLUMNS) + "\n"
+                   "omp,gaussian,16,2,8,20,1,0.0447362582,0.000250166599,0.999925716,"
+                   "499.667023,0,0,0\n",
+        "dec.csv": "technique,statistic,threshold,decision\n"
+                   "energy,1156.77301,150,occupied_H1\n",
+        "est.json": '{\n  "clamped": false,\n  "mdl_order_M": 2,\n'
+                    '  "noise_variance_hat": 0.977219069,\n  "snr_db": 6.99228137,\n'
+                    '  "total_power_hat": 5.86621944\n}\n',
+    }
+    for name, argv in runs.items():
+        assert run_cli([*argv, "--output", str(tmp_path / name)]) == 0
+        printed = capsys.readouterr().out
+        assert (tmp_path / name).read_text() == expected[name]
+        if name in ("dec.csv", "est.json"):
+            assert printed == expected[name]

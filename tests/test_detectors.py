@@ -375,6 +375,17 @@ def test_compressive_detect_rejects_complex_input():
         compressive_detect(y, A, np.ones(100) + 1j, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_compressive_detect_rejects_nonfinite_template(bad):
+    # a NaN template made the statistic NaN, which decides idle
+    A = build_matrix("gaussian", 40, 100, seed=2)
+    y = np.random.default_rng(3).standard_normal(40)
+    template = np.ones(100)
+    template[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        compressive_detect(y, A, template, 0.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), lam_scale=st.floats(0.25, 4.0))
 def test_property_threshold_direction(seed, lam_scale):

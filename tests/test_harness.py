@@ -44,6 +44,18 @@ from cs_toolkit.signals import (
 )
 
 
+@pytest.mark.parametrize("field,value", [
+    ("trials_Nt", 2.5), ("samples_N", 100.0), ("measurements_M", 1.5),
+    ("sparsity_k", 2.5), ("averaging_runs", 4.0), ("euclid_lags_M", 8.5),
+    ("slots", 1.5), ("base_seed", 0.5), ("n_grid", (64, 64.5)),
+    ("k_grid", (3.5,)), ("m_grid", (16.0,)),
+])
+def test_config_rejects_non_integer_counts(field, value):
+    # such counts failed with a TypeError partway through a sweep, or not at all
+    with pytest.raises(ValueError, match=f"{field}.* must be an integer"):
+        ExperimentConfig(**{field: value})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(trials_Nt=0)

@@ -348,6 +348,27 @@ def test_compress_rejects_complex_signals():
             compress(A, bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_compress_rejects_nonfinite_signals(bad):
+    # such samples came back as NaN or infinite measurements
+    A = build_matrix("gaussian", 20, 50, seed=1)
+    x = gen_sparse_signal(50, 5, seed=2).samples.copy()
+    x[7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        compress(A, x)
+
+
+@pytest.mark.parametrize("scheme", ["circulant", "toeplitz"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_build_matrix_rejects_nonfinite_options(scheme, bad):
+    # such a generator or scale applied as an all-NaN or all-inf matrix
+    gen = np.ones(50 + (19 if scheme == "toeplitz" else 0))
+    gen[3] = bad
+    for options in ({"generator": gen}, {"scale": bad}):
+        with pytest.raises(ValueError, match="finite"):
+            build_matrix(scheme, 20, 50, seed=1, options=options)
+
+
 @pytest.mark.parametrize("noise_variance", [math.nan, math.inf])
 def test_compress_rejects_nonfinite_noise_variance(noise_variance):
     A = build_matrix("gaussian", 20, 50, seed=1)

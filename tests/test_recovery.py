@@ -951,6 +951,12 @@ def test_one_bit_quantize_signs_and_zero_rule():
         one_bit_quantize(np.array([]))
 
 
+def test_one_bit_quantize_rejects_blocks():
+    # a block came back as a 2-d SignVector
+    with pytest.raises(ValueError, match="expected a vector"):
+        one_bit_quantize(np.ones((2, 3)))
+
+
 def test_biht_unit_norm_and_determinism():
     A, x, y = planted_instance("gaussian", 250, 500, 10, seed=18)
     signs = one_bit_quantize(y)

@@ -237,6 +237,16 @@ def test_metric_bundle_validation():
         evaluate_metrics(np.array([1.0, 2.0]), np.ones(3))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_metric_bundle_rejects_nonfinite_estimates(bad):
+    # such an estimate scored NaN metrics
+    sig = gen_sparse_signal(50, 4, seed=8)
+    x_hat = sig.samples.copy()
+    x_hat[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_metrics(sig, x_hat)
+
+
 def test_empty_model_scores_as_uncorrelated():
     sig = gen_sparse_signal(50, 4, seed=8)
     m = evaluate_metrics(sig, np.zeros(50))
