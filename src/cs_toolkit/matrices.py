@@ -242,24 +242,28 @@ def build_matrix(
         scale        explicit finite normalization (default 1/sqrt(m) for
                      structured and bernoulli-style scaling baked into dense
                      entries)
-    Raises ValueError on any option outside these ranges.
+    Raises ValueError on any option outside these ranges, and on any of them
+    for a dense scheme, which draws every entry from the seed.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     opts = dict(options or {})
-    p = float(opts.get("p", 1.0))
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must be in (0, 1]")
     rng = np.random.default_rng(seed)
 
     if scheme in ("gaussian", "bernoulli"):
+        structured = sorted(opts.keys() & {"p", "random_rows", "generator", "scale"})
+        if structured:
+            raise ValueError(f"the dense {scheme} scheme takes no {', '.join(structured)} option")
         entries = (rng.standard_normal((m, n)) if scheme == "gaussian"
                    else rng.choice([-1.0, 1.0], size=(m, n))) / math.sqrt(m)
         return SensingMatrix(scheme, m, n, entries, seed, 1.0,
                              rows=np.arange(m), diag_offset=0)
 
+    p = float(opts.get("p", 1.0))
+    if not 0.0 < p <= 1.0:
+        raise ValueError("p must be in (0, 1]")
     random_rows = bool(opts.get("random_rows", False))
     if random_rows:
         rows = np.sort(rng.choice(n, size=m, replace=False))

@@ -83,6 +83,9 @@ class SignVector:
     signs: np.ndarray
 
     def __post_init__(self) -> None:
+        if np.ndim(self.signs) != 1 or np.size(self.signs) == 0:
+            raise ValueError("a sign vector must be nonempty and 1-d, "
+                             f"got shape {np.shape(self.signs)}")
         if not np.all(np.isin(self.signs, (-1.0, 1.0))):
             raise ValueError("sign vector entries must be +-1")
 

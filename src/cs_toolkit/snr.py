@@ -7,12 +7,14 @@ candidate grid, and reports the SNR in dB. A small particle-swarm search
 tunes the (L, K) hyperparameters.
 
 `estimate_snr` takes a length-n vector or an (R, n) row block, as
-`SensingMatrix.matvec` and the detectors do. A block's rows share one
-stacked covariance product, one stacked `eigvalsh` and one MDL split, then
-one `mp_fit` call per model order among its rows; each row's estimate
-equals, bit for bit, the vector call on that row. The noise fit scores all
-its candidate variances from where the eigenvalues cross their supports,
-and builds an empirical CDF only for the few that can win.
+`SensingMatrix.matvec` and the detectors do. Each row's L x L covariance
+is built from one row of lag products and the sliding-window recursion down
+its diagonals (`_covariance`), not from L^2 full-length products. A block's
+rows share one stacked `eigvalsh` and one MDL split, then one `mp_fit` call
+per model order among its rows; each row's estimate equals, bit for bit,
+the vector call on that row. The noise fit scores all its candidate
+variances from where the eigenvalues cross their supports, and builds an
+empirical CDF only for the few that can win.
 """
 
 from __future__ import annotations
@@ -55,11 +57,65 @@ class SnrEstimate:
 def _delay_embed(rows: np.ndarray, L: int) -> np.ndarray:
     """(R, L, n - L + 1) view: row i of block r holds row r delayed by i.
 
-    The view is not BLAS-strided, so a product on it takes numpy's own
-    matmul loop, as each row's product alone does; a contiguous copy would
-    go through BLAS and round differently.
+    `_covariance` takes only its first row of lag products on it, with
+    `np.einsum`, which calls no BLAS routine and so rounds the same way
+    whatever the BLAS thread count.
     """
     return np.lib.stride_tricks.sliding_window_view(rows, rows.shape[-1] - L + 1, axis=-1)
+
+
+def _total_powers(rows: np.ndarray, L: int) -> np.ndarray:
+    """Mean |X|^2 of each row's L-row delay matrix X: (R,) from (R, n) rows.
+
+    Sample t lies in min(t + 1, L, n - t) of the L windows, so the mean is
+    the window-count-weighted sum of |s_t|^2 over L n_eff, n_eff = n - L + 1,
+    which is trace(C)/L of the covariance C in exact arithmetic. A sum of
+    nonnegative terms, it overflows to inf and never computes inf - inf.
+    |s_t|^2 is `np.abs` squared in place: one real (R, n) temporary, where
+    s_t conj(s_t) would make complex ones for complex rows.
+    """
+    n = rows.shape[-1]
+    t = np.arange(n)
+    windows = np.minimum(np.minimum(t + 1, n - t), L).astype(float)
+    squares = np.abs(rows)
+    np.square(squares, out=squares)
+    return np.einsum("rt,t->r", squares, windows) / (L * (n - L + 1))
+
+
+def _covariance(rows: np.ndarray, L: int) -> np.ndarray:
+    """(R, L, L) covariances C = X X^H / n_eff of each row's delay matrix X.
+
+    C[i, j] = sum_t s[i + t] conj(s[j + t]) / n_eff over the n_eff = n - L + 1
+    windows. Only the first row, C[0, d] = sum_t s[t] conj(s[t + d]), is a
+    product over the windows: R L n_eff multiply-adds, not R L^2 n_eff. Each
+    step down a diagonal slides the window by one sample,
+        C[i + 1, i + 1 + d] = C[i, i + d]
+            + (s[i + n_eff] conj(s[i + d + n_eff]) - s[i] conj(s[i + d])) / n_eff,
+    so one cumsum over the L(L - 1)/2 corrections fills the upper triangle,
+    and the lower one is its conjugate. Entry (k, k + d) times n_eff is a sum
+    of n_eff + 2k products, each rounded once (twice in each part when
+    complex), and each goes through at most n_eff + k additions; with the
+    division it is off by at most sqrt(2) gamma_{n_eff + L + 3} times the sum
+    of those products' magnitudes (Higham 2002, sections 3.1 and 3.6). Every
+    row is computed on its own, so a block's rows equal the one-row calls bit
+    for bit.
+    """
+    R, n = rows.shape
+    n_eff = n - L + 1
+    # lags[r, k, d] = n_eff C[k, k + d], summed down axis 1; the entries with
+    # k + d >= L are never read
+    lags = np.zeros((R, L, L), dtype=rows.dtype)
+    lags[:, 0] = np.einsum("rdt,rt->rd", _delay_embed(rows.conj(), L), rows[:, :n_eff])
+    head, tail = rows[:, :L - 1], rows[:, n_eff:]
+    i, m = np.triu_indices(L - 1)
+    lags[:, i + 1, m - i] = tail[:, i] * tail[:, m].conj() - head[:, i] * head[:, m].conj()
+    np.cumsum(lags, axis=1, out=lags)
+    lags /= n_eff
+    k, j = np.triu_indices(L)
+    cov = np.empty_like(lags)
+    cov[:, j, k] = lags[:, k, j - k].conj()
+    cov[:, k, j] = lags[:, k, j - k]
+    return cov
 
 
 def mdl_order(eigenvalues: np.ndarray, L: int, N: int) -> int | np.ndarray:
@@ -359,21 +415,24 @@ def mp_fit(
 def estimate_snr(samples, L: int = 10, K: int = 50) -> SnrEstimate | list[SnrEstimate]:
     """Blind SNR estimate from the eigenvalues of the delay-embedded covariance.
 
-    Builds the L-row delay matrix X, the covariance (1/N) X X^H, splits its
-    descending eigenvalues with MDL, fits the noise variance by the
-    Marchenko-Pastur CDF match, and returns
-    gamma_hat = (P_total - sigma_z^2) / sigma_z^2 in dB. Noise-only inputs
-    clamp to the -40 dB floor with the `clamped` flag set.
+    Takes the L-row delay matrix X of the samples, with N = n - L + 1
+    windows, and its covariance (1/N) X X^H, built from the first row of lag
+    products and the sliding-window recursion (`_covariance`). Splits the
+    covariance's descending eigenvalues with MDL, fits the noise variance by
+    the Marchenko-Pastur CDF match, and returns
+    gamma_hat = (P_total - sigma_z^2) / sigma_z^2 in dB, where P_total, the
+    mean of |X|^2, is the window-weighted mean of |s|^2 (`_total_powers`).
+    Noise-only inputs clamp to the -40 dB floor with the `clamped` flag set.
 
     Takes a length-n vector and returns one SnrEstimate, or an (R, n) row
     block and returns a list of R, one per row; each equals the vector call
     on its row in every field, bit for bit. A block makes one stacked
-    covariance product, one stacked `eigvalsh` and one `mdl_order` call,
-    then one `mp_fit` call per distinct model order, on the block of rows
-    that share it. Samples are computed on as float64, or
-    complex128 when complex. Raises ValueError on a non-integer L or K, on
-    n < 2L, on non-finite or zero-power samples and on a zero noise fit (a
-    lone impulse); in a block, on the first row that fails a check.
+    `eigvalsh` and one `mdl_order` call, then one `mp_fit` call per distinct
+    model order, on the block of rows that share it. Samples are computed on
+    as float64, or complex128 when complex. Raises ValueError on a
+    non-integer L or K, on n < 2L, on non-finite or zero-power samples and
+    on a zero noise fit (a lone impulse); in a block, on the first row that
+    fails a check.
     """
     L, K = _integer("L", L), _integer("K", K)
     if L < 2:
@@ -385,22 +444,16 @@ def estimate_snr(samples, L: int = 10, K: int = 50) -> SnrEstimate | list[SnrEst
         raise ValueError("need a length-n vector or an (R, n) row block with n >= 2L, "
                          f"got shape {s.shape}")
     rows = s.reshape(-1, s.shape[-1])
-    x = _delay_embed(rows, L)
-    n_eff = x.shape[-1]
-    # one row at a time: a whole block's |x|^2 would be an (R, L, n_eff) temporary
-    if x.dtype.kind == "c":
-        powers = [float(np.mean(np.abs(xr) ** 2)) for xr in x]
-    else:
-        powers = [float(np.mean(np.square(xr))) for xr in x]
+    n_eff = rows.shape[-1] - L + 1
+    # every power is checked before a lag product is taken: each lag sum and
+    # correction of `_covariance` is at most L n_eff times the power, up to
+    # rounding, so none overflows to make an inf - inf
+    powers = _total_powers(rows, L).tolist()
     for total_power in powers:
         if not 0.0 < total_power < math.inf:  # squares that overflow, or all zero
             raise ValueError(
                 f"samples must be finite with nonzero power, got {total_power}")
-    # complex rows are conjugated before the windowing, so that no (R, L, n_eff)
-    # copy is made; real windows are their own conjugate
-    xh = _delay_embed(rows.conj(), L) if rows.dtype.kind == "c" else x
-    cov = (x @ xh.transpose(0, 2, 1)) / n_eff
-    eigs = np.clip(np.linalg.eigvalsh(cov)[:, ::-1], 0.0, None)
+    eigs = np.clip(np.linalg.eigvalsh(_covariance(rows, L))[:, ::-1], 0.0, None)
     m_hats = mdl_order(eigs, L, n_eff)
     sigma_hats = np.empty(len(rows))
     goodness = np.empty(len(rows))

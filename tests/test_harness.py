@@ -656,13 +656,13 @@ def test_scan_truth_recount_consistent():
 PINNED_SCAN_TRUTH = ((1, 1, 0), (0, 0, 1), (0, 1, 1), (0, 0, 0), (0, 0, 0),
                      (1, 1, 1), (1, 1, 1), (0, 1, 1), (1, 0, 0))
 PINNED_SCAN_EST_SNR = (
-    (-8.015457145688039, -40.0, -27.590544714203503, -25.457345808245652, -40.0,
-     -30.519576707785987, 2.8383487502234948, -18.067419680566708,
-     -3.4890328155154697),
-    (0.73724403637617, -40.0, -7.871436499206592, -40.0, -40.0,
-     -1.5169730808987922, -0.8842390275130703, -7.606989425670644, -40.0),
-    (-26.66828658507707, -4.108459242766038, -40.0, -23.320012174248824, -40.0,
-     -40.0, -4.232264857346016, -10.939636195014508, -11.821510313034779),
+    (-8.015457145688039, -40.0, -27.590544714204647, -25.457345808246604, -40.0,
+     -30.519576707786648, 2.8383487502234948, -18.06741968056678,
+     -3.4890328155154293),
+    (0.7372440363761683, -40.0, -7.871436499206633, -40.0, -40.0,
+     -1.5169730808987936, -0.8842390275130638, -7.606989425670636, -40.0),
+    (-26.668286585076544, -4.108459242766076, -40.0, -23.32001217424883, -40.0,
+     -40.0, -4.232264857346023, -10.939636195014586, -11.821510313034784),
 )
 PINNED_SCAN_DECIDED = {"energy": True, "autocorr": False, "euclid": False}
 

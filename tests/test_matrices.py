@@ -369,6 +369,16 @@ def test_build_matrix_rejects_nonfinite_options(scheme, bad):
             build_matrix(scheme, 20, 50, seed=1, options=options)
 
 
+@pytest.mark.parametrize("scheme", ["gaussian", "bernoulli"])
+@pytest.mark.parametrize("options", [
+    {"generator": [math.nan] * 50}, {"scale": math.nan}, {"scale": 0.5},
+    {"random_rows": True}, {"random_rows": False}, {"p": 0.5}])
+def test_build_matrix_rejects_structured_options_for_dense_schemes(scheme, options):
+    # a dense scheme once built its ordinary matrix and ignored them
+    with pytest.raises(ValueError, match=f"dense {scheme} scheme takes no {next(iter(options))}"):
+        build_matrix(scheme, 20, 50, seed=1, options=options)
+
+
 @pytest.mark.parametrize("noise_variance", [math.nan, math.inf])
 def test_compress_rejects_nonfinite_noise_variance(noise_variance):
     A = build_matrix("gaussian", 20, 50, seed=1)

@@ -951,6 +951,13 @@ def test_one_bit_quantize_signs_and_zero_rule():
         one_bit_quantize(np.array([]))
 
 
+@pytest.mark.parametrize("signs", [np.ones((2, 3)), np.ones((1, 1)), np.array(1.0), np.ones(0)])
+def test_sign_vector_rejects_other_than_a_nonempty_vector(signs):
+    # a 2-d array of +-1 once made a sign vector whose len was its size
+    with pytest.raises(ValueError, match="nonempty and 1-d"):
+        SignVector(signs=signs)
+
+
 def test_one_bit_quantize_rejects_blocks():
     # a block came back as a 2-d SignVector
     with pytest.raises(ValueError, match="expected a vector"):

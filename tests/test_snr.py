@@ -547,18 +547,64 @@ def test_estimate_snr_deterministic():
     assert a.smoothing_L == 10 and a.grid_K == 50
 
 
-# float.hex of the estimates, each fit against one unit-variance MP CDF
-# (numpy 2.4, scipy 1.17, OpenBLAS); another LAPACK build may move the
-# eigenvalues' last bits and so these
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u = 2**-53."""
+    return n * 2.0**-53 / (1.0 - n * 2.0**-53)
+
+
+@settings(max_examples=150, deadline=None)
+@given(L=st.integers(2, 20), n_extra=st.integers(0, 600), rows=st.integers(1, 3),
+       complex_rows=st.booleans(), scale=st.integers(-150, 150).map(lambda k: 10.0**k),
+       seed=st.integers(0, 2**32 - 1))
+@example(L=2, n_extra=0, rows=1, complex_rows=False, scale=1e-150, seed=0)
+@example(L=20, n_extra=0, rows=2, complex_rows=True, scale=1e150, seed=1)
+def test_covariance_and_power_match_the_direct_products(
+        L, n_extra, rows, complex_rows, scale, seed):
+    rng = np.random.default_rng(seed)
+    n = 2 * L + n_extra
+    s = rng.standard_normal((rows, n))
+    if complex_rows:
+        s = s + 1j * rng.standard_normal((rows, n))
+    s *= scale
+    n_eff = n - L + 1
+    x = np.lib.stride_tricks.sliding_window_view(s, n_eff, axis=-1)
+    direct = (x @ x.conj().transpose(0, 2, 1)) / n_eff
+    mean_square = np.array([np.mean(np.abs(xr) ** 2) for xr in x])
+    cov = snr._covariance(s, L)
+    # lag_mass[r, d] = sum_t |s[t]| |s[t + d]| over the whole row. Entry
+    # (k, k + d) of `_covariance` sums products of at most twice that mass and
+    # is off by sqrt(2) gamma_{n_eff + L + 3} times theirs; the direct entry
+    # sums at most that mass and is off by sqrt(2) gamma_{n_eff + 3} times
+    # theirs. 5 > 3 sqrt(2) (1 + gamma_n) also covers the rounding of the
+    # mass itself, and a subnormal product or sum can add at most 2**-1074
+    # for each of the 2(n + L) operations on an entry's path.
+    a = np.abs(s)
+    lag_mass = np.stack([np.sum(a[:, :n - d] * a[:, d:], axis=-1) for d in range(L)], axis=-1)
+    lag = np.abs(np.arange(L)[:, None] - np.arange(L))
+    bound = 5.0 * gamma(n + L + 3) * lag_mass[:, lag] / n_eff + 2 * (n + L) * 2.0**-1074
+    assert np.all(np.abs(cov - direct) <= bound)
+    # every term of either power is nonnegative: |s| within 1 ulp (two
+    # roundings), its square, a window count, a sum of n terms and a
+    # division, against the old per-row mean of |X|^2 (the same squares, a
+    # sum of L n_eff terms and a division)
+    powers = snr._total_powers(s, L)
+    bound = (gamma(n + 4) + gamma(L * n_eff + 3)) * mean_square + 2 * L * n * 2.0**-1074
+    assert np.all(np.abs(powers - mean_square) <= bound)
+
+
+# float.hex of the estimates, each on the covariance from one row of lag
+# products and fit against one unit-variance MP CDF (numpy 2.4, scipy 1.17,
+# OpenBLAS); another LAPACK build may move the eigenvalues' last bits and so
+# these
 PINNED = [
     (lambda: sinusoid_plus_noise(5.0, 3072, seed=21), 10, 50,
-     ("0x1.48efbb1e7927ep+2", "0x1.f833901808903p-1", "0x1.0cd71db8a27cbp+2",
+     ("0x1.48efbb1e79209p+2", "0x1.f8339018089a5p-1", "0x1.0cd71db8a27cbp+2",
       "0x1.73eac3671f0e2p+0", 2, False)),
     (lambda: sinusoid_plus_noise(-5.0, 1000, seed=22), 8, 30,
-     ("-0x1.18838ed289b4bp+2", "0x1.02d51f2ca1d3fp+0", "0x1.612d45dfdc784p+0",
+     ("-0x1.18838ed289b38p+2", "0x1.02d51f2ca1d38p+0", "0x1.612d45dfdc781p+0",
       "0x1.8e77f45d9ea86p+0", 2, False)),
     (lambda: np.random.default_rng(23).standard_normal(3072), 10, 50,
-     ("-0x1.4000000000000p+5", "0x1.0b6d0e7d97fbap+0", "0x1.0052057a170b0p+0",
+     ("-0x1.4000000000000p+5", "0x1.0b6d0e7d97fb7p+0", "0x1.0052057a170b1p+0",
       "0x1.00ba63581d6f0p+2", 0, True)),
 ]
 
@@ -650,6 +696,7 @@ def test_estimate_snr_computes_on_float64(dtype):
     (np.r_[np.ones(50), math.nan, np.ones(49)], "finite"),
     (np.r_[np.ones(50), math.inf, np.ones(49)], "finite"),
     (np.r_[1.0, np.zeros(99)], "no noise"),  # a lone impulse: zero noise fit
+    (np.full(100, 1e200 + 1e200j), "power"),  # complex squares overflow
 ])
 def test_estimate_snr_rejects_degenerate_samples(samples, match):
     with pytest.raises(ValueError, match=match) as vector_error:
