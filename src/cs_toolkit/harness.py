@@ -139,9 +139,11 @@ class ExperimentConfig:
                 raise ValueError(f"unknown solver {name!r}")
         for snr_db in map(float, self.snr_grid_db):
             # -inf means noise only, which a detection or scan cell can draw
-            # but a recovery trial cannot scale its noise to
-            if math.isnan(snr_db) or (snr_db == -math.inf
-                                      and self.experiment_kind == "recovery_mc"):
+            # but a recovery trial cannot scale its noise to; +inf is a
+            # noiseless recovery trial, but would scale a detection or scan
+            # cell's signal, against its fixed noise, to inf
+            if math.isnan(snr_db) or snr_db == (
+                    -math.inf if self.experiment_kind == "recovery_mc" else math.inf):
                 raise ValueError(f"invalid snr_grid_db entry {snr_db}")
         if self.threshold_mode not in ("quiet_time", "eq8"):
             raise ValueError(f"unknown threshold_mode {self.threshold_mode!r}")
@@ -181,6 +183,8 @@ class ExperimentConfig:
         if self.experiment_kind == "scan_sim":
             if self.slots < 1:
                 raise ValueError("slots must be >= 1")
+            if not 0.0 <= self.busy_prob <= 1.0:
+                raise ValueError(f"busy_prob {self.busy_prob} outside [0, 1]")
             # the scan runs every technique; a NaN threshold decides every
             # cell alike and reads as a rate
             if not math.isfinite(self.euclid_lambda):
@@ -246,7 +250,9 @@ class BandPlan:
         if len(self.bands) == 0:
             raise ValueError("band plan must be nonempty")
         for name, f_lo, f_hi, spacing, count in self.bands:
-            if f_hi <= f_lo or spacing <= 0 or count < 1:
+            _integer(f"band {name!r} channel_count", count)
+            if (not all(map(math.isfinite, (f_lo, f_hi, spacing)))
+                    or f_hi <= f_lo or spacing <= 0 or count < 1):
                 raise ValueError(f"invalid band {name!r}")
             derived = math.floor((f_hi - f_lo) / spacing)
             if derived != count:

@@ -13,8 +13,8 @@ its diagonals (`_covariance`), not from L^2 full-length products. A block's
 rows share one stacked `eigvalsh` and one MDL split, then one `mp_fit` call
 per model order among its rows; each row's estimate equals, bit for bit,
 the vector call on that row. The noise fit scores all its candidate
-variances from where the eigenvalues cross their supports, and builds an
-empirical CDF only for the few that can win.
+variances from where the eigenvalues cross their supports, picks the best
+score, and builds one empirical CDF per row, the winner's, for its distance.
 """
 
 from __future__ import annotations
@@ -274,38 +274,14 @@ def _run_scores(p: np.ndarray, top: np.ndarray, q: float) -> np.ndarray:
     C1[255] - sum_j C1[p_j] / M (summation by parts), so the distance is
         255 + sum(u^2) - 2 C1[255] + top (top - 2 u_255)
             + (2M sum_j C1[p_j] - sum_j (2j + 1) p_j) / M^2.
-    It equals the stacked `d @ d` of `mp_fit` up to `_score_margin`.
+    It equals the stacked `d @ d` of `mp_fit` to within a rounding bound
+    delta_M = (M + 8) 256 gamma_256 (derived in the tests).
     """
     u, c1, base = _mp_unit_table(q)
     M = p.shape[1]
     # the weighted count is an exact integer
     weighted = (2 * np.arange(M) + 1) @ p
     return base + top * (top - 2.0 * u[-1]) + (2.0 * M * c1[p].sum(axis=1) - weighted) / M**2
-
-
-def _score_margin(M: int) -> float:
-    """A bound on |S - D| between a candidate's `_run_scores` value S and the
-    squared distance D = d @ d that `mp_fit` computes on its 256-point CDF.
-
-    With P = 256 points, unit roundoff u = 2^-53 and gamma_n = n u / (1 - n u)
-    (Higham 2002, section 4.2: a sum or dot product of n terms, in any order,
-    is off by at most gamma_n times the sum of the terms' magnitudes), every
-    u_i and every level in [0, 1], and e = P gamma_P >= P^2 u:
-    - D: each d_i = emp_i - u_i rounds once, to |d_i| <= 1, and the dot
-      product is off by at most gamma_P sum d_i^2 <= e; with the rounding of
-      the d_i, D is within e + 3 P u of the exact sum of (emp_i - u_i)^2.
-    - S: each prefix sum C1[b] is off by at most gamma_P P = e, and sum(u^2)
-      by e, so the constant is off by at most 3e plus its two additions.
-      The M prefix sums C1[p_j], scaled by 2M / M^2, add at most 2e; the sum
-      over j is exact in its integer part and off by gamma_M M P in the
-      other, which adds at most 2 M P u after the scaling. The other
-      roundings (the products, the difference, the division and the
-      additions, each on a value of at most 8 P) add at most 33 P u.
-    So |S - D| <= 6e + P u (2M + 36) <= (M + 8) e.
-    """
-    P = MP_GRID_POINTS
-    unit = 2.0**-53
-    return (M + 8) * P * (P * unit / (1.0 - P * unit))
 
 
 def _empirical_cdfs(p: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -338,18 +314,19 @@ def mp_fit(
     against the MP CDF at those points. The law with ratio
     q = (1 - M_hat/L) c is a scale family (Marchenko & Pastur 1967): scaling
     the variance by pi scales the support by pi and the density by 1/pi, so
-    one unit-variance CDF per call serves every candidate. Returns the
-    l2-distance argmin, the first of any ties, and its distance. A zero
-    candidate variance has no law and gets distance inf; when every
-    candidate is zero (all-zero eigenvalues) the result is (0.0, inf).
+    one unit-variance CDF per call serves every candidate. Each candidate is
+    scored in O(M) from the runs of its empirical CDF (`_run_scores`); the
+    fit returns the first score argmin and the l2 distance of its 256-point
+    CDF, the only one built. A zero candidate variance has no law and scores
+    inf; when every candidate is zero (all-zero eigenvalues) the result is
+    (0.0, inf). A score is within delta_M of the squared distance, and
+    candidates with one CDF score alike, so the winner is the distance
+    argmin, the first of any ties, unless two candidates with different CDFs
+    score within 2 delta_M of each other (about 2.6e-10 at M = 10).
 
     Takes a vector of descending noise eigenvalues and returns two floats,
     or an (R, M) block of such rows, which share M_hat, and returns two
     arrays of R; each row's fit equals the vector call on it bit for bit.
-    Every candidate is first scored in O(M) from the runs of its empirical
-    CDF (`_run_scores`); only those whose score comes within the rounding
-    margin of the row's best (`_score_margin`) get their 256-point CDF built
-    and their distance computed, and the rest cannot win or tie.
     Raises ValueError on non-finite or negative eigenvalues, on eigenvalues
     so large that a candidate's support overflows, on a non-integer L, N,
     M_hat or K, unless 0 <= M_hat < L, and on N > MAX_N (2**53), which
@@ -391,22 +368,16 @@ def mp_fit(
     p, at_hi = _crossings(sorted_eigs, grid, q)
     score = _run_scores(p, at_hi, q)
     score[grid == 0.0] = math.inf
-    # A kept candidate scores within 3 margins of the row's best. A pruned
-    # one's distance squared is then more than a margin above the best
-    # candidate's, a gap far wider than the rounding of the square roots,
-    # so it can neither win nor tie.
-    keep = score <= score.min(axis=-1, keepdims=True) + 3.0 * _score_margin(rows.shape[1])
-    keep &= grid != 0.0
-    owner, kept = np.nonzero(keep)
-    d = _empirical_cdfs(p[owner, :, kept], at_hi[owner, kept])
+    r = np.arange(len(rows))
+    best = np.argmin(score, axis=-1)
+    fitted = grid[r, best]
+    d = _empirical_cdfs(p[r, :, best], at_hi[r, best])
     d -= _mp_unit_table(q)[0]
-    dist = np.full(grid.shape, math.inf)
     # the stacked product rounds as np.linalg.norm does on each row; a sum
     # over the last axis rounds differently
-    dist[keep] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
-    best = np.argmin(dist, axis=-1)[:, None]
-    fitted = np.take_along_axis(grid, best, axis=-1)[:, 0]
-    goodness = np.take_along_axis(dist, best, axis=-1)[:, 0]
+    goodness = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    # a zero variance wins only where every candidate is zero
+    goodness[fitted == 0.0] = math.inf
     if eigs.ndim == 1:
         return float(fitted[0]), float(goodness[0])
     return fitted, goodness

@@ -79,6 +79,13 @@ def test_config_validation():
     with pytest.raises(ValueError, match="invalid snr_grid_db entry -inf"):
         ExperimentConfig(experiment_kind="recovery_mc", snr_grid_db=(-math.inf,))
     ExperimentConfig(experiment_kind="detection_mc", snr_grid_db=(-math.inf,))
+    # +inf is a noiseless recovery trial; a detection or scan cell would
+    # scale its signal to inf, and fails here, not after the points before it
+    for kind in ("detection_mc", "scan_sim"):
+        with pytest.raises(ValueError, match="invalid snr_grid_db entry inf"):
+            ExperimentConfig(experiment_kind=kind, snr_grid_db=(-5.0, math.inf))
+    ExperimentConfig(experiment_kind="recovery_mc", snr_grid_db=(math.inf,),
+                     n_grid=(64,), k_grid=(4,), m_grid=(32,))
     # detection threshold factors fail when the config is built, not at the
     # grid point that uses them
     for factor in (math.nan, math.inf, 0.0, -1.0):
@@ -96,6 +103,12 @@ def test_config_validation():
     # an empty survey must not read as a survey that detected nothing
     with pytest.raises(ValueError, match="slots must be >= 1"):
         ExperimentConfig(experiment_kind="scan_sim", slots=0)
+    # a survey's occupancy probability fails here, not at its first channel
+    for busy_prob in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="busy_prob .* outside"):
+            ExperimentConfig(experiment_kind="scan_sim", busy_prob=busy_prob)
+    for busy_prob in (0.0, 1.0):
+        ExperimentConfig(experiment_kind="scan_sim", busy_prob=busy_prob)
     # euclid needs more samples than lags: a cell that cannot run fails when
     # the config is built, not partway through the sweep
     with pytest.raises(ValueError, match="samples_N 50 above euclid_lags_M 64"):
@@ -831,6 +844,15 @@ def test_band_plan_declared_count_mismatch_warns():
         BandPlan(bands=())
     with pytest.raises(ValueError):
         BandPlan(bands=(("x", 5.0, 4.0, 1.0, 1),))
+    # a non-finite edge or spacing, and a fractional count, name the band
+    for band in (("x", math.inf, 894.0, 3.2, 11), ("x", 869.0, math.inf, 3.2, 11),
+                 ("x", -math.inf, 894.0, 3.2, 11), ("x", math.nan, 894.0, 3.2, 11),
+                 ("x", 869.0, math.nan, 3.2, 11), ("x", 869.0, 894.0, math.inf, 11),
+                 ("x", 869.0, 894.0, math.nan, 11)):
+        with pytest.raises(ValueError, match="invalid band 'x'"):
+            BandPlan(bands=(band,))
+    with pytest.raises(ValueError, match="band 'x' channel_count must be an integer"):
+        BandPlan(bands=(("x", 869.0, 894.0, 3.2, 2.5),))
 
 
 def test_default_band_plan_channel_enumeration():

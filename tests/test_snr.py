@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
-from cs_toolkit import snr
+from cs_toolkit import harness, snr
 from cs_toolkit.snr import (
     SnrEstimate,
     _mp_support,
@@ -313,6 +313,33 @@ def test_noise_fit_rejects_n_above_2_53(N):
             *mp_fit_oracle(row, 2, 2**53, 0, 50))
 
 
+def score_margin(M):
+    """delta_M, a bound on |S - D| between a candidate's `_run_scores` value S
+    and the squared distance D = d @ d that `mp_fit` computes on its
+    256-point CDF; the fit takes the score argmin, which is the distance
+    argmin unless two candidates with different CDFs score within 2 delta_M.
+
+    With P = 256 points, unit roundoff u = 2^-53 and gamma_n = n u / (1 - n u)
+    (Higham 2002, section 4.2: a sum or dot product of n terms, in any order,
+    is off by at most gamma_n times the sum of the terms' magnitudes), every
+    u_i and every level in [0, 1], and e = P gamma_P >= P^2 u:
+    - D: each d_i = emp_i - u_i rounds once, to |d_i| <= 1, and the dot
+      product is off by at most gamma_P sum d_i^2 <= e; with the rounding of
+      the d_i, D is within e + 3 P u of the exact sum of (emp_i - u_i)^2.
+    - S: each prefix sum C1[b] is off by at most gamma_P P = e, and sum(u^2)
+      by e, so the constant is off by at most 3e plus its two additions.
+      The M prefix sums C1[p_j], scaled by 2M / M^2, add at most 2e; the sum
+      over j is exact in its integer part and off by gamma_M M P in the
+      other, which adds at most 2 M P u after the scaling. The other
+      roundings (the products, the difference, the division and the
+      additions, each on a value of at most 8 P) add at most 33 P u.
+    So |S - D| <= 6e + P u (2M + 36) <= (M + 8) e.
+    """
+    P = snr.MP_GRID_POINTS
+    unit = 2.0**-53
+    return (M + 8) * P * (P * unit / (1.0 - P * unit))
+
+
 @settings(max_examples=60, deadline=None)
 @given(tails=noise_tail_blocks(), n_extra=st.integers(1, 5000), K=st.integers(2, 80),
        on_support=st.booleans(), scale=st.integers(-323, 300).map(lambda k: 10.0**k))
@@ -335,7 +362,7 @@ def test_run_scores_stay_within_the_margin_of_the_distances(
     grid = np.array([noise_bracket_grid(row, L, N, K) for row in block])
     p, top = snr._crossings(sorted_block, grid, q)
     scores = snr._run_scores(p, top, q)
-    margin = snr._score_margin(M)
+    margin = score_margin(M)
     assert margin < 1e-9
     for r in range(len(block)):
         emp = np.searchsorted(sorted_block[r], _mp_support(grid[r], q), side="right") / M
@@ -382,22 +409,24 @@ def test_crossings_move_a_low_estimate_up_to_the_crossing():
     assert p.item() == np.count_nonzero(v[:-1] < e) == 178
 
 
-def test_fit_builds_cdfs_only_for_candidates_within_the_margin(monkeypatch):
+def test_fit_builds_one_cdf_per_row(monkeypatch):
     built = []
     cdfs = snr._empirical_cdfs
     monkeypatch.setattr(snr, "_empirical_cdfs",
                         lambda p, top: built.append(len(p)) or cdfs(p, top))
-    # noise-only rows mostly keep one of their 50 candidates
-    estimate_snr(np.random.default_rng(5).standard_normal((16, 3072)))
-    assert len(built) >= 1 and sum(built) < 2 * 16
-    # candidates that tie are all kept, and the first of them wins
-    for tail, L, N, M_hat, kept in ((TIED_PAIR_TAIL, 10, 3063, 0, 2),
-                                    (TIED_ALL_TAIL, 10, 3063, 1, 50),
-                                    (EQUAL_GRID_TAIL, 4, 16, 0, 50)):
+    # the winner's, on every row of every model order's fit
+    block = np.concatenate([tone_block(3072, seed=31),
+                            np.random.default_rng(5).standard_normal((16, 3072))])
+    estimate_snr(block)
+    assert len(built) >= 3 and sum(built) == len(block)
+    # candidates with the same CDF score the same, and the first of them wins
+    for tail, L, N, M_hat, winner in ((TIED_PAIR_TAIL, 10, 3063, 0, 46),
+                                      (TIED_ALL_TAIL, 10, 3063, 1, 0),
+                                      (EQUAL_GRID_TAIL, 4, 16, 0, 0)):
         built.clear()
         fitted, _ = mp_fit(tail[0], L, N, M_hat, 50)
-        assert built == [kept]
-        assert fitted == noise_bracket_grid(tail[0], L, N, 50)[46 if kept == 2 else 0]
+        assert built == [1]
+        assert fitted == noise_bracket_grid(tail[0], L, N, 50)[winner]
     # a sample count past 2**53 is rejected before any CDF is built
     built.clear()
     with pytest.raises(ValueError, match="2\\*\\*53"):
@@ -675,6 +704,37 @@ def test_block_estimate_fits_each_model_order_once(monkeypatch):
     orders = [est.mdl_order_M for est in estimate_snr(block, L=10, K=50)]
     assert len(set(orders)) >= 3
     assert sorted(calls) == sorted(collections.Counter(orders).items())
+
+
+def scan_block(n, seed):
+    """42 rows as a survey slot draws them: unit noise, and on about a third
+    of the rows the harness's MA waveform at one of the survey's SNRs."""
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((42, n))
+    for row in block:
+        snr_db = rng.choice([-20.0, -15.0, -10.0, -5.0, 0.0, 8.0])
+        if rng.random() < 0.3:
+            row += 10.0 ** (snr_db / 20.0) * harness._ma_waveform(rng, n, 33)
+    return block
+
+
+@pytest.mark.parametrize("n, seed", [(3072, 41), (768, 42)])
+def test_scan_block_fits_equal_the_loop_oracle(monkeypatch, n, seed):
+    # every row's fit, as estimate_snr calls it on a scan-shaped block
+    fits = []
+    fit = snr.mp_fit
+
+    def recording_fit(noise_eigs, L, N, M_hat, K):
+        fitted, goodness = fit(noise_eigs, L, N, M_hat, K)
+        fits.extend((row, L, N, M_hat, K, f, g)
+                    for row, f, g in zip(noise_eigs, fitted, goodness))
+        return fitted, goodness
+
+    monkeypatch.setattr(snr, "mp_fit", recording_fit)
+    ests = estimate_snr(scan_block(n, seed), L=10, K=50)
+    assert len(fits) == 42 and len({est.mdl_order_M for est in ests}) >= 2
+    for row, L, N, M_hat, K, f, g in fits:
+        assert fit_bits(f, g) == fit_bits(*mp_fit_oracle(row, L, N, M_hat, K))
 
 
 @pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.float32])
