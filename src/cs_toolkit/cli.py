@@ -286,6 +286,7 @@ def _cmd_report(ns: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = ExperimentConfig()
     parser = argparse.ArgumentParser(
         prog="cs-toolkit",
         description="Compressive spectrum sensing toolkit")
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", default="gaussian", choices=SCHEMES)
     p.add_argument("--snr-db", type=float, default=None,
                    help="measurement SNR; omit for noiseless")
-    p.add_argument("--z-factor", type=float, default=0.1)
+    p.add_argument("--z-factor", type=float, default=defaults.bp_z_factor)
     p.add_argument("--measure-time", action="store_true")
     p.add_argument("--output", default="recovered.csv")
     p.set_defaults(func=_cmd_recover)
@@ -348,15 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan-sim", help="simulated wideband occupancy survey")
     p.add_argument("--samples", type=int, default=3072)
-    p.add_argument("--slots", type=int, default=8)
+    p.add_argument("--slots", type=int, default=defaults.slots)
     p.add_argument("--m", type=int, default=0, help="default samples/4")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--busy-prob", type=float, default=0.3)
-    p.add_argument("--noise-variance", type=float, default=1.0)
+    p.add_argument("--busy-prob", type=float, default=defaults.busy_prob)
+    p.add_argument("--noise-variance", type=float, default=defaults.noise_variance)
     p.add_argument("--snr-grid", default="-15,-10,-5,0,5,10")
-    p.add_argument("--energy-lambda", type=float, default=1e-10)
-    p.add_argument("--autocorr-margin", type=float, default=0.90)
-    p.add_argument("--euclid-lambda", type=float, default=0.95)
+    p.add_argument("--energy-lambda", type=float, default=defaults.energy_lambda_scan)
+    p.add_argument("--autocorr-margin", type=float, default=defaults.autocorr_margin)
+    p.add_argument("--euclid-lambda", type=float, default=defaults.euclid_lambda)
     p.add_argument("--output-dir", default="out")
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.set_defaults(func=_cmd_scan_sim)

@@ -286,10 +286,18 @@ def default_band_plan() -> BandPlan:
 
 @dataclass(frozen=True)
 class TrafficModel:
-    """Two-state (busy/idle) channel occupancy with an optional diurnal profile."""
+    """Two-state (busy/idle) channel occupancy with an optional diurnal profile.
+
+    busy_prob is checked when the model is built, a diurnal profile's value
+    at each call.
+    """
 
     busy_prob: float = 0.3
     diurnal: object | None = None  # callable(channel_index, slot) -> probability
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.busy_prob <= 1.0:
+            raise ValueError(f"busy_prob {self.busy_prob} outside [0, 1]")
 
     def prob(self, channel: int, slot: int) -> float:
         p = self.diurnal(channel, slot) if self.diurnal is not None else self.busy_prob

@@ -226,8 +226,9 @@ def _samples(y, block: bool = True, length: int | None = None,
 
 
 def _integer(name: str, value) -> int:
-    """value as an int; ValueError unless it is a Python or numpy integer."""
-    if not isinstance(value, (int, np.integer)):
+    """value as an int; ValueError unless it is a Python or numpy integer,
+    and not a bool, which Python counts as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -14,7 +14,7 @@ rows share one stacked `eigvalsh` and one MDL split, then one `mp_fit` call
 per model order among its rows; each row's estimate equals, bit for bit,
 the vector call on that row. The noise fit scores all its candidate
 variances from where the eigenvalues cross their supports, picks the best
-score, and builds one empirical CDF per row, the winner's, for its distance.
+score, and reports its square root as the fit's distance.
 """
 
 from __future__ import annotations
@@ -153,20 +153,26 @@ def mdl_order(eigenvalues: np.ndarray, L: int, N: int) -> int | np.ndarray:
     return int(order) if lam.ndim == 1 else order
 
 
+def _linspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
+    """np.linspace(start[r], stop[r], num) for each r, bit for bit, unless a
+    row's step (stop[r] - start[r])/(num - 1) underflows to zero across a
+    span of nonzero width, where np.linspace divides before it multiplies;
+    `mp_fit` rejects such a grid. np.linspace on arrays of endpoints is not:
+    as soon as one row's step is zero, it takes that formula on every row.
+    """
+    y = np.arange(num, dtype=float) * ((stop - start) / (num - 1))[:, None]
+    y += start[:, None]
+    y[:, -1] = stop
+    return y
+
+
 def _mp_support(grid: np.ndarray, q: float) -> np.ndarray:
     """256-point Marchenko-Pastur supports for ratio q, one row per variance in grid.
 
     Row k spans [pi_k (1 - sqrt(q))^2, pi_k (1 + sqrt(q))^2] in equal steps.
     """
-    pi_k = grid[:, None]
-    lo = pi_k * (1.0 - math.sqrt(q)) ** 2
-    hi = pi_k * (1.0 + math.sqrt(q)) ** 2
-    # np.linspace on each row alone, bit for bit, unless a subnormal variance
-    # underflows the step to zero; on all rows at once it is not, as one
-    # zero-width row switches every row to another formula
-    v = np.arange(MP_GRID_POINTS) * ((hi - lo) / (MP_GRID_POINTS - 1)) + lo
-    v[:, -1:] = hi
-    return v
+    return _linspace_rows(grid * (1.0 - math.sqrt(q)) ** 2, grid * (1.0 + math.sqrt(q)) ** 2,
+                          MP_GRID_POINTS)
 
 
 def _mp_unit_cdf(q: float) -> np.ndarray:
@@ -201,25 +207,6 @@ def _mp_unit_table(q: float) -> tuple[np.ndarray, np.ndarray, float]:
     return u, c1, MP_GRID_POINTS - 1 + float(u @ u) - 2.0 * c1[-2]
 
 
-def _linspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
-    """np.linspace(start[r], stop[r], num) for each r, bit for bit.
-
-    np.linspace on arrays of endpoints is not: as soon as one row's step
-    underflows to zero (a subnormal span), it divides before multiplying on
-    every row, which rounds the other rows differently.
-    """
-    delta = stop - start
-    step = delta / (num - 1)
-    i = np.arange(num, dtype=float)
-    y = i * step[:, None]
-    zero = step == 0.0
-    if zero.any():
-        y[zero] = (i / (num - 1)) * delta[zero, None]
-    y += start[:, None]
-    y[:, -1] = stop
-    return y
-
-
 def _crossings(
     sorted_eigs: np.ndarray, grid: np.ndarray, q: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -246,8 +233,8 @@ def _crossings(
     hi = (grid * (1.0 + math.sqrt(q)) ** 2)[:, None, :]
     step = (hi - lo) / last
     e = sorted_eigs[:, :, None]
-    # a subnormal variance can underflow the step to zero, or leave it so
-    # small that the quotient overflows; fmax takes the 0/0 NaN to 0
+    # a zero variance has a zero step, and an eigenvalue far above a small
+    # candidate's support overflows the quotient; fmax takes the 0/0 NaN to 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = e - lo
         t /= step
@@ -274,29 +261,15 @@ def _run_scores(p: np.ndarray, top: np.ndarray, q: float) -> np.ndarray:
     C1[255] - sum_j C1[p_j] / M (summation by parts), so the distance is
         255 + sum(u^2) - 2 C1[255] + top (top - 2 u_255)
             + (2M sum_j C1[p_j] - sum_j (2j + 1) p_j) / M^2.
-    It equals the stacked `d @ d` of `mp_fit` to within a rounding bound
-    delta_M = (M + 8) 256 gamma_256 (derived in the tests).
+    It is within a rounding bound delta_M = (M + 8) 256 gamma_256 of the
+    squared distance of the 256-point CDF built point by point (derived in
+    the tests), and can round below 0 where that distance is near 0.
     """
     u, c1, base = _mp_unit_table(q)
     M = p.shape[1]
     # the weighted count is an exact integer
     weighted = (2 * np.arange(M) + 1) @ p
     return base + top * (top - 2.0 * u[-1]) + (2.0 * M * c1[p].sum(axis=1) - weighted) / M**2
-
-
-def _empirical_cdfs(p: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """(n, 256) empirical CDFs from n candidates' crossing counts p, (n, M),
-    and last-point levels top, (n,): the runs of `_run_scores`, expanded."""
-    n, M = p.shape
-    runs = np.empty((n, M + 2), dtype=np.intp)
-    runs[:, :M] = p
-    runs[:, M] = MP_GRID_POINTS - 1
-    runs[:, 1:M + 1] -= p
-    runs[:, M + 1] = 1
-    levels = np.empty((n, M + 2))
-    levels[:, :M + 1] = np.arange(M + 1) / M
-    levels[:, M + 1] = top
-    return np.repeat(levels.ravel(), runs.ravel()).reshape(n, MP_GRID_POINTS)
 
 
 def mp_fit(
@@ -315,14 +288,12 @@ def mp_fit(
     q = (1 - M_hat/L) c is a scale family (Marchenko & Pastur 1967): scaling
     the variance by pi scales the support by pi and the density by 1/pi, so
     one unit-variance CDF per call serves every candidate. Each candidate is
-    scored in O(M) from the runs of its empirical CDF (`_run_scores`); the
-    fit returns the first score argmin and the l2 distance of its 256-point
-    CDF, the only one built. A zero candidate variance has no law and scores
-    inf; when every candidate is zero (all-zero eigenvalues) the result is
-    (0.0, inf). A score is within delta_M of the squared distance, and
-    candidates with one CDF score alike, so the winner is the distance
-    argmin, the first of any ties, unless two candidates with different CDFs
-    score within 2 delta_M of each other (about 2.6e-10 at M = 10).
+    scored in O(M) from the runs of its empirical CDF (`_run_scores`), its
+    squared l2 distance from the MP CDF; no CDF is built. The fit returns
+    the first score argmin and, as its goodness, the square root of that
+    score (clamped at 0), so the winner is the argmin of the distance it
+    reports. A zero candidate variance has no law and scores inf; when
+    every candidate is zero (all-zero eigenvalues) the result is (0.0, inf).
 
     Takes a vector of descending noise eigenvalues and returns two floats,
     or an (R, M) block of such rows, which share M_hat, and returns two
@@ -330,7 +301,10 @@ def mp_fit(
     Raises ValueError on non-finite or negative eigenvalues, on eigenvalues
     so large that a candidate's support overflows, on a non-integer L, N,
     M_hat or K, unless 0 <= M_hat < L, and on N > MAX_N (2**53), which
-    keeps q >= 2**-53.
+    keeps q >= 2**-53. Raises ValueError, too, on eigenvalues so small that
+    a step underflows: a nonzero candidate's support step (hi - lo)/255
+    that is subnormal or zero (subnormal tails), or a zero grid step
+    (sigma_hi - sigma_lo)/(K - 1) across a bracket of nonzero width.
     """
     L, N = _integer("L", L), _integer("N", N)
     if N > MAX_N:
@@ -363,21 +337,22 @@ def mp_fit(
     sigma_lo, sigma_hi = (np.where(inverted, sigma_hi, sigma_lo),
                           np.where(inverted, sigma_lo, sigma_hi))
     q = (1.0 - M_hat / L) * c
-    sorted_eigs = np.sort(rows, axis=-1)
+    span = sigma_hi - sigma_lo
     grid = _linspace_rows(sigma_lo, sigma_hi, K)
-    p, at_hi = _crossings(sorted_eigs, grid, q)
+    # each candidate's support step, as `_crossings` takes it
+    step = (grid * (1.0 + math.sqrt(q)) ** 2 - grid * (1.0 - math.sqrt(q)) ** 2) / (
+        MP_GRID_POINTS - 1)
+    if (np.any((step < np.finfo(float).tiny) & (grid > 0.0))
+            or np.any((span / (K - 1) == 0.0) & (span > 0.0))):
+        raise ValueError("noise_eigs too small for c and K: a candidate's support "
+                         "step or the candidate grid's step underflows")
+    p, at_hi = _crossings(np.sort(rows, axis=-1), grid, q)
     score = _run_scores(p, at_hi, q)
     score[grid == 0.0] = math.inf
     r = np.arange(len(rows))
     best = np.argmin(score, axis=-1)
     fitted = grid[r, best]
-    d = _empirical_cdfs(p[r, :, best], at_hi[r, best])
-    d -= _mp_unit_table(q)[0]
-    # the stacked product rounds as np.linalg.norm does on each row; a sum
-    # over the last axis rounds differently
-    goodness = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
-    # a zero variance wins only where every candidate is zero
-    goodness[fitted == 0.0] = math.inf
+    goodness = np.sqrt(np.maximum(score[r, best], 0.0))
     if eigs.ndim == 1:
         return float(fitted[0]), float(goodness[0])
     return fitted, goodness
@@ -401,9 +376,12 @@ def estimate_snr(samples, L: int = 10, K: int = 50) -> SnrEstimate | list[SnrEst
     `eigvalsh` and one `mdl_order` call, then one `mp_fit` call per distinct
     model order, on the block of rows that share it. Samples are computed on
     as float64, or complex128 when complex. Raises ValueError on a
-    non-integer L or K, on n < 2L, on non-finite or zero-power samples and
-    on a zero noise fit (a lone impulse); in a block, on the first row that
-    fails a check.
+    non-integer L or K, on n < 2L, on non-finite or zero-power samples, on
+    eigenvalues that `mp_fit` rejects (samples so small that a step of the
+    fit underflows, such as 1e-160 times unit noise) and on a zero noise
+    fit (a lone impulse). A block checks every row's power first, in row
+    order, then fits each model order, then checks for zero fits in row
+    order, and raises at the first failure.
     """
     L, K = _integer("L", L), _integer("K", K)
     if L < 2:

@@ -659,6 +659,19 @@ def test_cli_experiment_and_report(tmp_path, capsys):
     assert any(ln == "-- group means --" for ln in lines)
 
 
+def test_cli_defaults_are_the_config_defaults():
+    config = ExperimentConfig()
+    parser = cli.build_parser()
+    scan = parser.parse_args(["scan-sim"])
+    assert (scan.slots, scan.busy_prob, scan.noise_variance, scan.energy_lambda,
+            scan.autocorr_margin, scan.euclid_lambda) == (
+        config.slots, config.busy_prob, config.noise_variance, config.energy_lambda_scan,
+        config.autocorr_margin, config.euclid_lambda)
+    recover = parser.parse_args(["recover", "--solver", "omp", "--n", "8", "--k", "1",
+                                 "--m", "4"])
+    assert recover.z_factor == config.bp_z_factor
+
+
 @pytest.mark.parametrize("config", [
     {"experiment_kind": "detection_mc", "trials_Nt": 2.5},
     {"experiment_kind": "scan_sim", "slots": 1.5},

@@ -49,6 +49,8 @@ from cs_toolkit.signals import (
     ("sparsity_k", 2.5), ("averaging_runs", 4.0), ("euclid_lags_M", 8.5),
     ("slots", 1.5), ("base_seed", 0.5), ("n_grid", (64, 64.5)),
     ("k_grid", (3.5,)), ("m_grid", (16.0,)),
+    # a bool is an int to Python, but never a count
+    ("trials_Nt", True), ("samples_N", False), ("n_grid", (64, True)),
 ])
 def test_config_rejects_non_integer_counts(field, value):
     # such counts failed with a TypeError partway through a sweep, or not at all
@@ -837,6 +839,15 @@ def test_scan_diurnal_traffic_callable():
         run_scan_sim(small_scan_config(), plan=nine_channel_plan(), traffic=bad)
 
 
+@pytest.mark.parametrize("busy_prob", [-0.1, 1.5, math.nan])
+def test_traffic_model_rejects_busy_prob_when_built(busy_prob):
+    # such a model failed only at the first channel of a scan
+    with pytest.raises(ValueError, match="busy_prob .* outside"):
+        TrafficModel(busy_prob=busy_prob)
+    # a diurnal profile's values are checked at each call
+    TrafficModel(diurnal=lambda channel, slot: busy_prob)
+
+
 def test_band_plan_declared_count_mismatch_warns():
     with pytest.warns(RuntimeWarning, match="channel_count"):
         BandPlan(bands=(("x", 869.0, 894.0, 3.2, 11),))
@@ -851,8 +862,9 @@ def test_band_plan_declared_count_mismatch_warns():
                  ("x", 869.0, 894.0, math.nan, 11)):
         with pytest.raises(ValueError, match="invalid band 'x'"):
             BandPlan(bands=(band,))
-    with pytest.raises(ValueError, match="band 'x' channel_count must be an integer"):
-        BandPlan(bands=(("x", 869.0, 894.0, 3.2, 2.5),))
+    for count in (2.5, True):
+        with pytest.raises(ValueError, match="band 'x' channel_count must be an integer"):
+            BandPlan(bands=(("x", 869.0, 894.0, 3.2, count),))
 
 
 def test_default_band_plan_channel_enumeration():

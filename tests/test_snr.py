@@ -216,18 +216,22 @@ def test_noise_fit_and_split_equal_loop_oracles(lam, n_extra, K):
     N = L + n_extra
     assert mdl_order(lam, L, N) == mdl_oracle(lam, L, N)
     for m_hat in range(L):
-        assert mp_fit(lam[m_hat:], L, N, m_hat, K) == mp_fit_oracle(
-            lam[m_hat:], L, N, m_hat, K)
+        check_fit(lam[m_hat:], L, N, m_hat, K, *mp_fit(lam[m_hat:], L, N, m_hat, K))
 
 
 def fit_bits(fitted, goodness):
     return float(fitted).hex(), float(goodness).hex()
 
 
-# a subnormal row, whose candidate grid's step underflows to zero, beside a
-# normal one; and a block whose supports, at N = 10**30, would be narrower
-# than the rounding of their edges
+# a subnormal row, whose candidate grid's and supports' steps underflow to
+# zero, beside a normal one: mp_fit rejects the block; a tail (L = 2, N = 3)
+# whose bracket is one rounding of its edges wide, so that its grid step
+# underflows to zero from K = 513 on while every support step stays normal;
+# and a block whose supports, at N = 10**30, would be narrower than the
+# rounding of their edges
 SUBNORMAL_TAILS = np.array([[4.0, 2.0, 1.0], [3.0 * 5e-324, 2.0 * 5e-324, 5e-324]])
+NARROW_BRACKET_TAIL = np.array([float.fromhex("0x1.a65b40d5b6b75p-1013"),
+                                float.fromhex("0x1.13da753cfcd96p-1019")])
 COLLAPSED_TAILS = np.array([[1.0, 1.0], [3.0, 2.0]])
 # noise tails from a benchmark-shaped scan (L = 10, N = 3063): one whose
 # candidates 46 and 47 tie exactly for the best distance (M_hat = 0), and one
@@ -259,7 +263,6 @@ def snap_to_supports(block, L, N, M_hat, K):
 @settings(max_examples=60, deadline=None)
 @given(tails=noise_tail_blocks(), n_extra=st.integers(1, 5000), K=st.integers(2, 80),
        on_support=st.booleans())
-@example(tails=(SUBNORMAL_TAILS, 3, 0), n_extra=297, K=5, on_support=False)
 @example(tails=(np.array([[4.0, 2.0, 1.0, 0.0, 0.0], np.zeros(5)]), 5, 0),
          n_extra=200, K=30, on_support=False)  # a zero candidate, and an all-zero row
 @example(tails=(np.zeros((3, 2)), 4, 2), n_extra=50, K=5,
@@ -279,26 +282,38 @@ def test_block_noise_fit_equals_vector_calls_and_oracle(tails, n_extra, K, on_su
     fitted, goodness = mp_fit(block, L, N, M_hat, K)
     assert fitted.shape == goodness.shape == (len(block),)
     for row, f, g in zip(block, fitted, goodness):
-        assert fit_bits(f, g) == fit_bits(*mp_fit(row, L, N, M_hat, K)) == fit_bits(
-            *mp_fit_oracle(row, L, N, M_hat, K))
+        assert fit_bits(f, g) == fit_bits(*mp_fit(row, L, N, M_hat, K))
+        check_fit(row, L, N, M_hat, K, f, g)
 
 
-def test_noise_fit_counts_a_subnormal_row_without_a_support(monkeypatch):
+def test_noise_fit_rejects_steps_that_underflow():
+    # a subnormal tail's candidate grid takes np.linspace's zero-step branch,
+    # and its supports' steps underflow to zero; the block and the row raise,
+    # and so does the block scaled by 2**50, whose support steps are
+    # subnormal but not zero
     L, N, K = 3, 300, 5
-    # once the unit CDF is cached, the fit builds no support
-    snr._mp_unit_table(L / N)
-    calls = []
-    support = snr._mp_support
-    monkeypatch.setattr(snr, "_mp_support", lambda grid, q: calls.append(q) or support(grid, q))
-    fitted, goodness = mp_fit(SUBNORMAL_TAILS, L, N, 0, K)
-    assert calls == []
-    for row, f, g in zip(SUBNORMAL_TAILS, fitted, goodness):
-        assert fit_bits(f, g) == fit_bits(*mp_fit_oracle(row, L, N, 0, K))
-    # the subnormal row's candidate grid takes np.linspace's zero-step branch
     sq = math.sqrt(L / N)
     lo, hi = sorted((SUBNORMAL_TAILS[1, -1] / (1.0 - sq) ** 2,
                      SUBNORMAL_TAILS[1, 0] / (1.0 + sq) ** 2))
     assert (hi - lo) / (K - 1) == 0.0 < hi - lo
+    for tails in (SUBNORMAL_TAILS, SUBNORMAL_TAILS[1], SUBNORMAL_TAILS * 2.0**50):
+        with pytest.raises(ValueError, match="step underflows"):
+            mp_fit(tails, L, N, 0, K)
+    check_fit(SUBNORMAL_TAILS[0], L, N, 0, K, *mp_fit(SUBNORMAL_TAILS[0], L, N, 0, K))
+    # the smallest candidate's support step is normal, at 2**-1022 or more,
+    # but the grid step across a bracket one rounding wide underflows to zero
+    # from K = 513 on
+    lo, hi = sorted((NARROW_BRACKET_TAIL[-1] / (1.0 - math.sqrt(2 / 3)) ** 2,
+                     NARROW_BRACKET_TAIL[0] / (1.0 + math.sqrt(2 / 3)) ** 2))
+    assert hi == np.nextafter(lo, math.inf)
+    assert (hi - lo) / 512 == 0.0 < (hi - lo) / 511
+    v = _mp_support(np.array([lo]), 2 / 3)[0]
+    assert (v[-1] - v[0]) / 255 >= 2.0**-1022
+    with pytest.raises(ValueError, match="step underflows"):
+        mp_fit(NARROW_BRACKET_TAIL, 2, 3, 0, 513)
+    check_fit(NARROW_BRACKET_TAIL, 2, 3, 0, 512, *mp_fit(NARROW_BRACKET_TAIL, 2, 3, 0, 512))
+    # zero candidates have zero steps and are not rejected
+    assert mp_fit(np.zeros(3), L, N, 0, K) == (0.0, math.inf)
 
 
 @pytest.mark.parametrize("N", [2**53 + 1, 10**30])
@@ -309,15 +324,14 @@ def test_noise_fit_rejects_n_above_2_53(N):
             mp_fit(tails, 2, N, 0, 50)
     fitted, goodness = mp_fit(COLLAPSED_TAILS, 2, 2**53, 0, 50)
     for row, f, g in zip(COLLAPSED_TAILS, fitted, goodness):
-        assert fit_bits(f, g) == fit_bits(*mp_fit(row, 2, 2**53, 0, 50)) == fit_bits(
-            *mp_fit_oracle(row, 2, 2**53, 0, 50))
+        assert fit_bits(f, g) == fit_bits(*mp_fit(row, 2, 2**53, 0, 50))
+        check_fit(row, 2, 2**53, 0, 50, f, g)
 
 
 def score_margin(M):
     """delta_M, a bound on |S - D| between a candidate's `_run_scores` value S
-    and the squared distance D = d @ d that `mp_fit` computes on its
-    256-point CDF; the fit takes the score argmin, which is the distance
-    argmin unless two candidates with different CDFs score within 2 delta_M.
+    and the squared distance D = d @ d of its 256-point CDF built point by
+    point, d = emp - u, whose root `mp_fit_oracle` takes by np.linalg.norm.
 
     With P = 256 points, unit roundoff u = 2^-53 and gamma_n = n u / (1 - n u)
     (Higham 2002, section 4.2: a sum or dot product of n terms, in any order,
@@ -338,6 +352,48 @@ def score_margin(M):
     P = snr.MP_GRID_POINTS
     unit = 2.0**-53
     return (M + 8) * P * (P * unit / (1.0 - P * unit))
+
+
+def goodness_margin(M, g, g_oracle):
+    """A bound on |g - g_o| between `mp_fit`'s goodness g = fl(sqrt(S+)),
+    S+ = max(S, 0) for the winner's score S, and the oracle's distance
+    g_o = fl(sqrt(D)) on the same candidate's CDF, D as in `score_margin`.
+
+    With delta = score_margin(M), |S - D| <= delta, and as D >= 0 the clamp
+    moves S only toward D, so |S+ - D| <= delta. For a, b >= 0,
+    |sqrt(a) - sqrt(b)| = |a - b| / (sqrt(a) + sqrt(b)) <= sqrt(|a - b|), so
+    the exact roots differ by at most min(sqrt(delta), delta / s), where
+    s = sqrt(S+) + sqrt(D). Each root rounds to within a factor 1 +- u of
+    the exact one, u = 2^-53, so s >= (g + g_o) / (1 + u), and the two
+    roundings add at most u s <= u (g + g_o) / (1 - u). Hence
+        |g - g_o| <= min(sqrt(delta), (1 + u) delta / (g + g_o))
+                     + u (g + g_o) / (1 - u),
+    which 2 delta and 2u cover.
+    """
+    delta = score_margin(M)
+    total = g + g_oracle
+    return min(math.sqrt(delta), 2.0 * delta / total if total else math.inf) + 2.0**-52 * total
+
+
+def check_fit(row, L, N, M_hat, K, fitted, goodness):
+    """One row's fit against `mp_fit_oracle`: sigma^2 bit for bit, and the
+    goodness the root of the winner's `_run_scores` value (clamped at 0, a
+    zero candidate at inf) bit for bit and within `goodness_margin` of the
+    oracle's distance."""
+    oracle_fitted, oracle_goodness = mp_fit_oracle(row, L, N, M_hat, K)
+    assert float(fitted).hex() == float(oracle_fitted).hex()
+    q = (1.0 - M_hat / L) * (L / N)
+    grid = noise_bracket_grid(row, L, N, K)
+    p, top = snr._crossings(np.sort(row)[None], grid[None], q)
+    scores = snr._run_scores(p, top, q)[0]
+    scores[grid == 0.0] = math.inf
+    winner = scores[np.flatnonzero(grid == fitted)[0]]
+    assert float(goodness).hex() == math.sqrt(max(winner, 0.0)).hex()
+    if math.isinf(oracle_goodness):
+        assert goodness == math.inf
+    else:
+        assert abs(goodness - oracle_goodness) <= goodness_margin(
+            row.size, goodness, oracle_goodness)
 
 
 @settings(max_examples=60, deadline=None)
@@ -391,9 +447,12 @@ def test_crossings_count_the_support_points_up_to_n_2_53(tails, log2_n, K, nudge
     grid = np.array([noise_bracket_grid(row, L, N, K) for row in block])
     p, top = snr._crossings(sorted_block, grid, q)
     for r in range(len(block)):
+        # the first 255 points of each candidate's support below each
+        # eigenvalue, and the share of eigenvalues at or below the last
         v = _mp_support(grid[r], q)
-        emp = np.searchsorted(sorted_block[r], v, side="right") / M
-        assert np.array_equal(snr._empirical_cdfs(p[r].T, top[r]), emp)
+        e = sorted_block[r][:, None]
+        assert np.array_equal(p[r], np.count_nonzero(v[:, :-1] < e[:, :, None], axis=-1))
+        assert np.array_equal(top[r], np.count_nonzero(e <= v[:, -1], axis=0) / M)
 
 
 def test_crossings_move_a_low_estimate_up_to_the_crossing():
@@ -409,29 +468,25 @@ def test_crossings_move_a_low_estimate_up_to_the_crossing():
     assert p.item() == np.count_nonzero(v[:-1] < e) == 178
 
 
-def test_fit_builds_one_cdf_per_row(monkeypatch):
-    built = []
-    cdfs = snr._empirical_cdfs
-    monkeypatch.setattr(snr, "_empirical_cdfs",
-                        lambda p, top: built.append(len(p)) or cdfs(p, top))
-    # the winner's, on every row of every model order's fit
+def test_fit_builds_no_support_and_takes_the_first_tied_score(monkeypatch):
     block = np.concatenate([tone_block(3072, seed=31),
                             np.random.default_rng(5).standard_normal((16, 3072))])
-    estimate_snr(block)
-    assert len(built) >= 3 and sum(built) == len(block)
     # candidates with the same CDF score the same, and the first of them wins
-    for tail, L, N, M_hat, winner in ((TIED_PAIR_TAIL, 10, 3063, 0, 46),
-                                      (TIED_ALL_TAIL, 10, 3063, 1, 0),
-                                      (EQUAL_GRID_TAIL, 4, 16, 0, 0)):
-        built.clear()
-        fitted, _ = mp_fit(tail[0], L, N, M_hat, 50)
-        assert built == [1]
-        assert fitted == noise_bracket_grid(tail[0], L, N, 50)[winner]
-    # a sample count past 2**53 is rejected before any CDF is built
-    built.clear()
-    with pytest.raises(ValueError, match="2\\*\\*53"):
-        mp_fit(COLLAPSED_TAILS, 2, 10**30, 0, 50)
-    assert built == []
+    ties = ((TIED_PAIR_TAIL, 10, 3063, 0, 46), (TIED_ALL_TAIL, 10, 3063, 1, 0),
+            (EQUAL_GRID_TAIL, 4, 16, 0, 0))
+
+    def fit():
+        orders = {est.mdl_order_M for est in estimate_snr(block)}
+        return orders, [mp_fit(tail[0], L, N, M_hat, 50)[0] for tail, L, N, M_hat, _ in ties]
+
+    fit()  # caches the unit CDF of each q, the one support a fit builds
+    calls = []
+    support = snr._mp_support
+    monkeypatch.setattr(snr, "_mp_support", lambda grid, q: calls.append(q) or support(grid, q))
+    orders, fitted = fit()
+    assert calls == [] and len(orders) >= 3
+    for f, (tail, L, N, _, winner) in zip(fitted, ties):
+        assert f == noise_bracket_grid(tail[0], L, N, 50)[winner]
 
 
 @settings(max_examples=60, deadline=None)
@@ -457,8 +512,8 @@ def test_noise_fit_stays_at_the_per_candidate_minimum(lam, n_extra, K):
        q=st.floats(1e-6, 0.999))
 @example(grid=[0.0, 1.0], q=0.5)  # a zero-width row
 def test_mp_support_rows_equal_linspace(grid, q):
-    # a subnormal variance is left out: its step underflows to zero, and
-    # np.linspace then takes another formula
+    # a subnormal variance is left out: its step can underflow to zero, and
+    # np.linspace then takes another formula (mp_fit rejects such a support)
     v = _mp_support(np.asarray(grid), q)
     for pi_k, row in zip(grid, v):
         expected = np.linspace(pi_k * (1.0 - math.sqrt(q)) ** 2,
@@ -470,11 +525,16 @@ def test_mp_support_rows_equal_linspace(grid, q):
 @given(spans=st.lists(st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6)),
                       min_size=1, max_size=20),
        num=st.integers(2, 80))
+@example(spans=[(1.0, 2.0), (0.0, 1e-320)], num=5)  # a subnormal step
 @example(spans=[(1.0, 2.0), (5e-324, 1e-323)], num=5)  # one step underflows
 def test_linspace_rows_equal_linspace(spans, num):
+    # each row equals np.linspace, except a row of nonzero width whose step
+    # underflows to zero: np.linspace takes another formula there, and mp_fit
+    # rejects such a grid. Such a row leaves the others as they are
     start, stop = np.array(spans).T
     for (a, b), row in zip(spans, snr._linspace_rows(start, stop, num)):
-        assert np.array_equal(row, np.linspace(a, b, num))
+        if (b - a) / (num - 1) != 0.0 or a == b:
+            assert np.array_equal(row, np.linspace(a, b, num))
 
 
 @settings(max_examples=100, deadline=None)
@@ -622,19 +682,19 @@ def test_covariance_and_power_match_the_direct_products(
 
 
 # float.hex of the estimates, each on the covariance from one row of lag
-# products and fit against one unit-variance MP CDF (numpy 2.4, scipy 1.17,
-# OpenBLAS); another LAPACK build may move the eigenvalues' last bits and so
-# these
+# products and fit against one unit-variance MP CDF, goodness_D the root of
+# the winning score (numpy 2.4, scipy 1.17, OpenBLAS); another LAPACK build
+# may move the eigenvalues' last bits and so these
 PINNED = [
     (lambda: sinusoid_plus_noise(5.0, 3072, seed=21), 10, 50,
      ("0x1.48efbb1e79209p+2", "0x1.f8339018089a5p-1", "0x1.0cd71db8a27cbp+2",
-      "0x1.73eac3671f0e2p+0", 2, False)),
+      "0x1.73eac3671f0c1p+0", 2, False)),
     (lambda: sinusoid_plus_noise(-5.0, 1000, seed=22), 8, 30,
      ("-0x1.18838ed289b38p+2", "0x1.02d51f2ca1d38p+0", "0x1.612d45dfdc781p+0",
-      "0x1.8e77f45d9ea86p+0", 2, False)),
+      "0x1.8e77f45d9ea21p+0", 2, False)),
     (lambda: np.random.default_rng(23).standard_normal(3072), 10, 50,
      ("-0x1.4000000000000p+5", "0x1.0b6d0e7d97fb7p+0", "0x1.0052057a170b1p+0",
-      "0x1.00ba63581d6f0p+2", 0, True)),
+      "0x1.00ba63581d6e8p+2", 0, True)),
 ]
 
 
@@ -734,7 +794,7 @@ def test_scan_block_fits_equal_the_loop_oracle(monkeypatch, n, seed):
     ests = estimate_snr(scan_block(n, seed), L=10, K=50)
     assert len(fits) == 42 and len({est.mdl_order_M for est in ests}) >= 2
     for row, L, N, M_hat, K, f, g in fits:
-        assert fit_bits(f, g) == fit_bits(*mp_fit_oracle(row, L, N, M_hat, K))
+        check_fit(row, L, N, M_hat, K, f, g)
 
 
 @pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.float32])
@@ -757,6 +817,8 @@ def test_estimate_snr_computes_on_float64(dtype):
     (np.r_[np.ones(50), math.inf, np.ones(49)], "finite"),
     (np.r_[1.0, np.zeros(99)], "no noise"),  # a lone impulse: zero noise fit
     (np.full(100, 1e200 + 1e200j), "power"),  # complex squares overflow
+    # subnormal eigenvalues, whose candidate support steps underflow
+    (1e-160 * np.random.default_rng(14).standard_normal(100), "step underflows"),
 ])
 def test_estimate_snr_rejects_degenerate_samples(samples, match):
     with pytest.raises(ValueError, match=match) as vector_error:
