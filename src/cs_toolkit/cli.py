@@ -35,6 +35,7 @@ from .io import (
     _json_value,
     _write_in_place,
     config_hash,
+    environment_stamp,
     load_config,
     matrix_descriptor,
     read_report,
@@ -107,6 +108,7 @@ def _emit_manifest(started_at: str, hashed: dict, base_seed: int,
         finished_at=utc_now(),
         base_seed=base_seed,
         output_paths=tuple(str(p) for p in outputs),
+        environment=environment_stamp(),
     )
     stem = outputs[0].stem
     write_manifest(manifest, outputs[0].parent, stem=stem)

@@ -3,17 +3,25 @@
 Every trial derives its own RNG from (base_seed, grid indices, trial index),
 so a trial's outcome does not depend on the trials run before it. Trials run
 in order in the calling thread.
+
+Each trial's generator equals `np.random.default_rng(key)` bit for bit. A
+detection or scan block's keys share all but their last entry, so numpy's
+SeedSequence hash runs once for the block (`_generators`). Recovery trials
+keep `default_rng`: a recovery cell often runs one trial, and one key does
+not repay the block hash's fixed cost.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import detectors as det
 from .errors import IllConditionedError
@@ -120,6 +128,10 @@ class ExperimentConfig:
         for name in ("trials_Nt", "samples_N", "measurements_M", "sparsity_k",
                      "averaging_runs", "euclid_lags_M", "slots", "base_seed"):
             _integer(name, getattr(self, name))
+        # every trial's generator is seeded from a key that starts with it,
+        # and numpy's seeding takes no negative entry
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         for name in ("n_grid", "k_grid", "m_grid"):
             for value in getattr(self, name):
                 _integer(f"{name} entry", value)
@@ -321,6 +333,99 @@ class OccupancyReport:
     budget_channels: dict     # path -> channels processed under the compute budget
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe, as numpy/random/
+# bit_generator.pyx implements it): its constants, shift and pool of words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+# generate_state's hash constant before and after each of its eight words
+_STATE_XOR = np.array([_INIT_B * _MULT_B**i & _MASK32 for i in range(8)],
+                      dtype=np.uint32)
+_STATE_MULT = _STATE_XOR * np.uint32(_MULT_B)
+
+
+class _PCG64Seed(ISeedSequence):
+    """A seed sequence that hands PCG64 the four uint64 words it asks for."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
+        return self.words
+
+
+def _wrap(word):
+    """A Python-int word cut to 32 bits; a uint32 array wraps by itself."""
+    return word & _MASK32 if isinstance(word, int) else word
+
+
+def _entry_words(entry) -> list[int]:
+    """A non-negative int entry as SeedSequence reads it: 32-bit words, low first."""
+    value = operator.index(entry)
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _pcg64_seeds(prefix: tuple, indices: range) -> np.ndarray:
+    """The (len(indices), 4) uint64 words `SeedSequence([*prefix, i])` gives
+    PCG64 for each i, with every i below 2**32.
+
+    Words that every key shares stay Python ints; only the index word, and
+    the pool words it reaches, are uint32 arrays over the block's rows.
+    """
+    words = [w for entry in prefix for w in _entry_words(entry)]
+    words.append(np.arange(indices.start, indices.stop, indices.step, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = _wrap(value * hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _wrap(_wrap(_MIX_MULT_L * x) - _wrap(_MIX_MULT_R * y))
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, np.uint64): eight 32-bit words from the pool, cycled,
+    # then paired into uint64s low word first, as numpy does
+    state = (np.stack(pool * 2, axis=1) ^ _STATE_XOR) * _STATE_MULT
+    state ^= state >> _XSHIFT
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _generators(prefix: tuple, indices: range) -> list[np.random.Generator]:
+    """`[np.random.default_rng([*prefix, i]) for i in indices]`, bit for bit,
+    with numpy's SeedSequence hash run once for the whole block.
+
+    PCG64 seeds itself from each row's hashed words. A block with a negative
+    entry, or an index of two words (2**32 and above), calls `default_rng`
+    per key, which raises on a negative entry as numpy does.
+    """
+    if not indices:
+        return []
+    if (min(prefix, default=0) < 0 or min(indices[0], indices[-1]) < 0
+            or max(indices[0], indices[-1]) > _MASK32):
+        return [np.random.default_rng([*prefix, i]) for i in indices]
+    return [np.random.Generator(np.random.PCG64(_PCG64Seed(row)))
+            for row in _pcg64_seeds(prefix, indices)]
+
+
 def _ma_waveform(rng: np.random.Generator, n: int, window: int) -> np.ndarray:
     """Unit-power waveform with triangular autocorrelation of half-width `window`."""
     raw = rng.standard_normal(n + window - 1)
@@ -363,12 +468,12 @@ def _threshold(cfg: ExperimentConfig, technique: str, factor: float,
 
 def _detection_trial(cfg: ExperimentConfig, technique: str, snr_db: float,
                      factor: float, pilot: PilotSignal, pilot_re_norm: float,
-                     point_key: tuple, trial: int) -> tuple:
-    """One trial's draws: (threshold, H1 samples, H0 samples or None).
+                     rng: np.random.Generator) -> tuple:
+    """One trial's draws from its generator: (threshold, H1 samples, H0
+    samples or None).
 
     Under single_loop no H0 samples are drawn.
     """
-    rng = np.random.default_rng(list(point_key) + [trial])
     n = cfg.samples_N
     dw2 = cfg.noise_variance
     sigma = math.sqrt(dw2)
@@ -387,8 +492,8 @@ def _detection_block(cfg: ExperimentConfig, technique: str, snr_db: float,
                      point_key: tuple, trials: range) -> tuple[int, int]:
     """(detections, false alarms or misses) over a block of a grid point's trials."""
     lams, h1, h0 = zip(*[_detection_trial(cfg, technique, snr_db, factor, pilot,
-                                          pilot_re_norm, point_key, j)
-                         for j in trials])
+                                          pilot_re_norm, rng)
+                         for rng in _generators(point_key, trials)])
     lam = np.array(lams)
 
     def hits(rows: tuple) -> int:
@@ -418,8 +523,11 @@ def run_detection_mc(config: ExperimentConfig) -> PdPfaCurve:
     where the nf column counts misses instead.
 
     Each trial draws its own threshold, H1 samples and H0 samples from its
-    own RNG, in trial order. The detector then runs once on the H1 samples
-    and once on the H0 samples of up to max(1, BLOCK_SAMPLES // samples_N)
+    own RNG, in trial order. That RNG equals `np.random.default_rng([base_seed,
+    ti, si, fi, trial])` bit for bit, with ti, si and fi the grid indices of
+    the technique, SNR and threshold factor, and a block's keys are hashed in
+    one pass. The detector then runs once on the H1 samples and once on the
+    H0 samples of up to max(1, BLOCK_SAMPLES // samples_N)
     trials, as (rows, samples_N) row blocks with one threshold per row. A
     block's statistics equal the per-trial ones bit for bit, so the records
     do not depend on the block size, and memory does not grow with trials_Nt.
@@ -603,8 +711,8 @@ def _scan_block(cfg: ExperimentConfig, matrix: SensingMatrix, slot: int,
     block = np.empty((len(channels), n))
     truth = np.empty(len(channels), dtype=bool)
     snr = np.empty(len(channels))
-    for r, ch in enumerate(channels):
-        rng = np.random.default_rng([cfg.base_seed, 15013, slot, ch])
+    rngs = _generators((cfg.base_seed, 15013, slot), channels)
+    for r, (ch, rng) in enumerate(zip(channels, rngs)):
         truth[r] = rng.random() < traffic.prob(ch, slot)
         # indexing the tuple draws what rng.choice draws, without building an
         # array from it on every call
@@ -651,9 +759,11 @@ def run_scan_sim(
     `budget_channels` counts the channels it covers at M samples per channel
     (compressive) and at N (conventional).
 
-    Each channel-slot draws its truth, SNR and samples from its own RNG. A
-    slot's channels then run as row blocks of up to max(1, BLOCK_SAMPLES //
-    samples_N) channels, the cap detection sweeps share: one circulant
+    Each channel-slot draws its truth, SNR and samples from its own RNG,
+    equal bit for bit to `np.random.default_rng([base_seed, 15013, slot,
+    channel])`; a block's keys are hashed in one pass. A slot's channels then
+    run as row blocks of up to max(1, BLOCK_SAMPLES // samples_N) channels,
+    the cap detection sweeps share: one circulant
     apply per block, one detector call per technique on each path's block,
     and one blind SNR estimate per block (one stacked covariance and
     eigendecomposition, then one noise fit per model order among the

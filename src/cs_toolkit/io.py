@@ -39,6 +39,7 @@ __all__ = [
     "matrix_from_descriptor",
     "write_manifest",
     "read_manifest",
+    "environment_stamp",
 ]
 
 CONFIG_SCHEMA_VERSION = 1
@@ -232,12 +233,35 @@ def matrix_from_descriptor(desc: dict) -> SensingMatrix:
 
 @dataclasses.dataclass(frozen=True)
 class RunManifest:
+    """What a run was asked for and what it wrote.
+
+    `environment` is the run's `environment_stamp()`; it is empty in a
+    manifest written without one.
+    """
+
     config_hash: str
     tool_version: str
     started_at: str
     finished_at: str
     base_seed: int
     output_paths: tuple
+    environment: dict = dataclasses.field(default_factory=dict)
+
+
+def environment_stamp() -> dict:
+    """What a report's bytes can depend on besides its config: the numpy
+    version (whose SeedSequence seeds every trial), the BLAS library numpy
+    was built with, the BLAS thread variables as set (None when unset) and
+    the CPU count."""
+    try:
+        lib = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{lib['name']} {lib['version']}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    return {"numpy": np.__version__, "blas": blas,
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "cpu_count": os.cpu_count()}
 
 
 def utc_now() -> str:
@@ -265,4 +289,5 @@ def read_manifest(path: str | Path) -> RunManifest:
         finished_at=body["finished_at"],
         base_seed=int(body["base_seed"]),
         output_paths=tuple(body["output_paths"]),
+        environment=body.get("environment", {}),
     )

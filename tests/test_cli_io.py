@@ -2,6 +2,7 @@
 
 import builtins
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -218,6 +219,27 @@ def test_manifest_round_trip(tmp_path):
     path = write_manifest(manifest, tmp_path, stem="results")
     assert path.name == "results_manifest.json"
     assert read_manifest(path) == manifest
+
+
+def test_manifest_environment_stamp(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    stamp = cio.environment_stamp()
+    assert stamp["numpy"] == np.__version__
+    assert stamp["OPENBLAS_NUM_THREADS"] == "2" and stamp["OMP_NUM_THREADS"] is None
+    assert stamp["cpu_count"] == os.cpu_count()
+    assert isinstance(stamp["blas"], str) and stamp["blas"]
+    manifest = RunManifest(config_hash="cd" * 32, tool_version=TOOL_VERSION,
+                           started_at="2026-01-01T00:00:00+00:00",
+                           finished_at="2026-01-01T00:00:05+00:00", base_seed=3,
+                           output_paths=("a.csv",), environment=stamp)
+    path = write_manifest(manifest, tmp_path)
+    assert read_manifest(path) == manifest
+    # a manifest written before the stamp existed still reads, with none
+    body = json.loads(path.read_text())
+    del body["environment"]
+    path.write_text(json.dumps(body))
+    assert read_manifest(path) == dataclasses.replace(manifest, environment={})
 
 
 def _recovery_report(cells, char):
@@ -651,6 +673,9 @@ def test_cli_experiment_and_report(tmp_path, capsys):
     manifest = read_manifest(out_a / "results_manifest.json")
     assert manifest.config_hash == config_hash(load_config(cfg_path))
     assert manifest.base_seed == 21
+    # the stamp names what the report's bytes can depend on beyond the config
+    assert manifest.environment == cio.environment_stamp()
+    assert manifest.environment["numpy"] == np.__version__
     capsys.readouterr()
     assert run_cli(["report", "--input", str(results_a), "--rows", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -712,6 +737,14 @@ def test_cli_scan_sim(tmp_path, capsys):
                     "--output-dir", str(bad_dir)]) == 1
     assert "length 64 must be above euclid_lags_M 64" in capsys.readouterr().err
     assert not bad_dir.exists()
+
+
+def test_cli_scan_sim_rejects_a_negative_seed(tmp_path, capsys):
+    out_dir = tmp_path / "scan"
+    assert run_cli(["scan-sim", "--samples", "256", "--slots", "1", "--m", "128",
+                    "--seed", "-1", "--output-dir", str(out_dir)]) == 1
+    assert "base_seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_cli_runtime_errors_exit_one(tmp_path, capsys):

@@ -58,6 +58,17 @@ def test_config_rejects_non_integer_counts(field, value):
         ExperimentConfig(**{field: value})
 
 
+@pytest.mark.parametrize("kind", ["detection_mc", "recovery_mc", "scan_sim"])
+def test_config_rejects_a_negative_base_seed(kind):
+    # numpy's seeding takes no negative key entry: such a config failed at
+    # its first trial with a bare "expected non-negative integer"
+    fields = {"recovery_mc": {"sparsity_k": 4, "measurements_M": 32},
+              "scan_sim": {"measurements_M": 256}}.get(kind, {})
+    with pytest.raises(ValueError, match="base_seed must be >= 0, got -5"):
+        ExperimentConfig(experiment_kind=kind, base_seed=-5, **fields)
+    assert ExperimentConfig(experiment_kind=kind, base_seed=0, **fields).base_seed == 0
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(trials_Nt=0)
@@ -440,6 +451,45 @@ PINNED_EQ8_ROWS = (
 )
 
 
+def same_generators(prefix, indices):
+    """The number of keys on which `_generators` equals `default_rng` in its
+    state and in a normal and a buffered 32-bit draw."""
+    block = harness._generators(prefix, indices)
+    assert len(block) == len(indices)
+    for rng, i in zip(block, indices):
+        ref = np.random.default_rng([*prefix, i])
+        assert rng.bit_generator.state == ref.bit_generator.state, (prefix, i)
+        assert rng.standard_normal() == ref.standard_normal(), (prefix, i)
+        assert rng.integers(7) == ref.integers(7), (prefix, i)
+    return len(block)
+
+
+def test_block_generators_equal_default_rng():
+    # the block hash restates numpy's SeedSequence; a numpy release that
+    # changed it would change every report, and must fail here first
+    prefixes = [(), (0,), (5, 2**32), (3, 15013, 7), (2**64 + 9, 0, 2**32 - 1, 4),
+                (123456789, 2, 3, 1)]
+    keys = 0
+    for prefix in prefixes:
+        for size in (1, 3, 42, 50, 131):
+            for start in (0, 1, 977, 2**16, 2**20 + 3, 2**31 + 5, 2**32 - size):
+                keys += same_generators(prefix, range(start, start + size))
+        # a stepped range, one that crosses 2**32 (two words from there on),
+        # and an empty one
+        keys += same_generators(prefix, range(400, 7, -3))
+        keys += same_generators(prefix, range(2**32 - 3, 2**32 + 3))
+        assert harness._generators(prefix, range(9, 9)) == []
+    assert keys >= 10_000
+
+
+@pytest.mark.parametrize("prefix,indices", [((-1, 2), range(3)), ((4,), range(-2, 2))])
+def test_block_generators_reject_negative_entries_as_numpy_does(prefix, indices):
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.default_rng([*prefix, indices[0]])
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        harness._generators(prefix, indices)
+
+
 def _rows(curve):
     return tuple((r["technique"], r["snr_db"], r["threshold_factor"], r["nd"], r["nf"])
                  for r in curve.records)
@@ -468,7 +518,7 @@ def vector_detection_rows(cfg):
                 for j in range(cfg.trials_Nt):
                     lam, y1, y0 = harness._detection_trial(
                         cfg, technique, float(snr_db), float(factor), pilot, re_norm,
-                        (cfg.base_seed, ti, si, fi), j)
+                        np.random.default_rng([cfg.base_seed, ti, si, fi, j]))
 
                     def hit(y):
                         return int(detect(technique, y, lam, pilot=pilot,
